@@ -151,6 +151,7 @@ type Server struct {
 	conns    map[int]*worker
 	nextConn int
 	nonce    int64
+	scratch  stats.Scratch // filler bytes, copied into simulated memory
 
 	stats   Stats
 	status  *protect.Status
@@ -430,9 +431,7 @@ func (s *Server) noteSealCompromise() {
 func (s *Server) handshake(w *worker) error {
 	s.nonce++
 	pub := w.key.pub
-	rng := stats.NewRand(s.nonce)
-	premaster := make([]byte, pub.N.BitLen()/8-1)
-	rng.Read(premaster)
+	premaster := s.scratch.Fill(pub.N.BitLen()/8-1, s.nonce)
 	premaster[0] &= 0x7F
 	m := new(big.Int).SetBytes(premaster)
 	blob := new(big.Int).Exp(m, pub.E, pub.N)
@@ -465,10 +464,8 @@ func (s *Server) Request(connID, n int) error {
 		if err != nil {
 			return fmt.Errorf("httpd: request: %w", err)
 		}
-		payload := make([]byte, sz)
 		s.nonce++
-		stats.NewRand(s.nonce).Read(payload)
-		if err := w.heap.Write(buf, payload); err != nil {
+		if err := w.heap.Write(buf, s.scratch.Fill(sz, s.nonce)); err != nil {
 			return err
 		}
 		if err := w.heap.Free(buf); err != nil {

@@ -25,6 +25,7 @@ import (
 	"memshield/internal/crypto/seal"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
+	"memshield/internal/kernel/vm"
 	"memshield/internal/libc"
 	"memshield/internal/protect"
 	"memshield/internal/ssl"
@@ -112,6 +113,7 @@ type conn struct {
 	pid  int
 	heap *libc.Heap
 	key  keyBackend
+	sess vm.VAddr // session state buffer
 }
 
 // Server is one running simulated OpenSSH server.
@@ -127,6 +129,7 @@ type Server struct {
 	conns    map[int]*conn
 	nextConn int
 	nonce    int64
+	scratch  stats.Scratch // filler bytes, copied into simulated memory
 
 	stats   Stats
 	status  *protect.Status
@@ -340,11 +343,10 @@ func (s *Server) Connect() (int, error) {
 	if err != nil {
 		return abort(fmt.Errorf("sshd: connect: %w", err))
 	}
-	junk := make([]byte, s.cfg.SessionBufferBytes)
-	stats.NewRand(s.nonce).Read(junk)
-	if err := c.heap.Write(sess, junk); err != nil {
+	if err := c.heap.Write(sess, s.scratch.Fill(s.cfg.SessionBufferBytes, s.nonce)); err != nil {
 		return abort(err)
 	}
+	c.sess = sess
 	s.nextConn++
 	s.conns[c.id] = c
 	s.stats.Connections++
@@ -373,9 +375,7 @@ func (s *Server) noteSealCompromise() {
 func (s *Server) handshake(c *conn) error {
 	s.nonce++
 	pub := c.key.pub
-	rng := stats.NewRand(s.nonce)
-	exchangeHash := make([]byte, 32)
-	rng.Read(exchangeHash)
+	exchangeHash := s.scratch.Fill(32, s.nonce)
 	em, err := rsakey.EncodePKCS1v15(exchangeHash, (pub.N.BitLen()+7)/8)
 	if err != nil {
 		return fmt.Errorf("sshd: handshake: %w", err)
@@ -410,10 +410,8 @@ func (s *Server) Transfer(connID, n int) error {
 		if err != nil {
 			return fmt.Errorf("sshd: transfer: %w", err)
 		}
-		payload := make([]byte, sz)
 		s.nonce++
-		stats.NewRand(s.nonce).Read(payload)
-		if err := c.heap.Write(buf, payload); err != nil {
+		if err := c.heap.Write(buf, s.scratch.Fill(sz, s.nonce)); err != nil {
 			return err
 		}
 		if err := c.heap.Free(buf); err != nil {
