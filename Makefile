@@ -69,11 +69,12 @@ soak-smoke:
 	$(GO) run ./cmd/soak -storms 6 -steps 120 -workers 4 -verify -log soak-events.log
 
 # One iteration of the scanning-engine and keyfinder benchmarks under the
-# race detector: exercises the sharded scan, the incremental rescan and the
-# chunked factor scan concurrency without any timing sensitivity, so it
-# catches concurrency bit-rot in CI (DESIGN.md §9). CI runs this on each PR.
+# race detector: exercises the sharded scan, the incremental rescan, the
+# one-dirty-frame rescan (internal/scan) and the chunked factor scan
+# concurrency without any timing sensitivity, so it catches concurrency
+# bit-rot in CI (DESIGN.md §9). CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan' -benchtime=1x .
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame' -benchtime=1x . ./internal/scan
 
 # The published fleet bench trajectory (EXPERIMENTS.md "Benchmark JSON
 # format"): event engine vs per-tick loop baseline at 10k and 100k
@@ -96,7 +97,9 @@ fleet-smoke:
 fuzz:
 	$(GO) test -fuzz=FuzzReadInteger -fuzztime=30s ./internal/crypto/der
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/crypto/pemfile
+	$(GO) test -fuzz=FuzzParseDER -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s ./internal/scan
+	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder
 
 figures:

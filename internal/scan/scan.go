@@ -8,9 +8,9 @@
 // disclosure-equivalent "copies of the private key" are d, P, Q, and the
 // PEM-encoded key file; the CRT residues are deliberately not counted.
 //
-// Since PR 5 the search runs on a three-layer engine (DESIGN.md §9): a
-// single-pass multi-pattern dispatch (engine.go), a sharded parallel walk
-// whose output is byte-identical at any worker count, and an incremental
+// The search runs on a three-layer engine (DESIGN.md §9): a single-pass
+// sampled q-gram filter over all patterns (engine.go), a sharded parallel
+// walk whose output is byte-identical at any worker count, and an incremental
 // per-frame cache driven by the mem package's write generations, so a
 // Scanner carried across timeline ticks re-walks only dirty frames.
 //
@@ -22,8 +22,9 @@
 package scan
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/kernel"
@@ -229,17 +230,18 @@ func (s *Scanner) rescanDirty(m *mem.Memory, view []byte, numFrames int) {
 			}
 			// Grow a run of consecutive dirty frames and search it as one
 			// window — a cold scan degenerates to one window per shard.
+			// Each run frame takes its new generation sum as the run grows.
+			s.cache[f].genSum = sum
 			run := f + 1
-			sums := []uint64{sum}
 			for run < hi {
 				rs := s.windowGenSum(m, run, numFrames)
 				if s.primed && s.cache[run].genSum == rs {
 					break
 				}
-				sums = append(sums, rs)
+				s.cache[run].genSum = rs
 				run++
 			}
-			s.scanRun(view, f, run, numFrames, sums)
+			s.scanRun(view, f, run)
 			st.scanned += run - f
 			f = run
 		}
@@ -269,17 +271,14 @@ func (s *Scanner) windowGenSum(m *mem.Memory, f, numFrames int) uint64 {
 
 // scanRun re-searches frames [lo, hi) in one pass. The window extends
 // maxLen-1 bytes past the run so matches straddling the run's trailing
-// boundary are found; matches are bucketed to the frame they start in.
-func (s *Scanner) scanRun(view []byte, lo, hi, numFrames int, sums []uint64) {
+// boundary are found; matches are bucketed to the frame they start in,
+// reusing each frame's match slice.
+func (s *Scanner) scanRun(view []byte, lo, hi int) {
 	base := mem.PageNum(lo).Base()
 	runBytes := (hi - lo) * mem.PageSize
-	end := int(base) + runBytes + s.eng.maxLen - 1
-	if end > len(view) {
-		end = len(view)
-	}
+	end := min(int(base)+runBytes+s.eng.maxLen-1, len(view))
 	for f := lo; f < hi; f++ {
-		s.cache[f].genSum = sums[f-lo]
-		s.cache[f].matches = nil
+		s.cache[f].matches = s.cache[f].matches[:0]
 	}
 	s.eng.scan(view[base:end], runBytes, func(off, pat int) bool {
 		f := lo + off/mem.PageSize
@@ -294,24 +293,37 @@ func (s *Scanner) scanRun(view []byte, lo, hi, numFrames int, sums []uint64) {
 // emit rebuilds the full match list from the per-frame cache in the
 // scanner's canonical order — pattern-major, address-ascending, exactly
 // the order the original one-pass-per-pattern search produced — and
-// classifies every match against the frames' current metadata.
+// classifies every match against the frames' current metadata. It is a
+// counting sort by pattern: one pass counts each pattern's matches, a
+// second drops every match into its pattern's next slot in frame order,
+// so the cost is O(frames + matches).
 func (s *Scanner) emit(m *mem.Memory) []Match {
-	var out []Match
-	for pi := range s.patterns {
-		for f := range s.cache {
-			for _, fm := range s.cache[f].matches {
-				if int(fm.pat) != pi {
-					continue
-				}
-				fr := m.Frame(mem.PageNum(f))
-				out = append(out, Match{
-					Addr:      mem.PageNum(f).Base() + mem.Addr(fm.off),
-					Part:      s.patterns[pi].Part,
-					Allocated: fr.State == mem.FrameAllocated,
-					Owner:     fr.Owner,
-					PIDs:      fr.Mappers(),
-				})
+	next := make([]int, len(s.patterns))
+	for f := range s.cache {
+		for _, fm := range s.cache[f].matches {
+			next[fm.pat]++
+		}
+	}
+	total := 0
+	for pi, n := range next {
+		next[pi] = total
+		total += n
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]Match, total)
+	for f := range s.cache {
+		for _, fm := range s.cache[f].matches {
+			fr := m.Frame(mem.PageNum(f))
+			out[next[fm.pat]] = Match{
+				Addr:      mem.PageNum(f).Base() + mem.Addr(fm.off),
+				Part:      s.patterns[fm.pat].Part,
+				Allocated: fr.State == mem.FrameAllocated,
+				Owner:     fr.Owner,
+				PIDs:      fr.Mappers(),
 			}
+			next[fm.pat]++
 		}
 	}
 	return out
@@ -353,26 +365,23 @@ type BufferMatch struct {
 }
 
 // FindAllInBuffer locates every pattern occurrence in the buffer in one
-// pass, sorted by (Off, Part, Len) — the Part tie-break pins the order of
+// pass, ordered by (Off, Part, Len) — the Part tie-break pins the order of
 // distinct patterns matching at the same offset, which an unstable
 // offset-only sort used to leave nondeterministic. Sweeps that evaluate
 // multiple capture prefixes (e.g. "how many copies after D directories?"
 // for several D) find all matches once and count by prefix instead of
 // rescanning.
 func FindAllInBuffer(buf []byte, patterns []Pattern) []BufferMatch {
-	var out []BufferMatch
-	compile(patterns).scan(buf, len(buf), func(off, pat int) bool {
-		out = append(out, BufferMatch{Off: off, Len: len(patterns[pat].Bytes), Part: patterns[pat].Part})
-		return true
+	// The engine emits in (offset, pattern index) order, so compiling the
+	// patterns stably sorted by (Part, Len) yields the documented order.
+	ps := slices.Clone(patterns)
+	slices.SortStableFunc(ps, func(a, b Pattern) int {
+		return cmp.Or(cmp.Compare(a.Part, b.Part), cmp.Compare(len(a.Bytes), len(b.Bytes)))
 	})
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Off != out[j].Off {
-			return out[i].Off < out[j].Off
-		}
-		if out[i].Part != out[j].Part {
-			return out[i].Part < out[j].Part
-		}
-		return out[i].Len < out[j].Len
+	var out []BufferMatch
+	compile(ps).scan(buf, len(buf), func(off, pat int) bool {
+		out = append(out, BufferMatch{Off: off, Len: len(ps[pat].Bytes), Part: ps[pat].Part})
+		return true
 	})
 	return out
 }

@@ -460,9 +460,10 @@ func (r *RSA) SealStats() seal.Stats {
 }
 
 // withKey runs fn on the materialized host-side key, inside the seal
-// window when the key is sealed at rest. In the sealed path the
-// materialized big.Int copies are scrubbed before the window closes —
-// the window is exactly where a missed host-side copy would hide.
+// window when the key is sealed at rest. On both paths the six
+// materialized big.Int copies are scrubbed once fn returns; in the sealed
+// path that happens before the window closes — the window is exactly
+// where a missed host-side copy would hide.
 func (r *RSA) withKey(fn func(*rsakey.PrivateKey) ([]byte, error)) ([]byte, error) {
 	if r.freed {
 		return nil, ErrFreed
@@ -478,6 +479,7 @@ func (r *RSA) withKey(fn func(*rsakey.PrivateKey) ([]byte, error)) ([]byte, erro
 		if err != nil {
 			return nil, err
 		}
+		defer key.Zeroize()
 		return fn(key)
 	}
 	var out []byte

@@ -3,6 +3,7 @@ package ssl
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
@@ -122,6 +123,56 @@ func TestPrivateOpComputesValidRSA(t *testing.T) {
 	}
 	if !bytes.Equal(sig, want) {
 		t.Fatal("in-sim op != host-side CRT")
+	}
+}
+
+func TestPrivateOpZeroizesHostKey(t *testing.T) {
+	// Every private op materializes d, p, q, dP, dQ and qInv as host-side
+	// big.Ints; their limb buffers must be scrubbed once the op returns,
+	// whether or not the key is sealed at rest. The op runs PrivateOp's
+	// own body through withKey so the test can hold on to the key.
+	for _, tc := range []struct {
+		name string
+		seal bool
+	}{{"plain-aligned", false}, {"sealed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			r := f.load(t, WithAutoAlign())
+			if tc.seal {
+				if err := r.SealAtRest(stats.NewReader(7), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			msg := []byte("session-key-blob")
+			var seen *rsakey.PrivateKey
+			var limbs [][]big.Word
+			sig, err := r.withKey(func(key *rsakey.PrivateKey) ([]byte, error) {
+				seen = key
+				for _, v := range []*big.Int{key.D, key.P, key.Q, key.Dp, key.Dq, key.Qinv} {
+					limbs = append(limbs, v.Bits())
+				}
+				return key.SignCRT(msg)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pub := r.PublicKey()
+			if err := pub.Verify(msg, sig); err != nil {
+				t.Fatalf("signature does not verify: %v", err)
+			}
+			names := []string{"d", "p", "q", "dP", "dQ", "qInv"}
+			for i, v := range []*big.Int{seen.D, seen.P, seen.Q, seen.Dp, seen.Dq, seen.Qinv} {
+				if v.Sign() != 0 {
+					t.Errorf("%s is nonzero after the op, want 0", names[i])
+				}
+				for _, w := range limbs[i] {
+					if w != 0 {
+						t.Errorf("%s limb buffer not scrubbed", names[i])
+						break
+					}
+				}
+			}
+		})
 	}
 }
 
