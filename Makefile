@@ -68,13 +68,14 @@ soak:
 soak-smoke:
 	$(GO) run ./cmd/soak -storms 6 -steps 120 -workers 4 -verify -log soak-events.log
 
-# One iteration of the scanning-engine and keyfinder benchmarks under the
-# race detector: exercises the sharded scan, the incremental rescan, the
-# one-dirty-frame rescan (internal/scan) and the chunked factor scan
-# concurrency without any timing sensitivity, so it catches concurrency
-# bit-rot in CI (DESIGN.md §9). CI runs this on each PR.
+# One iteration of the scanning-engine, keyfinder and private-op benchmarks
+# under the race detector: exercises the sharded scan, the incremental
+# rescan, the one-dirty-frame rescan (internal/scan), the chunked factor
+# scan concurrency and the RSA-CRT private op, plain and sealed
+# (internal/crypto/rsakey, internal/ssl), without any timing sensitivity,
+# so it catches bit-rot in CI (DESIGN.md §4, §9). CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame' -benchtime=1x . ./internal/scan
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPrivateOp' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl
 
 # The published fleet bench trajectory (EXPERIMENTS.md "Benchmark JSON
 # format"): event engine vs per-tick loop baseline at 10k and 100k
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadInteger -fuzztime=30s ./internal/crypto/der
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/crypto/pemfile
 	$(GO) test -fuzz=FuzzParseDER -fuzztime=30s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzMontExp -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder

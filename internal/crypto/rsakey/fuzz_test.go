@@ -1,6 +1,10 @@
 package rsakey
 
-import "testing"
+import (
+	"bytes"
+	"math/big"
+	"testing"
+)
 
 // FuzzParseDER ensures arbitrary input never panics the key parser, and
 // that anything it accepts is a genuinely valid key.
@@ -19,6 +23,43 @@ func FuzzParseDER(f *testing.F) {
 		}
 		if verr := parsed.Validate(); verr != nil {
 			t.Fatalf("ParseDER accepted an invalid key: %v", verr)
+		}
+	})
+}
+
+// FuzzMontExp checks the Montgomery kernel against big.Int.Exp: any odd
+// modulus above 1 of up to 256 bits, a base reduced modulo it, and an
+// exponent of up to 80 bytes.
+func FuzzMontExp(f *testing.F) {
+	full := bytes.Repeat([]byte{0xff}, 32) // a full 256-bit exponent
+	for n := 1; n <= 4; n++ {
+		mod := bytes.Repeat([]byte{0xa7}, 8*n)
+		m := new(big.Int).SetBytes(mod)
+		base := new(big.Int).Sub(m, big.NewInt(1)).Bytes()
+		for _, exp := range [][]byte{nil, {1}, {0x01, 0x00, 0x01}, full} {
+			f.Add(mod, base, exp)
+		}
+	}
+	f.Fuzz(func(t *testing.T, mod, base, exp []byte) {
+		if len(mod) > kernelBits/8 || len(exp) > 80 {
+			return
+		}
+		m := new(big.Int).SetBytes(mod)
+		m.SetBit(m, 0, 1)
+		if m.BitLen() < 2 {
+			m.SetInt64(3)
+		}
+		x := new(big.Int).SetBytes(base)
+		x.Mod(x, m)
+		e := new(big.Int).SetBytes(exp)
+
+		var ws workspace
+		var ml, got, want limbs
+		ml.load(m)
+		ws.montExp(&got, x, e, &ml)
+		want.load(new(big.Int).Exp(x, e, m))
+		if got != want {
+			t.Fatalf("%x^%x mod %x: kernel %x, math/big %x", x, e, m, got, want)
 		}
 	})
 }

@@ -1,0 +1,360 @@
+package rsakey
+
+import (
+	"math/big"
+	"math/bits"
+)
+
+// This file is the host-side private-operation kernel: Montgomery
+// exponentiation modulo an odd modulus of at most 256 bits, over fixed
+// [4]uint64 limbs. R is 2^256 throughout; a shorter modulus is zero-padded,
+// which Montgomery arithmetic permits for any odd m < R. SignCRT runs both
+// CRT halves of every key whose primes fit (every key of at most 512 bits)
+// on it; wider keys stay on big.Int.Exp.
+
+// kernelBits is the widest prime the kernel accepts.
+const kernelBits = 256
+
+// limbs is a 256-bit little-endian value.
+type limbs [4]uint64
+
+// workspace is the scratch of one SignCRT. The primes and every
+// key-equivalent intermediate (m mod p and m mod q in Montgomery form, the
+// power table, s1, s2, h) live here and nowhere else; signCRT wipes it
+// before returning.
+type workspace struct {
+	p, q limbs     // the primes, zero-padded
+	r2   limbs     // R² mod the current prime
+	x    limbs     // a chunk being folded in by toMont
+	acc  limbs     // accumulator; s1·R at the end of the p half
+	s2   limbs     // m^dq mod q
+	h    limbs     // qinv·(s1 − s2) mod p
+	pow  [15]limbs // x^1 … x^15 in Montgomery form
+	s    [8]uint64 // s2 + q·h, the signature
+}
+
+// wipe zeroes every word of ws.
+func (ws *workspace) wipe() { *ws = workspace{} }
+
+// madd returns (hi, lo) = a·b + c + d, which never overflows 128 bits.
+func madd(a, b, c, d uint64) (hi, lo uint64) {
+	var cc uint64
+	hi, lo = bits.Mul64(a, b)
+	lo, cc = bits.Add64(lo, c, 0)
+	hi, _ = bits.Add64(hi, 0, cc)
+	lo, cc = bits.Add64(lo, d, 0)
+	hi, _ = bits.Add64(hi, 0, cc)
+	return hi, lo
+}
+
+// montInv returns −m⁻¹ mod 2^64 for odd m by Newton iteration: m·m ≡ 1
+// mod 8 gives 3 correct bits, and each step doubles them.
+func montInv(m uint64) uint64 {
+	inv := m
+	for i := 0; i < 5; i++ {
+		inv *= 2 - m*inv
+	}
+	return -inv
+}
+
+// reduceOnce sets z to (top, t) − m when that 257-bit value is at least m,
+// and to t otherwise. Every Montgomery product and modular sum leaves a
+// value below 2m, so one conditional subtraction brings it below m.
+func reduceOnce(z *limbs, top, t0, t1, t2, t3 uint64, m *limbs) {
+	s0, b := bits.Sub64(t0, m[0], 0)
+	s1, b := bits.Sub64(t1, m[1], b)
+	s2, b := bits.Sub64(t2, m[2], b)
+	s3, b := bits.Sub64(t3, m[3], b)
+	if _, b = bits.Sub64(top, 0, b); b != 0 { // (top, t) < m
+		s0, s1, s2, s3 = t0, t1, t2, t3
+	}
+	z[0], z[1], z[2], z[3] = s0, s1, s2, s3
+}
+
+// montMul sets z = x·y·R⁻¹ mod m by coarsely integrated operand scanning
+// (CIOS): each round adds x·y[i], then the multiple of m that clears the
+// low limb, and shifts one limb down. It requires x·y < m·R (x < R and
+// y < m suffice); z may alias x or y.
+func montMul(z, x, y, m *limbs, inv uint64) {
+	var t0, t1, t2, t3, t4, t5, c, cc, k uint64
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	for _, yi := range y {
+		c, t0 = madd(x0, yi, t0, 0)
+		c, t1 = madd(x1, yi, t1, c)
+		c, t2 = madd(x2, yi, t2, c)
+		c, t3 = madd(x3, yi, t3, c)
+		t4, t5 = bits.Add64(t4, c, 0)
+
+		k = t0 * inv
+		c, _ = madd(k, m[0], t0, 0)
+		c, t0 = madd(k, m[1], t1, c)
+		c, t1 = madd(k, m[2], t2, c)
+		c, t2 = madd(k, m[3], t3, c)
+		t3, cc = bits.Add64(t4, c, 0)
+		t4, _ = bits.Add64(t5, 0, cc)
+	}
+	reduceOnce(z, t4, t0, t1, t2, t3, m)
+}
+
+// montSqr sets z = x²·R⁻¹ mod m for x < m. It forms the 512-bit square
+// with each cross product computed once and doubled (10 limb products
+// instead of 16), then reduces it limb by limb. z may alias x.
+func montSqr(z, x, m *limbs, inv uint64) {
+	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	var r0, r1, r2, r3, r4, r5, r6, r7, c, cc, hi, lo uint64
+
+	// Cross products x_i·x_j, i < j, at limb i+j.
+	r2, r1 = bits.Mul64(x0, x1)
+	c, r2 = madd(x0, x2, r2, 0)
+	r4, r3 = madd(x0, x3, c, 0)
+	c, r3 = madd(x1, x2, r3, 0)
+	c, lo = madd(x1, x3, c, 0)
+	r4, cc = bits.Add64(r4, lo, 0)
+	r5, _ = bits.Add64(c, 0, cc)
+	r6, r5 = madd(x2, x3, r5, 0)
+
+	// Double them.
+	r7 = r6 >> 63
+	r6 = r6<<1 | r5>>63
+	r5 = r5<<1 | r4>>63
+	r4 = r4<<1 | r3>>63
+	r3 = r3<<1 | r2>>63
+	r2 = r2<<1 | r1>>63
+	r1 <<= 1
+
+	// Add the squares x_i² at limb 2i.
+	hi, r0 = bits.Mul64(x0, x0)
+	r1, cc = bits.Add64(r1, hi, 0)
+	hi, lo = bits.Mul64(x1, x1)
+	r2, cc = bits.Add64(r2, lo, cc)
+	r3, cc = bits.Add64(r3, hi, cc)
+	hi, lo = bits.Mul64(x2, x2)
+	r4, cc = bits.Add64(r4, lo, cc)
+	r5, cc = bits.Add64(r5, hi, cc)
+	hi, lo = bits.Mul64(x3, x3)
+	r6, cc = bits.Add64(r6, lo, cc)
+	r7, _ = bits.Add64(r7, hi, cc)
+
+	// Reduce: round i adds the multiple of m that clears limb i; the carry
+	// out of limb i+4 waits in cc for the next round's limb i+5.
+	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
+	k := r0 * inv
+	c, _ = madd(k, m0, r0, 0)
+	c, r1 = madd(k, m1, r1, c)
+	c, r2 = madd(k, m2, r2, c)
+	c, r3 = madd(k, m3, r3, c)
+	r4, cc = bits.Add64(r4, c, 0)
+
+	k = r1 * inv
+	c, _ = madd(k, m0, r1, 0)
+	c, r2 = madd(k, m1, r2, c)
+	c, r3 = madd(k, m2, r3, c)
+	c, r4 = madd(k, m3, r4, c)
+	r5, cc = bits.Add64(r5, c, cc)
+
+	k = r2 * inv
+	c, _ = madd(k, m0, r2, 0)
+	c, r3 = madd(k, m1, r3, c)
+	c, r4 = madd(k, m2, r4, c)
+	c, r5 = madd(k, m3, r5, c)
+	r6, cc = bits.Add64(r6, c, cc)
+
+	k = r3 * inv
+	c, _ = madd(k, m0, r3, 0)
+	c, r4 = madd(k, m1, r4, c)
+	c, r5 = madd(k, m2, r5, c)
+	c, r6 = madd(k, m3, r6, c)
+	r7, cc = bits.Add64(r7, c, cc)
+
+	reduceOnce(z, cc, r4, r5, r6, r7, m)
+}
+
+// modAdd sets z = x + y mod m for x, y < m.
+func modAdd(z, x, y, m *limbs) {
+	t0, c := bits.Add64(x[0], y[0], 0)
+	t1, c := bits.Add64(x[1], y[1], c)
+	t2, c := bits.Add64(x[2], y[2], c)
+	t3, c := bits.Add64(x[3], y[3], c)
+	reduceOnce(z, c, t0, t1, t2, t3, m)
+}
+
+// modSub sets z = x − y mod m for x, y < m.
+func modSub(z, x, y, m *limbs) {
+	t0, b := bits.Sub64(x[0], y[0], 0)
+	t1, b := bits.Sub64(x[1], y[1], b)
+	t2, b := bits.Sub64(x[2], y[2], b)
+	t3, b := bits.Sub64(x[3], y[3], b)
+	if b != 0 {
+		var c uint64
+		t0, c = bits.Add64(t0, m[0], 0)
+		t1, c = bits.Add64(t1, m[1], c)
+		t2, c = bits.Add64(t2, m[2], c)
+		t3, _ = bits.Add64(t3, m[3], c)
+	}
+	z[0], z[1], z[2], z[3] = t0, t1, t2, t3
+}
+
+// limb returns the i-th 64-bit limb of the little-endian word slice w,
+// zero past its end, for either width of big.Word.
+func limb(w []big.Word, i int) uint64 {
+	if bits.UintSize == 64 {
+		if i < len(w) {
+			return uint64(w[i])
+		}
+		return 0
+	}
+	var v uint64
+	if 2*i < len(w) {
+		v = uint64(w[2*i])
+	}
+	if 2*i+1 < len(w) {
+		v |= uint64(w[2*i+1]) << 32
+	}
+	return v
+}
+
+// load sets z to v, which must be non-negative and at most 256 bits.
+func (z *limbs) load(v *big.Int) {
+	w := v.Bits()
+	for i := range z {
+		z[i] = limb(w, i)
+	}
+}
+
+// rr sets ws.r2 = R² mod m for odd m > 1. Doubling 2^(len(m)−1), which is
+// below m, up to 2^264 = R·2^8 mod m takes at most 263 shift-and-subtract
+// steps (9 for a 256-bit prime); five Montgomery squarings then take R·2^8
+// through R·2^16, …, R·2^128 to R·2^256 = R².
+func (ws *workspace) rr(m *limbs, inv uint64) {
+	z := &ws.r2
+	n := 255
+	for m[n/64]>>(n%64) == 0 {
+		n--
+	}
+	*z = limbs{}
+	z[n/64] = 1 << (n % 64)
+	for ; n < kernelBits+8; n++ {
+		top := z[3] >> 63
+		reduceOnce(z, top, z[0]<<1, z[1]<<1|z[0]>>63, z[2]<<1|z[1]>>63, z[3]<<1|z[2]>>63, m)
+	}
+	for i := 0; i < 5; i++ {
+		montSqr(z, z, m, inv)
+	}
+}
+
+// toMont sets z = v·R mod m for a non-negative v of any length, with ws.r2
+// already R² mod m. It folds v in 256-bit chunks from the top, Horner
+// style: z ← z·R + chunk·R, each term one Montgomery product by R². The
+// chunk is staged in ws.x, so z must not be &ws.x.
+func (ws *workspace) toMont(z *limbs, v []big.Word, m *limbs, inv uint64) {
+	const perChunk = kernelBits / bits.UintSize
+	*z = limbs{}
+	for c := (len(v) + perChunk - 1) / perChunk; c > 0; c-- {
+		for i := range ws.x {
+			ws.x[i] = limb(v, 4*(c-1)+i)
+		}
+		montMul(z, z, &ws.r2, m, inv)
+		montMul(&ws.x, &ws.x, &ws.r2, m, inv)
+		modAdd(z, z, &ws.x, m)
+	}
+}
+
+// fromMont sets z = x·R⁻¹ mod m, leaving Montgomery form.
+func fromMont(z, x, m *limbs, inv uint64) {
+	one := limbs{1}
+	montMul(z, x, &one, m, inv)
+}
+
+// powMont sets ws.acc = x^e·R mod m (and ws.r2 = R² mod m) for odd m > 1
+// and any x, e ≥ 0. The exponent runs through a fixed 4-bit window: the
+// table holds x^1 … x^15, leading zero windows are skipped, and a zero
+// window costs its four squarings and no multiply.
+func (ws *workspace) powMont(x, e []big.Word, m *limbs, inv uint64) {
+	ws.rr(m, inv)
+	ws.toMont(&ws.pow[0], x, m, inv)
+	for i := 1; i < len(ws.pow); i++ {
+		montMul(&ws.pow[i], &ws.pow[i-1], &ws.pow[0], m, inv)
+	}
+	started := false
+	for i := len(e)*bits.UintSize/4 - 1; i >= 0; i-- {
+		if started {
+			montSqr(&ws.acc, &ws.acc, m, inv)
+			montSqr(&ws.acc, &ws.acc, m, inv)
+			montSqr(&ws.acc, &ws.acc, m, inv)
+			montSqr(&ws.acc, &ws.acc, m, inv)
+		}
+		w := uint(e[4*i/bits.UintSize]>>(4*i%bits.UintSize)) & 15
+		switch {
+		case w == 0:
+		case started:
+			montMul(&ws.acc, &ws.acc, &ws.pow[w-1], m, inv)
+		default:
+			ws.acc = ws.pow[w-1]
+			started = true
+		}
+	}
+	if !started { // e = 0: x^0 = 1, which is R mod m in Montgomery form
+		fromMont(&ws.acc, &ws.r2, m, inv)
+	}
+}
+
+// montExp sets z = x^e mod m for odd m > 1, the kernel's whole path for
+// one modulus.
+func (ws *workspace) montExp(z *limbs, x, e *big.Int, m *limbs) {
+	inv := montInv(m[0])
+	ws.powMont(x.Bits(), e.Bits(), m, inv)
+	fromMont(z, &ws.acc, m, inv)
+}
+
+// signCRT is SignCRT on the kernel, for odd primes of at most kernelBits
+// bits: s2 = m^dq mod q, s1 = m^dp mod p, h = qinv·(s1 − s2) mod p and
+// s = s2 + q·h, with every intermediate in ws, which it wipes before
+// returning.
+func (k *PrivateKey) signCRT(m *big.Int, ws *workspace) []byte {
+	defer ws.wipe()
+	ws.p.load(k.P)
+	ws.q.load(k.Q)
+	ws.montExp(&ws.s2, m, k.Dq, &ws.q)
+
+	// The p half stays in Montgomery form until h: s1·R − s2·R is
+	// (s1 − s2)·R, and its product with qinv·R is h·R.
+	p, inv := &ws.p, montInv(ws.p[0])
+	ws.powMont(m.Bits(), k.Dp.Bits(), p, inv)
+	montMul(&ws.h, &ws.s2, &ws.r2, p, inv) // s2·R; s2 < R suffices
+	modSub(&ws.acc, &ws.acc, &ws.h, p)
+	ws.toMont(&ws.h, k.Qinv.Bits(), p, inv)
+	montMul(&ws.acc, &ws.acc, &ws.h, p, inv)
+	fromMont(&ws.h, &ws.acc, p, inv)
+
+	// s = s2 + q·h < p·q, which fits eight limbs.
+	s, q, h := &ws.s, &ws.q, &ws.h
+	*s = [8]uint64{ws.s2[0], ws.s2[1], ws.s2[2], ws.s2[3]}
+	for i, w := range h {
+		var c uint64
+		c, s[i] = madd(q[0], w, s[i], 0)
+		c, s[i+1] = madd(q[1], w, s[i+1], c)
+		c, s[i+2] = madd(q[2], w, s[i+2], c)
+		c, s[i+3] = madd(q[3], w, s[i+3], c)
+		for j := i + 4; j < len(s); j++ {
+			s[j], c = bits.Add64(s[j], c, 0)
+		}
+	}
+	return sigBytes(s, k.Size())
+}
+
+// sigBytes returns s big-endian in its minimal length, left-padded with
+// zeros to size bytes: what padTo(s.Bytes(), size) gives on math/big.
+func sigBytes(s *[8]uint64, size int) []byte {
+	n := 0
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] != 0 {
+			n = 8*i + (bits.Len64(s[i])+7)/8
+			break
+		}
+	}
+	out := make([]byte, max(n, size))
+	for i := 0; i < n; i++ {
+		out[len(out)-1-i] = byte(s[i/8] >> (8 * (i % 8)))
+	}
+	return out
+}

@@ -147,23 +147,57 @@ func (k *PrivateKey) SignNoCRT(msg []byte) ([]byte, error) {
 
 // SignCRT computes m^d mod n with the Chinese Remainder Theorem, the
 // fast path real OpenSSL uses (and the reason p and q sit in memory at all).
+// Primes of at most 256 bits (every key of at most 512 bits) run on the
+// fixed-width Montgomery kernel in mont.go, wider ones on math/big; both
+// give the same bytes. A key whose P or Q is not an odd number above 1 —
+// a zeroized key, for one — is refused with ErrBadKey.
 func (k *PrivateKey) SignCRT(msg []byte) ([]byte, error) {
+	if !oddAboveOne(k.P) || !oddAboveOne(k.Q) {
+		return nil, ErrBadKey
+	}
 	m := new(big.Int).SetBytes(msg)
 	if m.Cmp(k.N) >= 0 {
 		return nil, ErrMsgTooLong
 	}
+	if k.P.BitLen() <= kernelBits && k.Q.BitLen() <= kernelBits {
+		var ws workspace
+		return k.signCRT(m, &ws), nil
+	}
+	return k.signCRTBig(m), nil
+}
+
+// signCRTBig is SignCRT on math/big. Each key-equivalent intermediate is
+// scrubbed before it returns — m mod p alone factors N by one gcd, as does
+// s2 against the signature — though the scratch math/big allocates inside
+// Mod, Exp and Mul stays out of reach.
+func (k *PrivateKey) signCRTBig(m *big.Int) []byte {
 	// s1 = m^dp mod p; s2 = m^dq mod q
-	s1 := new(big.Int).Exp(new(big.Int).Mod(m, k.P), k.Dp, k.P)
-	s2 := new(big.Int).Exp(new(big.Int).Mod(m, k.Q), k.Dq, k.Q)
+	mp := new(big.Int).Mod(m, k.P)
+	mq := new(big.Int).Mod(m, k.Q)
+	s1 := new(big.Int).Exp(mp, k.Dp, k.P)
+	s2 := new(big.Int).Exp(mq, k.Dq, k.Q)
 	// h = qinv * (s1 - s2) mod p
 	h := new(big.Int).Sub(s1, s2)
 	h.Mod(h, k.P)
 	h.Mul(h, k.Qinv)
 	h.Mod(h, k.P)
-	// s = s2 + h*q
+	// s = s2 + h*q; s holds h*q until s2 is added
 	s := new(big.Int).Mul(h, k.Q)
 	s.Add(s, s2)
-	return padTo(s.Bytes(), k.Size()), nil
+	out := padTo(s.Bytes(), k.Size())
+	scrub.Big(mp)
+	scrub.Big(mq)
+	scrub.Big(s1)
+	scrub.Big(s2)
+	scrub.Big(h)
+	scrub.Big(s)
+	return out
+}
+
+// oddAboveOne reports whether v is an odd integer greater than 1, as every
+// RSA prime is and as the Montgomery kernel requires of a modulus.
+func oddAboveOne(v *big.Int) bool {
+	return v != nil && v.Sign() > 0 && v.Bit(0) == 1 && v.BitLen() > 1
 }
 
 // Verify checks sig against msg with the public key: sig^e mod n == msg.
@@ -269,6 +303,17 @@ func ParsePEM(data []byte) (*PrivateKey, error) {
 func (k *PrivateKey) Zeroize() {
 	for _, v := range []*big.Int{k.D, k.P, k.Q, k.Dp, k.Dq, k.Qinv} {
 		scrub.Big(v)
+	}
+}
+
+// Clone returns a deep copy of k that shares no limb buffer with it, so
+// zeroizing either leaves the other intact.
+func (k *PrivateKey) Clone() *PrivateKey {
+	c := func(v *big.Int) *big.Int { return new(big.Int).Set(v) }
+	return &PrivateKey{
+		PublicKey: PublicKey{N: c(k.N), E: c(k.E)},
+		D:         c(k.D), P: c(k.P), Q: c(k.Q),
+		Dp: c(k.Dp), Dq: c(k.Dq), Qinv: c(k.Qinv),
 	}
 }
 

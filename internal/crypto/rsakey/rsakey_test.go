@@ -3,6 +3,7 @@ package rsakey
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -90,20 +91,83 @@ func TestSignVerifyCRT(t *testing.T) {
 	}
 }
 
+// TestCRTMatchesNoCRT checks SignCRT against the textbook m^d mod n on
+// both sides of the kernel's 256-bit-prime boundary: keys up to 512 bits
+// run on the Montgomery kernel, wider ones on math/big.
 func TestCRTMatchesNoCRT(t *testing.T) {
+	for _, bits := range []int{128, 130, 250, 256, 500, 512, 514, 768, 1024} {
+		t.Run(fmt.Sprint(bits), func(t *testing.T) {
+			key, err := Generate(stats.NewReader(int64(bits)), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernel := key.P.BitLen() <= kernelBits && key.Q.BitLen() <= kernelBits
+			if want := bits <= 2*kernelBits; kernel != want {
+				t.Fatalf("kernel path = %v, want %v", kernel, want)
+			}
+			nm1 := new(big.Int).Sub(key.N, big.NewInt(1))
+			msgs := [][]byte{nil, {1}, nm1.Bytes()}
+			rng := stats.NewRand(int64(bits))
+			for i := 0; i < 10; i++ {
+				msg := make([]byte, 1+rng.Intn(key.Size()-1))
+				rng.Read(msg)
+				msgs = append(msgs, msg)
+			}
+			for i, msg := range msgs {
+				s1, err := key.SignCRT(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s2, err := key.SignNoCRT(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(s1, s2) {
+					t.Fatalf("msg %d (%x): CRT %x != non-CRT %x", i, msg, s1, s2)
+				}
+			}
+		})
+	}
+}
+
+// TestSignCRTWipesWorkspace checks that no word of the kernel's workspace
+// (the primes, m mod p and q, the power table, s1, s2, h) survives a
+// 512-bit private operation.
+func TestSignCRTWipesWorkspace(t *testing.T) {
 	key := testKey(t)
-	for i := 0; i < 10; i++ {
-		msg := []byte{byte(i + 1), 0xAB, byte(i * 7), 0x01}
-		s1, err := key.SignCRT(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := key.SignNoCRT(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(s1, s2) {
-			t.Fatalf("msg %d: CRT != non-CRT", i)
+	msg := []byte("digest-to-sign-0123456789abcdef")
+	var ws workspace
+	got := key.signCRT(new(big.Int).SetBytes(msg), &ws)
+	want, err := key.SignNoCRT(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("kernel signature differs from m^d mod n")
+	}
+	if ws != (workspace{}) {
+		t.Fatalf("workspace not wiped: %+v", ws)
+	}
+}
+
+// TestSignCRTRejectsBadPrimes checks that a key whose P or Q is zero, one
+// or even is refused instead of panicking or reaching the kernel.
+func TestSignCRTRejectsBadPrimes(t *testing.T) {
+	cases := map[string]func(k *PrivateKey){
+		"zeroized": func(k *PrivateKey) { k.Zeroize() },
+		"nil p":    func(k *PrivateKey) { k.P = nil },
+		"one q":    func(k *PrivateKey) { k.Q = big.NewInt(1) },
+		"even p":   func(k *PrivateKey) { k.P = new(big.Int).Add(k.P, big.NewInt(1)) },
+		"even q":   func(k *PrivateKey) { k.Q = new(big.Int).Lsh(k.Q, 1) },
+		"wide even": func(k *PrivateKey) {
+			k.P = new(big.Int).Lsh(k.P, kernelBits)
+		},
+	}
+	for name, corrupt := range cases {
+		key := testKey(t)
+		corrupt(key)
+		if _, err := key.SignCRT([]byte{0x42}); !errors.Is(err, ErrBadKey) {
+			t.Errorf("%s: SignCRT = %v, want ErrBadKey", name, err)
 		}
 	}
 }

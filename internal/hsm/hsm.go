@@ -55,7 +55,7 @@ func (m *Module) Import(key *rsakey.PrivateKey) (int, error) {
 	}
 	slot := m.nextSlot
 	m.nextSlot++
-	m.slots[slot] = key
+	m.slots[slot] = key.Clone()
 	return slot, nil
 }
 
@@ -65,6 +65,7 @@ func (m *Module) ImportPEM(pem []byte) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("hsm: import: %w", err)
 	}
+	defer key.Zeroize() // Import stores its own copy
 	return m.Import(key)
 }
 
@@ -106,11 +107,14 @@ func (m *Module) PublicKey(slot int) (rsakey.PublicKey, error) {
 	return key.PublicKey, nil
 }
 
-// Destroy erases a slot (key destruction is an HSM primitive).
+// Destroy erases a slot (key destruction is an HSM primitive): the stored
+// key is zeroized, then the slot is freed.
 func (m *Module) Destroy(slot int) error {
-	if _, ok := m.slots[slot]; !ok {
+	key, ok := m.slots[slot]
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrNoSlot, slot)
 	}
+	key.Zeroize()
 	delete(m.slots, slot)
 	return nil
 }

@@ -94,6 +94,50 @@ func TestDestroy(t *testing.T) {
 	}
 }
 
+// TestImportCopiesKey follows Import's contract: the caller scrubs its own
+// copy once the device holds the key, and the device keeps working.
+func TestImportCopiesKey(t *testing.T) {
+	m := New()
+	key := testKey(t)
+	slot, err := m.Import(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key.Zeroize()
+	msg := []byte("after-caller-scrub")
+	sig, err := m.PrivateOp(slot, msg)
+	if err != nil {
+		t.Fatalf("PrivateOp after the caller zeroized its copy: %v", err)
+	}
+	pub, err := m.PublicKey(slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Verify(msg, sig); err != nil {
+		t.Fatal("device signature must verify after the caller's scrub")
+	}
+}
+
+func TestDestroyZeroizesStoredKey(t *testing.T) {
+	m := New()
+	slot, err := m.Import(testKey(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := m.slots[slot]
+	if err := m.Destroy(slot); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]*big.Int{
+		"d": stored.D, "p": stored.P, "q": stored.Q,
+		"dp": stored.Dp, "dq": stored.Dq, "qinv": stored.Qinv,
+	} {
+		if v.Sign() != 0 {
+			t.Errorf("%s survives Destroy: %v", name, v)
+		}
+	}
+}
+
 func TestSlotHandle(t *testing.T) {
 	m := New()
 	key := testKey(t)

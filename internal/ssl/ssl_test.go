@@ -23,7 +23,7 @@ type fixture struct {
 	pem  []byte
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	k, err := kernel.New(kernel.Config{MemPages: 2048, DeallocPolicy: alloc.PolicyRetain})
 	if err != nil {
@@ -51,7 +51,7 @@ func (f *fixture) countPattern(pat []byte) int {
 	return len(f.k.Mem().FindAll(pat))
 }
 
-func (f *fixture) load(t *testing.T, opts ...LoadOption) *RSA {
+func (f *fixture) load(t testing.TB, opts ...LoadOption) *RSA {
 	t.Helper()
 	r, err := D2iPrivateKey(f.heap, f.pem, opts...)
 	if err != nil {
