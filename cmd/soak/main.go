@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"memshield/internal/fleet"
+	"memshield/internal/host"
 	"memshield/internal/protect"
 	"memshield/internal/stats"
 	"memshield/internal/supervise"
@@ -49,12 +50,12 @@ func parseLevel(s string) (protect.Level, error) {
 	return 0, fmt.Errorf("unknown level %q (want none, application, library, kernel, integrated, secure-dealloc or sealed)", s)
 }
 
-func parseKind(s string) (supervise.Kind, error) {
+func parseKind(s string) (host.Kind, error) {
 	switch s {
 	case "ssh", "sshd", "openssh":
-		return supervise.KindSSHD, nil
+		return host.KindSSHD, nil
 	case "apache", "httpd":
-		return supervise.KindHTTPD, nil
+		return host.KindHTTPD, nil
 	default:
 		return "", fmt.Errorf("unknown server %q (want ssh or apache)", s)
 	}

@@ -33,6 +33,7 @@ import (
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/crypto/seal"
 	"memshield/internal/fault"
+	"memshield/internal/host"
 	"memshield/internal/kernel"
 	"memshield/internal/kernel/vm"
 	"memshield/internal/protect"
@@ -75,31 +76,6 @@ func matrixPlan(seed int64) *fault.Plan {
 		},
 	}
 }
-
-// faultServer unifies the two servers for the matrix driver.
-type faultServer interface {
-	Connect() (int, error)
-	Churn(id, n int) error
-	Disconnect(id int) error
-	Stop() error
-	PID() int
-}
-
-type sshFaultHandle struct{ s *sshd.Server }
-
-func (h sshFaultHandle) Connect() (int, error)   { return h.s.Connect() }
-func (h sshFaultHandle) Churn(id, n int) error   { return h.s.Transfer(id, n) }
-func (h sshFaultHandle) Disconnect(id int) error { return h.s.Disconnect(id) }
-func (h sshFaultHandle) Stop() error             { return h.s.Stop() }
-func (h sshFaultHandle) PID() int                { return h.s.MasterPID() }
-
-type httpFaultHandle struct{ s *httpd.Server }
-
-func (h httpFaultHandle) Connect() (int, error)   { return h.s.Connect() }
-func (h httpFaultHandle) Churn(id, n int) error   { return h.s.Request(id, n) }
-func (h httpFaultHandle) Disconnect(id int) error { return h.s.Disconnect(id) }
-func (h httpFaultHandle) Stop() error             { return h.s.Stop() }
-func (h httpFaultHandle) PID() int                { return h.s.ParentPID() }
 
 // faultOutcome is everything one scenario produces, collected without a
 // *testing.T so the determinism test can run scenarios twice and diff.
@@ -162,7 +138,7 @@ func runFaultScenario(kind string, level protect.Level, seed int64) faultOutcome
 	return out
 }
 
-func startFaultServer(k *kernel.Kernel, kind string, level protect.Level, seed int64, status *protect.Status) (faultServer, error) {
+func startFaultServer(k *kernel.Kernel, kind string, level protect.Level, seed int64, status *protect.Status) (host.Server, error) {
 	switch kind {
 	case "sshd":
 		s, err := sshd.Start(k, sshd.Config{
@@ -172,7 +148,7 @@ func startFaultServer(k *kernel.Kernel, kind string, level protect.Level, seed i
 		if err != nil {
 			return nil, err
 		}
-		return sshFaultHandle{s}, nil
+		return host.SSHD{Server: s}, nil
 	case "httpd":
 		s, err := httpd.Start(k, httpd.Config{
 			KeyPath: faultKeyPath, Level: level,
@@ -181,7 +157,7 @@ func startFaultServer(k *kernel.Kernel, kind string, level protect.Level, seed i
 		if err != nil {
 			return nil, err
 		}
-		return httpFaultHandle{s}, nil
+		return host.HTTPD{Server: s}, nil
 	default:
 		return nil, fmt.Errorf("unknown server kind %q", kind)
 	}
@@ -191,7 +167,7 @@ func startFaultServer(k *kernel.Kernel, kind string, level protect.Level, seed i
 // connects, transfers, disconnects, memory pressure and ticks. Errors are
 // expected and tolerated; connections that failed to open are simply not
 // tracked.
-func driveFaultWorkload(k *kernel.Kernel, srv faultServer, seed int64) {
+func driveFaultWorkload(k *kernel.Kernel, srv host.Server, seed int64) {
 	rng := stats.NewRand(stats.DeriveSeed(seed, 2))
 	var open []int
 	for step := 0; step < 30; step++ {

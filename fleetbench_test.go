@@ -1,12 +1,8 @@
-// Fleet-engine benchmarks: the published bench trajectory behind
-// BENCH_10.json (`make bench-json`). Each size runs the event engine on a
-// full timeline and the legacy per-tick loop baseline on a truncated one
-// (the loop at full horizon would take minutes — that is the point), and
-// reports ns per simulated tick so the two are directly comparable at
-// every scale. The 1M-connection timeline is the memory headline: peak
-// heap stays O(machines + open connections) because per-event costs
-// replace per-open-connection-per-tick costs and the statistics stream
-// instead of materializing.
+// Fleet-engine benchmarks behind `make bench-json`: full 10k and 100k
+// timelines, each reporting ns per simulated tick. The 1M-connection
+// timeline is the memory headline: peak heap stays O(machines + open
+// connections) because per-event costs replace per-open-connection-per-tick
+// costs and the statistics stream instead of materializing.
 package memshield
 
 import (
@@ -23,11 +19,11 @@ var fleet1M = flag.Bool("fleet-1m", false, "run the 1M-connection fleet timeline
 
 // benchFleet runs one fleet config per iteration and reports the
 // trajectory metrics.
-func benchFleet(b *testing.B, cfg fleet.Config, run func(fleet.Config) (*fleet.Result, error)) {
+func benchFleet(b *testing.B, cfg fleet.Config) {
 	b.Helper()
 	var last *fleet.Result
 	for i := 0; i < b.N; i++ {
-		res, err := run(cfg)
+		res, err := fleet.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -52,27 +48,11 @@ func fleetBenchConfig(conns int64, machines int) fleet.Config {
 }
 
 func BenchmarkFleetEvent10k(b *testing.B) {
-	benchFleet(b, fleetBenchConfig(10_000, 4), fleet.Run)
+	benchFleet(b, fleetBenchConfig(10_000, 4))
 }
 
 func BenchmarkFleetEvent100k(b *testing.B) {
-	benchFleet(b, fleetBenchConfig(100_000, 16), fleet.Run)
-}
-
-// BenchmarkFleetLoop10k / 100k run the per-tick loop baseline on
-// truncated horizons: ns/simtick is horizon-independent for the loop
-// (every open connection is recycled every tick), so a short run measures
-// the same per-tick cost the full horizon would — without the minutes.
-func BenchmarkFleetLoop10k(b *testing.B) {
-	cfg := fleetBenchConfig(10_000, 4)
-	cfg.Horizon = 200
-	benchFleet(b, cfg, fleet.RunLoop)
-}
-
-func BenchmarkFleetLoop100k(b *testing.B) {
-	cfg := fleetBenchConfig(100_000, 16)
-	cfg.Horizon = 40
-	benchFleet(b, cfg, fleet.RunLoop)
+	benchFleet(b, fleetBenchConfig(100_000, 16))
 }
 
 // BenchmarkFleetTimeline1M is the headline: one million connections
@@ -84,5 +64,5 @@ func BenchmarkFleetTimeline1M(b *testing.B) {
 	}
 	cfg := fleetBenchConfig(1_000_000, 64)
 	cfg.MeasureMem = true
-	benchFleet(b, cfg, fleet.Run)
+	benchFleet(b, cfg)
 }

@@ -125,6 +125,10 @@ var SimMachinePackages = []string{
 	// the same obligation (its event heap is hand-rolled with ok-bool
 	// returns for exactly this reason).
 	"memshield/internal/fleet",
+	// Every driver above boots its machines and holds its servers through
+	// internal/host, fleet and the supervisor included, so a panic there
+	// would fail all of them at once.
+	"memshield/internal/host",
 }
 
 // SuppressionBudget caps the number of inline //memlint:allow directives

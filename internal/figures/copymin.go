@@ -5,11 +5,11 @@ import (
 	"strings"
 
 	"memshield/internal/crypto/rsakey"
+	"memshield/internal/host"
 	"memshield/internal/kernel"
 	"memshield/internal/report"
 	"memshield/internal/runner"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
 )
@@ -63,24 +63,14 @@ func CopyMinAblation(cfg Config) (*CopyMinResult, error) {
 	rows, err := runner.Map(cfg.Workers, len(variants), func(vi int) (CopyMinRow, error) {
 		v := variants[vi]
 		cellSeed := cfg.deriveSeed(labelCopyMin, int64(vi))
-		k, err := kernel.New(kernel.Config{
-			MemPages:      memPages,
-			DeallocPolicy: v.level.KernelPolicy(),
-		})
-		if err != nil {
-			return CopyMinRow{}, fmt.Errorf("figures: copymin: %w", err)
-		}
 		key, err := rsakey.Generate(stats.NewReader(subSeed(cellSeed, 1)), cfg.KeyBits)
 		if err != nil {
 			return CopyMinRow{}, err
 		}
-		pemBytes := key.MarshalPEM()
-		defer scrub.Bytes(pemBytes)
-		if err := k.FS().WriteFile(keyPath, pemBytes); err != nil {
-			return CopyMinRow{}, err
-		}
-		if err := k.ScrambleFreeMemory(subSeed(cellSeed, 2)); err != nil {
-			return CopyMinRow{}, err
+		k, err := host.Boot(kernel.Config{MemPages: memPages, DeallocPolicy: v.level.KernelPolicy()},
+			subSeed(cellSeed, 2), host.Key{Path: keyPath, Key: key})
+		if err != nil {
+			return CopyMinRow{}, fmt.Errorf("figures: copymin: %w", err)
 		}
 		srv, err := sshd.Start(k, sshd.Config{
 			KeyPath: keyPath, Level: v.level, Tweaks: v.tweaks, Seed: subSeed(cellSeed, 3),

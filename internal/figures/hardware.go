@@ -6,12 +6,12 @@ import (
 
 	"memshield/internal/attack/ttyleak"
 	"memshield/internal/crypto/rsakey"
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/report"
 	"memshield/internal/runner"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
 )
@@ -61,19 +61,16 @@ func Hardware(cfg Config) (*HardwareResult, error) {
 	rows, err := runner.Map(cfg.Workers, len(setups), func(si int) (HardwareRow, error) {
 		st := setups[si]
 		cellSeed := cfg.deriveSeed(labelHardware, int64(si))
-		k, err := kernel.New(kernel.Config{
-			MemPages:      memPages,
-			DeallocPolicy: levelIntegrated.KernelPolicy(),
-		})
-		if err != nil {
-			return HardwareRow{}, fmt.Errorf("figures: hardware: %w", err)
-		}
 		key, err := rsakey.Generate(stats.NewReader(subSeed(cellSeed, 1)), cfg.KeyBits)
 		if err != nil {
 			return HardwareRow{}, err
 		}
-		if err := k.ScrambleFreeMemory(subSeed(cellSeed, 2)); err != nil {
-			return HardwareRow{}, err
+		// Key-less boot: the software row installs its key file after the
+		// scramble, the hardware row never writes one.
+		k, err := host.Boot(kernel.Config{MemPages: memPages, DeallocPolicy: levelIntegrated.KernelPolicy()},
+			subSeed(cellSeed, 2))
+		if err != nil {
+			return HardwareRow{}, fmt.Errorf("figures: hardware: %w", err)
 		}
 		patterns := scan.PatternsFor(key)
 		var srv *sshd.Server
@@ -92,9 +89,7 @@ func Hardware(cfg Config) (*HardwareResult, error) {
 				return HardwareRow{}, err
 			}
 		} else {
-			pemBytes := key.MarshalPEM()
-			defer scrub.Bytes(pemBytes)
-			if err := k.FS().WriteFile(keyPath, pemBytes); err != nil {
+			if err := host.InstallKey(k, keyPath, key); err != nil {
 				return HardwareRow{}, err
 			}
 			srv, err = sshd.Start(k, sshd.Config{

@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"memshield/internal/crypto/rsakey"
+	"memshield/internal/host"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/sim"
@@ -42,23 +42,24 @@ const keyPath = "/etc/ssl/private/server.key"
 // loadedServer is a machine with a running server and its scan patterns,
 // ready to be attacked.
 type loadedServer struct {
-	k          *kernel.Kernel
-	patterns   []scan.Pattern
-	stop       func() error
-	open       []int
-	disconnect func(id int) error
-	maintain   func() error
+	k        *kernel.Kernel
+	patterns []scan.Pattern
+	srv      host.Server
+	open     []int
 }
 
-// closeAll closes every open connection and runs pool maintenance.
+// closeAll closes every open connection and runs pool maintenance. On
+// Apache the prefork pool shrinks back towards MaxSpareServers once the
+// load drops, dropping the reaped workers' key copies into unallocated
+// memory — which is what the ext2 attack harvests in the Apache case.
 func (ls *loadedServer) closeAll() error {
 	for _, id := range ls.open {
-		if err := ls.disconnect(id); err != nil {
+		if err := ls.srv.Disconnect(id); err != nil {
 			return err
 		}
 	}
 	ls.open = nil
-	return ls.maintain()
+	return ls.srv.Maintain()
 }
 
 // disconnectOne closes one connection by ID, removing it from the open set.
@@ -69,7 +70,7 @@ func (ls *loadedServer) disconnectOne(id int) error {
 			break
 		}
 	}
-	return ls.disconnect(id)
+	return ls.srv.Disconnect(id)
 }
 
 // scanSummary runs the memory scanner for ground truth.
@@ -118,23 +119,13 @@ func (ls *loadedServer) settleBeforeAttack(seed int64) error {
 // generation, the free-memory scramble and the server get derived
 // sub-streams.
 func buildLoadedServer(kind ServerKind, level protect.Level, memPages, keyBits, conns int, seed int64) (*loadedServer, error) {
-	k, err := kernel.New(kernel.Config{
-		MemPages:      memPages,
-		DeallocPolicy: level.KernelPolicy(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
 	key, err := rsakey.Generate(stats.NewReader(subSeed(seed, 1)), keyBits)
 	if err != nil {
 		return nil, fmt.Errorf("figures: %w", err)
 	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := k.FS().WriteFile(keyPath, pemBytes); err != nil {
-		return nil, fmt.Errorf("figures: %w", err)
-	}
-	if err := k.ScrambleFreeMemory(subSeed(seed, 2)); err != nil {
+	k, err := host.Boot(kernel.Config{MemPages: memPages, DeallocPolicy: level.KernelPolicy()},
+		subSeed(seed, 2), host.Key{Path: keyPath, Key: key})
+	if err != nil {
 		return nil, fmt.Errorf("figures: %w", err)
 	}
 	ls := &loadedServer{k: k, patterns: scan.PatternsFor(key)}
@@ -145,16 +136,7 @@ func buildLoadedServer(kind ServerKind, level protect.Level, memPages, keyBits, 
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < conns; i++ {
-			id, err := s.Connect()
-			if err != nil {
-				return nil, fmt.Errorf("figures: connect %d/%d: %w", i, conns, err)
-			}
-			ls.open = append(ls.open, id)
-		}
-		ls.stop = s.Stop
-		ls.disconnect = s.Disconnect
-		ls.maintain = func() error { return nil }
+		ls.srv = host.SSHD{Server: s}
 	case KindApache:
 		s, err := httpd.Start(k, httpd.Config{
 			KeyPath: keyPath, Level: level, Seed: srvSeed,
@@ -163,22 +145,16 @@ func buildLoadedServer(kind ServerKind, level protect.Level, memPages, keyBits, 
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < conns; i++ {
-			id, err := s.Connect()
-			if err != nil {
-				return nil, fmt.Errorf("figures: connect %d/%d: %w", i, conns, err)
-			}
-			ls.open = append(ls.open, id)
-		}
-		ls.stop = s.Stop
-		ls.disconnect = s.Disconnect
-		// The prefork pool shrinks back towards MaxSpareServers once the
-		// load drops, dropping the reaped workers' key copies into
-		// unallocated memory — which is what the ext2 attack harvests in
-		// the Apache case.
-		ls.maintain = s.MaintainSpares
+		ls.srv = host.HTTPD{Server: s}
 	default:
 		return nil, fmt.Errorf("figures: unknown kind %v", kind)
+	}
+	for i := 0; i < conns; i++ {
+		id, err := ls.srv.Connect()
+		if err != nil {
+			return nil, fmt.Errorf("figures: connect %d/%d: %w", i, conns, err)
+		}
+		ls.open = append(ls.open, id)
 	}
 	return ls, nil
 }

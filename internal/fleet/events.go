@@ -1,10 +1,9 @@
 // Event scheduler: a manual binary min-heap of virtual-tick events, the
-// core of the fleet engine's O(1)-per-idle-tick cost model. The legacy
-// per-tick driver (internal/sim, reproduced here as the loop baseline in
-// loop.go) touches every open connection every tick; the fleet engine
-// instead schedules each connection's own arrivals, transfers and
-// retirements as heap events, so a tick with no due events costs one heap
-// peek and one kernel tick — idle connections cost nothing.
+// core of the fleet engine's O(1)-per-idle-tick cost model. The per-tick
+// driver of internal/sim touches every open connection every tick; the
+// fleet engine instead schedules each connection's own arrivals,
+// transfers and retirements as heap events, so a tick with no due events
+// costs one heap peek and one kernel tick — idle connections cost nothing.
 //
 // Ordering is total and deterministic: events pop in (tick, seq) order,
 // where seq is the machine's monotonically increasing schedule counter.
@@ -21,8 +20,7 @@ const (
 	evArrival eventKind = iota + 1
 	// evClose retires one open connection slot.
 	evClose
-	// evChurn moves payload on one open connection (event engine only;
-	// the loop baseline churns every open connection every tick instead).
+	// evChurn moves payload on one open connection.
 	evChurn
 )
 

@@ -10,10 +10,7 @@
 //   - Event-driven time: each machine advances through a min-heap of
 //     scheduled events (arrivals, per-connection transfers, retirements).
 //     A tick with no due events costs one heap peek and one kernel tick,
-//     so idle connections cost nothing; the loop.go baseline preserves
-//     the legacy engine's O(open) per-tick cost for comparison, and both
-//     engines replay the identical population (byte-identical
-//     fingerprints) from the same seeded streams.
+//     so idle connections cost nothing.
 //   - O(machines + open connections) memory: results are mergeable
 //     streams, bounded reservoirs and a rolling fingerprint
 //     (internal/stats), folded per scan window — never a per-connection
@@ -29,21 +26,19 @@ import (
 	"errors"
 	"math"
 
-	"memshield/internal/crypto/rsakey"
-	"memshield/internal/kernel"
+	"memshield/internal/host"
 	"memshield/internal/protect"
 	"memshield/internal/runner"
-	"memshield/internal/scrub"
 	"memshield/internal/stats"
 )
 
 // Kind selects the tenant server type.
-type Kind string
+type Kind = host.Kind
 
 // Kinds.
 const (
-	KindSSHD  Kind = "sshd"
-	KindHTTPD Kind = "httpd"
+	KindSSHD  = host.KindSSHD
+	KindHTTPD = host.KindHTTPD
 )
 
 // Config describes one fleet run.
@@ -76,7 +71,7 @@ type Config struct {
 	// LifetimeTicks is the mean open duration of a connection (default 50).
 	LifetimeTicks float64
 	// ChurnGapTicks is the mean gap between transfers on an open
-	// connection, event engine only (default 16).
+	// connection (default 16).
 	ChurnGapTicks float64
 	// TransferBytes is the payload per transfer (default 4096).
 	TransferBytes int
@@ -214,13 +209,11 @@ func Sized(total int64, machines int, horizon uint64, level protect.Level, seed 
 type Result struct {
 	Config Config
 	// Arrivals / Completed / Shed / Errors count the population events;
-	// Churns counts event-engine transfers, Recycles the loop baseline's
-	// per-tick reconnects.
+	// Churns counts scheduled transfers after each connection's first.
 	Arrivals  int64
 	Completed int64
 	Shed      int64
 	Churns    int64
-	Recycles  int64
 	Errors    int64
 	// PeakOpen sums the per-machine open-connection peaks (an upper bound
 	// on the fleet-wide instantaneous peak); FinalOpen is the population
@@ -249,19 +242,6 @@ type Result struct {
 	PeakHeapBytes uint64
 }
 
-// Run executes the fleet timeline with the event-driven engine.
-func Run(cfg Config) (*Result, error) {
-	return runEngine(cfg, modeEvent)
-}
-
-// RunLoop executes the same timeline with the legacy per-tick baseline:
-// identical population (same arrival/lifetime streams, same fingerprint),
-// but every open connection recycled every tick the way internal/sim's
-// driver works. It exists to measure what the event engine saves.
-func RunLoop(cfg Config) (*Result, error) {
-	return runEngine(cfg, modeLoop)
-}
-
 // shardRange returns machine range [lo, hi) of shard s when n machines
 // are split into shards contiguous groups.
 func shardRange(n, shards, s int) (int, int) {
@@ -274,7 +254,8 @@ func shardRange(n, shards, s int) (int, int) {
 	return lo, hi
 }
 
-func runEngine(cfg Config, mode engineMode) (*Result, error) {
+// Run executes the fleet timeline.
+func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 	if cfg.ArrivalRate < 0 {
 		return nil, errors.New("fleet: negative arrival rate")
@@ -286,7 +267,7 @@ func runEngine(cfg Config, mode engineMode) (*Result, error) {
 		lo, hi := shardRange(cfg.Machines, cfg.Shards, s)
 		out := make([]machineResult, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			m, err := newMachine(cfg, i, mode)
+			m, err := newMachine(cfg, i)
 			if err != nil {
 				return nil, err
 			}
@@ -319,7 +300,6 @@ func (r *Result) merge(m *machineResult) {
 	r.Completed += m.Completed
 	r.Shed += m.Shed
 	r.Churns += m.Churns
-	r.Recycles += m.Recycles
 	r.Errors += m.Errors
 	r.PeakOpen += m.PeakOpen
 	r.FinalOpen += m.FinalOpen
@@ -344,17 +324,4 @@ func (r *Result) merge(m *machineResult) {
 // machine order, starting from zero.
 func chainMachine(fleet, machine uint64) uint64 {
 	return uint64(stats.DeriveSeed(int64(fleet), int64(machine)))
-}
-
-// keygen mints one tenant key from its derived seed.
-func keygen(seed int64, bits int) (*rsakey.PrivateKey, error) {
-	return rsakey.Generate(stats.NewReader(seed), bits)
-}
-
-// installKey writes a tenant key's PEM into the machine's filesystem and
-// scrubs the native copy.
-func installKey(k *kernel.Kernel, path string, key *rsakey.PrivateKey) error {
-	pem := key.MarshalPEM()
-	defer scrub.Bytes(pem)
-	return k.FS().WriteFile(path, pem)
 }

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"memshield/internal/host"
 	"memshield/internal/protect"
 )
 
@@ -17,7 +19,7 @@ func testConfig() Config {
 }
 
 // resultKey condenses everything replay-sensitive about a Result for
-// equality checks across shard/worker counts and engines.
+// equality checks across shard/worker counts.
 type resultKey struct {
 	Arrivals, Completed, Shed, Errors int64
 	PeakOpen, FinalOpen               int
@@ -77,42 +79,6 @@ func TestShardWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestEventLoopPopulationIdentical pins the engine-comparison contract:
-// the event engine and the legacy per-tick loop baseline replay the
-// identical connection population (same fingerprint, arrivals, closes,
-// sheds) from the same seeds — only the transfer mechanics differ.
-func TestEventLoopPopulationIdentical(t *testing.T) {
-	cfg := testConfig()
-	cfg.Horizon = 150
-	ev, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := RunLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Fingerprint != lp.Fingerprint {
-		t.Fatalf("population fingerprints diverged: event %x vs loop %x",
-			ev.Fingerprint, lp.Fingerprint)
-	}
-	if ev.Arrivals != lp.Arrivals || ev.Completed != lp.Completed || ev.Shed != lp.Shed {
-		t.Fatalf("population counts diverged: event %d/%d/%d vs loop %d/%d/%d",
-			ev.Arrivals, ev.Completed, ev.Shed, lp.Arrivals, lp.Completed, lp.Shed)
-	}
-	if ev.Errors != 0 || lp.Errors != 0 {
-		t.Fatalf("healthy engines hit errors: event %d, loop %d", ev.Errors, lp.Errors)
-	}
-	if ev.Churns == 0 || ev.Recycles != 0 {
-		t.Errorf("event engine: churns=%d recycles=%d, want scheduled churns only",
-			ev.Churns, ev.Recycles)
-	}
-	if lp.Recycles == 0 || lp.Churns != 0 {
-		t.Errorf("loop baseline: churns=%d recycles=%d, want per-tick recycles only",
-			lp.Churns, lp.Recycles)
-	}
-}
-
 // TestSeedReplayGolden10k pins one 10k-connection fleet timeline: the
 // fingerprint and population counts below were produced by this config at
 // seed 2007 and must never change silently — they are the seed-replay
@@ -131,9 +97,15 @@ func TestSeedReplayGolden10k(t *testing.T) {
 		wantFingerprint = uint64(0x52f453f82365576d)
 		wantArrivals    = int64(10122)
 		wantCompleted   = int64(9762)
+		// The fingerprint chains only arrivals, closes, sheds and errors;
+		// the churn count pins the per-connection transfer stream.
+		wantChurns = int64(29148)
 	)
 	if res.Fingerprint != wantFingerprint {
 		t.Errorf("fingerprint = %x, want %x", res.Fingerprint, wantFingerprint)
+	}
+	if res.Churns != wantChurns {
+		t.Errorf("churns = %d, want %d", res.Churns, wantChurns)
 	}
 	if res.Arrivals != wantArrivals || res.Completed != wantCompleted {
 		t.Errorf("population = %d arrived / %d completed, want %d / %d",
@@ -141,6 +113,77 @@ func TestSeedReplayGolden10k(t *testing.T) {
 	}
 	if res.Shed != 0 || res.Errors != 0 {
 		t.Errorf("golden run shed %d / errored %d, want clean", res.Shed, res.Errors)
+	}
+}
+
+// churnFails is a tenant server whose every transfer fails. It tracks
+// the connections it holds, so a test can see what the fleet leaves open.
+type churnFails struct {
+	next           int
+	open           map[int]bool
+	disconnects    int
+	failDisconnect bool
+}
+
+func (f *churnFails) Connect() (int, error) {
+	f.next++
+	f.open[f.next] = true
+	return f.next, nil
+}
+
+func (f *churnFails) Churn(id, n int) error { return errors.New("transfer refused") }
+
+func (f *churnFails) Disconnect(id int) error {
+	f.disconnects++
+	delete(f.open, id)
+	if f.failDisconnect {
+		return errors.New("teardown refused")
+	}
+	return nil
+}
+
+func (f *churnFails) Maintain() error { return nil }
+func (f *churnFails) Stop() error     { return nil }
+func (f *churnFails) PID() int        { return 0 }
+func (f *churnFails) Running() bool   { return true }
+
+var _ host.Server = (*churnFails)(nil)
+
+// TestFailedChurnDisconnects: a connection whose first transfer fails is
+// torn down on the server too, not only in the fleet's slot table, and a
+// failed disconnect during that teardown counts as a second error.
+func TestFailedChurnDisconnects(t *testing.T) {
+	for _, failDisconnect := range []bool{false, true} {
+		cfg := Sized(200, 1, 100, protect.LevelNone, 2007)
+		cfg.Tenants = 1
+		m, err := newMachine(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := m.servers[0]
+		fake := &churnFails{open: map[int]bool{}, failDisconnect: failDisconnect}
+		m.servers[0] = fake
+		res, err := m.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := orig.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if fake.next == 0 {
+			t.Fatal("no arrival reached the tenant")
+		}
+		if len(fake.open) != 0 || fake.disconnects != fake.next {
+			t.Errorf("failDisconnect=%v: %d connections, %d disconnects, %d left open on the server",
+				failDisconnect, fake.next, fake.disconnects, len(fake.open))
+		}
+		want := int64(fake.next)
+		if failDisconnect {
+			want *= 2
+		}
+		if res.Errors != want {
+			t.Errorf("failDisconnect=%v: errors = %d, want %d", failDisconnect, res.Errors, want)
+		}
 	}
 }
 

@@ -5,51 +5,14 @@ import (
 	"math"
 	"runtime"
 
+	"memshield/internal/crypto/rsakey"
+	"memshield/internal/host"
 	"memshield/internal/kernel"
 	"memshield/internal/scan"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
 )
-
-// engineMode selects how a machine advances time.
-type engineMode uint8
-
-const (
-	// modeEvent is the fleet engine: connections do work only at their
-	// scheduled heap events; a tick with no due events is O(1).
-	modeEvent engineMode = iota + 1
-	// modeLoop is the legacy baseline faithfully reproducing the per-tick
-	// driver of internal/sim: every open connection is recycled
-	// (disconnect, reconnect, transfer) every tick, so per-tick cost is
-	// O(open connections) regardless of how idle they are.
-	modeLoop
-)
-
-// serverHandle unifies the two tenant server kinds.
-type serverHandle interface {
-	Connect() (int, error)
-	Churn(id, n int) error
-	Disconnect(id int) error
-	Maintain() error
-	Stop() error
-}
-
-type sshHandle struct{ s *sshd.Server }
-
-func (h sshHandle) Connect() (int, error)   { return h.s.Connect() }
-func (h sshHandle) Churn(id, n int) error   { return h.s.Transfer(id, n) }
-func (h sshHandle) Disconnect(id int) error { return h.s.Disconnect(id) }
-func (h sshHandle) Maintain() error         { return nil }
-func (h sshHandle) Stop() error             { return h.s.Stop() }
-
-type httpHandle struct{ s *httpd.Server }
-
-func (h httpHandle) Connect() (int, error)   { return h.s.Connect() }
-func (h httpHandle) Churn(id, n int) error   { return h.s.Request(id, n) }
-func (h httpHandle) Disconnect(id int) error { return h.s.Disconnect(id) }
-func (h httpHandle) Maintain() error         { return h.s.MaintainSpares() }
-func (h httpHandle) Stop() error             { return h.s.Stop() }
 
 // connSlot is one entry of the machine's fixed connection table. Slots are
 // recycled through a free list; gen disambiguates a recycled slot from a
@@ -63,18 +26,16 @@ type connSlot struct {
 	openedAt  uint64
 	closeTick uint64
 	// churnState is the connection's private splitmix64 stream for
-	// transfer-gap draws (event engine only). Keeping it per connection —
-	// derived from the connection serial, not consumed from a shared
-	// stream — is what lets the loop baseline skip churn draws entirely
-	// while still replaying the identical arrival/lifetime population.
+	// transfer-gap draws, derived from the connection serial rather than
+	// consumed from a shared stream, so churn draws never shift the
+	// arrival/lifetime population.
 	churnState uint64
 }
 
 // EventRecord is one population event of a machine's timeline, kept only
 // under Config.KeepLogs (small runs, goldens). Conn is the machine-wide
-// connection serial, not the server's connection ID: server IDs are an
-// engine-internal detail (the loop baseline recycles them every tick),
-// serials are the shared population identity both engines agree on.
+// connection serial, not the server's connection ID: server IDs are a
+// server-internal detail, serials are the population identity.
 type EventRecord struct {
 	Machine int
 	Tick    uint64
@@ -91,7 +52,6 @@ type machineResult struct {
 	Completed int64
 	Shed      int64
 	Churns    int64
-	Recycles  int64
 	Errors    int64
 	PeakOpen  int
 	FinalOpen int
@@ -116,11 +76,10 @@ type machineResult struct {
 type machine struct {
 	idx  int
 	cfg  Config
-	mode engineMode
 	base int64
 
 	k       *kernel.Kernel
-	servers []serverHandle
+	servers []host.Server
 	scanner *scan.Scanner
 
 	heap      eventHeap
@@ -144,7 +103,7 @@ type machine struct {
 	res    machineResult
 }
 
-// randStream wraps the exponential/uniform draws the engines share. It is
+// randStream wraps the machine's exponential/uniform draws. It is
 // a thin splitmix64 walk via stats.DeriveSeed so the draw sequence is a
 // pure function of the derived seed — no math/rand state semantics to
 // track across Go versions.
@@ -184,24 +143,36 @@ func expFromState(state uint64, mean float64) (uint64, float64) {
 // tenantKeyPath is tenant t's key file on its machine.
 func tenantKeyPath(t int) string { return fmt.Sprintf("/etc/keys/tenant-%d.key", t) }
 
-// newMachine boots machine idx for the run: kernel, per-tenant keys and
+// newMachine boots machine idx for the run: per-tenant keys, kernel,
 // servers, scanner (when windows are sampled), and the first arrival.
 // Sub-streams of the machine seed: 1=arrivals, 2=connection lifetimes,
 // 3=tenant keygen, 4=tenant server, 5=free-list scramble, 6=per-connection
 // churn gaps.
-func newMachine(cfg Config, idx int, mode engineMode) (*machine, error) {
+func newMachine(cfg Config, idx int) (*machine, error) {
 	base := stats.DeriveSeed(cfg.Seed, int64(idx))
-	k, err := kernel.New(kernel.Config{
+	keys := make([]host.Key, cfg.Tenants)
+	var patterns []scan.Pattern
+	for t := range keys {
+		key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(base, 3, int64(t))), cfg.KeyBits)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: machine %d tenant %d: %w", idx, t, err)
+		}
+		keys[t] = host.Key{Path: tenantKeyPath(t), Key: key}
+		if cfg.SampleEvery > 0 {
+			patterns = append(patterns, scan.PatternsFor(key)...)
+		}
+	}
+	k, err := host.Boot(kernel.Config{
 		MemPages:      cfg.MemPages,
 		SwapPages:     cfg.SwapPages,
 		DeallocPolicy: cfg.Level.KernelPolicy(),
-	})
+	}, stats.DeriveSeed(base, 5), keys...)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: machine %d: %w", idx, err)
 	}
 	m := &machine{
-		idx: idx, cfg: cfg, mode: mode, base: base, k: k,
-		servers:    make([]serverHandle, 0, cfg.Tenants),
+		idx: idx, cfg: cfg, base: base, k: k,
+		servers:    make([]host.Server, 0, cfg.Tenants),
 		conns:      make([]connSlot, cfg.MaxOpen),
 		freeSlots:  make([]int32, 0, cfg.MaxOpen),
 		openSlots:  make([]int32, 0, cfg.MaxOpen),
@@ -210,22 +181,6 @@ func newMachine(cfg Config, idx int, mode engineMode) (*machine, error) {
 	}
 	for i := cfg.MaxOpen - 1; i >= 0; i-- {
 		m.freeSlots = append(m.freeSlots, int32(i))
-	}
-	var patterns []scan.Pattern
-	for t := 0; t < cfg.Tenants; t++ {
-		key, err := keygen(stats.DeriveSeed(base, 3, int64(t)), cfg.KeyBits)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: machine %d tenant %d: %w", idx, t, err)
-		}
-		if err := installKey(k, tenantKeyPath(t), key); err != nil {
-			return nil, fmt.Errorf("fleet: machine %d tenant %d: %w", idx, t, err)
-		}
-		if cfg.SampleEvery > 0 {
-			patterns = append(patterns, scan.PatternsFor(key)...)
-		}
-	}
-	if err := k.ScrambleFreeMemory(stats.DeriveSeed(base, 5)); err != nil {
-		return nil, fmt.Errorf("fleet: machine %d: %w", idx, err)
 	}
 	for t := 0; t < cfg.Tenants; t++ {
 		srv, err := m.startTenant(t)
@@ -247,7 +202,7 @@ func newMachine(cfg Config, idx int, mode engineMode) (*machine, error) {
 }
 
 // startTenant boots tenant t's server at the machine's protection level.
-func (m *machine) startTenant(t int) (serverHandle, error) {
+func (m *machine) startTenant(t int) (host.Server, error) {
 	seed := stats.DeriveSeed(m.base, 4, int64(t))
 	switch m.cfg.Kind {
 	case KindHTTPD:
@@ -259,7 +214,7 @@ func (m *machine) startTenant(t int) (serverHandle, error) {
 		if err != nil {
 			return nil, err
 		}
-		return httpHandle{s}, nil
+		return host.HTTPD{Server: s}, nil
 	default:
 		s, err := sshd.Start(m.k, sshd.Config{
 			KeyPath: tenantKeyPath(t), Level: m.cfg.Level, Seed: seed,
@@ -268,13 +223,13 @@ func (m *machine) startTenant(t int) (serverHandle, error) {
 		if err != nil {
 			return nil, err
 		}
-		return sshHandle{s}, nil
+		return host.SSHD{Server: s}, nil
 	}
 }
 
 // arrivalRate returns the arrival rate in effect at a tick, advancing the
 // burst phase schedule as far as needed. Phases are drawn lazily from the
-// arrival stream, so both engines walk the identical phase sequence.
+// arrival stream.
 func (m *machine) arrivalRate(tick uint64) float64 {
 	for tick >= m.phaseEnd {
 		mean := m.cfg.BurstOffTicks
@@ -357,12 +312,12 @@ func FingerprintOf(log []EventRecord) uint64 {
 }
 
 // arrive handles one arrival event: pick a tenant, draw the lifetime,
-// open the connection (or shed it at the open cap), and book the close —
-// plus the first churn when running event-driven.
+// open the connection (or shed it at the open cap), and book the close
+// and the first churn.
 func (m *machine) arrive() {
 	// Draw order is part of the replay contract: tenant from the arrival
 	// stream, lifetime from the connection stream — exactly one draw each
-	// per arrival in both engines.
+	// per arrival.
 	tenant := m.rngArrival.intn(m.cfg.Tenants)
 	life := 1 + uint64(m.rngConn.exp(m.cfg.LifetimeTicks))
 	serial := m.serial
@@ -397,10 +352,8 @@ func (m *machine) arrive() {
 	}
 	m.record("arrival", fpArrival, tenant, serial)
 	m.heap.push(event{tick: slot.closeTick, kind: evClose, slot: si, gen: slot.gen})
-	if m.mode == modeEvent {
-		slot.churnState = uint64(stats.DeriveSeed(m.base, 6, serial))
-		m.scheduleChurn(si)
-	}
+	slot.churnState = uint64(stats.DeriveSeed(m.base, 6, serial))
+	m.scheduleChurn(si)
 	if err := m.servers[tenant].Churn(id, m.cfg.TransferBytes); err != nil {
 		m.res.Errors++
 		m.teardown(si)
@@ -435,10 +388,15 @@ func (m *machine) closeSlot(si int32) {
 	m.releaseSlot(si)
 }
 
-// teardown force-closes a slot after an error, recording the divergence
-// in the fingerprint (a healthy run never takes this path).
+// teardown force-closes a slot after a failed churn, recording the
+// divergence in the fingerprint (a healthy run never takes this path).
+// The server still holds the connection, so it is disconnected first; a
+// failed disconnect counts as an error, as in closeSlot.
 func (m *machine) teardown(si int32) {
 	slot := &m.conns[si]
+	if err := m.servers[slot.tenant].Disconnect(slot.id); err != nil {
+		m.res.Errors++
+	}
 	m.record("error", fpError, int(slot.tenant), slot.serial)
 	m.releaseSlot(si)
 }
@@ -498,34 +456,6 @@ func (m *machine) processDue() {
 	}
 }
 
-// recycleOpen is the loop baseline's per-tick O(open) pass, faithfully
-// reproducing internal/sim's driver: every open connection is torn down,
-// reconnected and re-churned every tick, exactly the generational slot
-// recycling the legacy engine performs whether or not the connection had
-// anything to do.
-func (m *machine) recycleOpen() {
-	for _, si := range m.openSlots {
-		slot := &m.conns[si]
-		srv := m.servers[slot.tenant]
-		if err := srv.Disconnect(slot.id); err != nil {
-			m.res.Errors++
-		}
-		id, err := srv.Connect()
-		if err != nil {
-			m.res.Errors++
-			m.teardown(si)
-			continue
-		}
-		slot.id = id
-		if err := srv.Churn(id, m.cfg.TransferBytes); err != nil {
-			m.res.Errors++
-			m.teardown(si)
-			continue
-		}
-		m.res.Recycles++
-	}
-}
-
 // window folds one scan-window sample into the mergeable streams.
 func (m *machine) window() {
 	m.res.Windows++
@@ -580,9 +510,6 @@ func (m *machine) endTick() {
 func (m *machine) run() (machineResult, error) {
 	for m.now <= m.cfg.Horizon {
 		m.processDue()
-		if m.mode == modeLoop {
-			m.recycleOpen()
-		}
 		m.endTick()
 	}
 	m.res.FinalOpen = len(m.openSlots)

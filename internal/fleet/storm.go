@@ -24,10 +24,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 
-	"memshield/internal/core"
+	"memshield/internal/crypto/rsakey"
 	"memshield/internal/fault"
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
@@ -47,7 +47,7 @@ type StormConfig struct {
 	// (default 40).
 	StepsPerRound int
 	// Kind selects the server (default sshd).
-	Kind supervise.Kind
+	Kind Kind
 	// Level is the protection level (default LevelSealed — the only level
 	// whose fail-closed destroy exercises the park/grant path).
 	Level protect.Level
@@ -82,7 +82,7 @@ func (c *StormConfig) applyDefaults() {
 		c.StepsPerRound = 40
 	}
 	if c.Kind == "" {
-		c.Kind = supervise.KindSSHD
+		c.Kind = KindSSHD
 	}
 	if !c.Level.Valid() {
 		c.Level = protect.LevelSealed
@@ -186,7 +186,7 @@ func newStormMachine(cfg StormConfig, idx int) (*stormMachine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet storm m%d: %w", idx, err)
 	}
-	key, err := keygen(stats.DeriveSeed(base, 1), cfg.KeyBits)
+	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(base, 1)), cfg.KeyBits)
 	if err != nil {
 		return nil, fmt.Errorf("fleet storm m%d: %w", idx, err)
 	}
@@ -209,45 +209,22 @@ func newStormMachine(cfg StormConfig, idx int) (*stormMachine, error) {
 		ReprovisionGate: func() bool { return false },
 		OnEvent: func(e supervise.Event) {
 			m.logf("tick=%d ev=%s op=%s attempt=%d wait=%d err=%q",
-				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, oneLine(e.Detail))
+				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, supervise.OneLine(e.Detail))
 			if e.Kind == "parked" {
 				m.parks++
 			}
 		},
 	})
-	if err := installKey(m.k, keyPath, key); err != nil {
+	if err := host.InstallKey(m.k, keyPath, key); err != nil {
 		m.status.Refuse(fmt.Sprintf("key install: %v", err))
-		m.logf("tick=%d ev=refused op=start err=%q", m.k.Clock(), oneLine(err.Error()))
+		m.logf("tick=%d ev=refused op=start err=%q", m.k.Clock(), supervise.OneLine(err.Error()))
 	} else if err := m.sup.Start(); err != nil {
-		m.logf("tick=%d ev=refused op=start err=%q", m.k.Clock(), oneLine(err.Error()))
+		m.logf("tick=%d ev=refused op=start err=%q", m.k.Clock(), supervise.OneLine(err.Error()))
 	}
 	m.rng = stats.NewRand(stats.DeriveSeed(base, 2))
 	m.gen = m.sup.Generation()
 	m.prev = m.sup.Counters()
 	return m, nil
-}
-
-// check asserts the machine invariants after a step: structural
-// consistency, monotone recovery counters, and a clean effective-level
-// audit (no false security — a parked machine claims only what it has).
-func (m *stormMachine) check() string {
-	if err := m.k.Alloc().CheckConsistency(); err != nil {
-		return fmt.Sprintf("allocator inconsistent: %v", err)
-	}
-	if err := m.k.VM().CheckConsistency(); err != nil {
-		return fmt.Sprintf("vm inconsistent: %v", err)
-	}
-	cur := m.sup.Counters()
-	if cur.Retries < m.prev.Retries || cur.BackoffTicks < m.prev.BackoffTicks ||
-		cur.Recoveries < m.prev.Recoveries || cur.Exhaustions < m.prev.Exhaustions ||
-		cur.Reprovisions < m.prev.Reprovisions || cur.Restarts < m.prev.Restarts {
-		return fmt.Sprintf("recovery counters regressed: %+v -> %+v", m.prev, cur)
-	}
-	if rep := core.NewWithStatus(m.k, m.status).AuditEffective(m.pat); !rep.OK() {
-		return fmt.Sprintf("audit violations at %s: %s",
-			m.status.Effective(), strings.Join(rep.Violations, "; "))
-	}
-	return ""
 }
 
 // drive runs one round of workload steps; a parked, dead or violated
@@ -284,16 +261,18 @@ func (m *stormMachine) drive(steps int) {
 		case 4:
 			if pid := m.sup.PID(); pid != 0 {
 				if _, err := m.k.MemoryPressure(pid, 2); err != nil {
-					m.logf("tick=%d ev=pressure-error err=%q", m.k.Clock(), oneLine(err.Error()))
+					m.logf("tick=%d ev=pressure-error err=%q", m.k.Clock(), supervise.OneLine(err.Error()))
 				}
 			}
 		case 5:
 			_ = m.sup.Maintain()
 		}
 		m.k.Tick()
-		if v := m.check(); v != "" {
+		// The audit runs at the claimed level: a parked machine claims
+		// only what it has.
+		if v := m.sup.CheckInvariants(m.pat, m.prev); v != "" {
 			m.violation = v
-			m.logf("tick=%d ev=violation err=%q", m.k.Clock(), oneLine(v))
+			m.logf("tick=%d ev=violation err=%q", m.k.Clock(), supervise.OneLine(v))
 			return
 		}
 		m.prev = m.sup.Counters()
@@ -350,7 +329,7 @@ func RunFleetStorm(cfg StormConfig) (*StormResult, error) {
 				res.Denials++
 				res.Log = append(res.Log, fmt.Sprintf(
 					"round=%d grant m%d denied budget=0 cause=%q",
-					round, m.idx, oneLine(m.sup.Parked().Error())))
+					round, m.idx, supervise.OneLine(m.sup.Parked().Error())))
 				continue
 			}
 			budget--
@@ -359,7 +338,7 @@ func RunFleetStorm(cfg StormConfig) (*StormResult, error) {
 				"round=%d grant m%d budget-left=%d", round, m.idx, budget))
 			if err := m.sup.ResumeReprovision(); err != nil {
 				res.Log = append(res.Log, fmt.Sprintf(
-					"round=%d resume-failed m%d err=%q", round, m.idx, oneLine(err.Error())))
+					"round=%d resume-failed m%d err=%q", round, m.idx, supervise.OneLine(err.Error())))
 			}
 			drain(m)
 		}
@@ -383,7 +362,7 @@ func RunFleetStorm(cfg StormConfig) (*StormResult, error) {
 			res.Dead++
 		}
 		if err := m.sup.Stop(); err != nil {
-			m.logf("tick=%d ev=stop-error err=%q", m.k.Clock(), oneLine(err.Error()))
+			m.logf("tick=%d ev=stop-error err=%q", m.k.Clock(), supervise.OneLine(err.Error()))
 		}
 		m.k.Tick()
 		c := m.sup.Counters()
@@ -407,9 +386,4 @@ func stormLogFingerprint(log []string) string {
 		_, _ = h.Write([]byte{'\n'})
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// oneLine flattens error text for the line-oriented log.
-func oneLine(s string) string {
-	return strings.ReplaceAll(s, "\n", " | ")
 }

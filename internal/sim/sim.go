@@ -14,11 +14,11 @@ import (
 
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/fault"
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
@@ -172,44 +172,11 @@ type Result struct {
 	Generations int
 }
 
-// serverHandle unifies the two servers for the driver loop.
-type serverHandle interface {
-	Connect() (int, error)
-	Churn(id, bytes int) error
-	Disconnect(id int) error
-	Maintain() error
-	Stop() error
-}
-
-type sshHandle struct{ s *sshd.Server }
-
-func (h sshHandle) Connect() (int, error)     { return h.s.Connect() }
-func (h sshHandle) Churn(id, bytes int) error { return h.s.Transfer(id, bytes) }
-func (h sshHandle) Disconnect(id int) error   { return h.s.Disconnect(id) }
-func (h sshHandle) Maintain() error           { return nil }
-func (h sshHandle) Stop() error               { return h.s.Stop() }
-
-type apacheHandle struct{ s *httpd.Server }
-
-func (h apacheHandle) Connect() (int, error)     { return h.s.Connect() }
-func (h apacheHandle) Churn(id, bytes int) error { return h.s.Request(id, bytes) }
-func (h apacheHandle) Disconnect(id int) error   { return h.s.Disconnect(id) }
-func (h apacheHandle) Maintain() error           { return h.s.MaintainSpares() }
-func (h apacheHandle) Stop() error               { return h.s.Stop() }
-
 // Run executes the timeline and returns the per-tick scanner samples.
 func Run(cfg Config) (*Result, error) {
 	cfg.applyDefaults()
 	if cfg.Kind != KindSSH && cfg.Kind != KindApache {
 		return nil, errors.New("sim: unknown server kind")
-	}
-	k, err := kernel.New(kernel.Config{
-		MemPages:      cfg.MemPages,
-		DeallocPolicy: cfg.Level.KernelPolicy(),
-		FaultPlan:     cfg.FaultPlan,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
 	}
 	// Sub-streams of cfg.Seed: 1=keygen, 2=scramble, 3=server. Derived,
 	// not offset, so a caller sweeping adjacent seeds never aliases them.
@@ -217,12 +184,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := k.FS().WriteFile(KeyPath, pemBytes); err != nil {
-		return nil, fmt.Errorf("sim: %w", err)
-	}
-	if err := k.ScrambleFreeMemory(stats.DeriveSeed(cfg.Seed, 2)); err != nil {
+	k, err := host.Boot(kernel.Config{
+		MemPages:      cfg.MemPages,
+		DeallocPolicy: cfg.Level.KernelPolicy(),
+		FaultPlan:     cfg.FaultPlan,
+	}, stats.DeriveSeed(cfg.Seed, 2), host.Key{Path: KeyPath, Key: key})
+	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	// Paper, Section 3.2 observation (1): on the unpatched machine the
@@ -244,7 +211,7 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Config: cfg, Key: key, MemPages: cfg.MemPages,
 		Samples: make([]TickSample, 0, cfg.Schedule.End+1)}
 
-	var srv serverHandle
+	var srv host.Server
 	var sup *supervise.Supervisor
 	var open []int
 	gen := 0
@@ -351,9 +318,9 @@ func startSupervised(k *kernel.Kernel, cfg Config, key *rsakey.PrivateKey) (*sup
 	if err != nil {
 		return nil, fmt.Errorf("sim: anchor: %w", err)
 	}
-	kind := supervise.KindSSHD
+	kind := host.KindSSHD
 	if cfg.Kind == KindApache {
-		kind = supervise.KindHTTPD
+		kind = host.KindHTTPD
 	}
 	sup := supervise.New(k, supervise.Config{
 		Kind: kind, KeyPath: KeyPath, Level: cfg.Level,
@@ -367,20 +334,20 @@ func startSupervised(k *kernel.Kernel, cfg Config, key *rsakey.PrivateKey) (*sup
 }
 
 // startServer boots the configured server kind.
-func startServer(k *kernel.Kernel, cfg Config) (serverHandle, error) {
+func startServer(k *kernel.Kernel, cfg Config) (host.Server, error) {
 	switch cfg.Kind {
 	case KindSSH:
 		s, err := sshd.Start(k, sshd.Config{KeyPath: KeyPath, Level: cfg.Level, Seed: stats.DeriveSeed(cfg.Seed, 3)})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		return sshHandle{s}, nil
+		return host.SSHD{Server: s}, nil
 	case KindApache:
 		s, err := httpd.Start(k, httpd.Config{KeyPath: KeyPath, Level: cfg.Level, Seed: stats.DeriveSeed(cfg.Seed, 3)})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
 		}
-		return apacheHandle{s}, nil
+		return host.HTTPD{Server: s}, nil
 	default:
 		return nil, errors.New("sim: unknown server kind")
 	}

@@ -29,19 +29,19 @@ import (
 	"memshield/internal/core"
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/fault"
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
 	"memshield/internal/runner"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/stats"
 )
 
 // StormConfig describes one soak storm.
 type StormConfig struct {
-	// Kind selects the server (default KindSSHD).
-	Kind Kind
+	// Kind selects the server (default host.KindSSHD).
+	Kind host.Kind
 	// Level is the protection level (default LevelSealed — the level
 	// whose recovery story has the most moving parts).
 	Level protect.Level
@@ -66,7 +66,7 @@ type StormConfig struct {
 
 func (c *StormConfig) applyDefaults() {
 	if c.Kind == "" {
-		c.Kind = KindSSHD
+		c.Kind = host.KindSSHD
 	}
 	if !c.Level.Valid() {
 		c.Level = protect.LevelSealed
@@ -113,7 +113,7 @@ func DefaultStormPlan(seed int64) *fault.Plan {
 
 // StormResult is one storm's complete outcome.
 type StormResult struct {
-	Kind  Kind
+	Kind  host.Kind
 	Level protect.Level
 	Seed  int64
 	// Log is the deterministic event log, one line per entry.
@@ -173,46 +173,21 @@ func RunStorm(cfg StormConfig) (*StormResult, error) {
 		return nil, fmt.Errorf("soak: %w", err)
 	}
 	status := protect.NewStatus(cfg.Level)
+	const keyPath = "/etc/keys/soak.key"
 	sup := New(k, Config{
-		Kind: cfg.Kind, KeyPath: "/etc/keys/soak.key", Level: cfg.Level,
+		Kind: cfg.Kind, KeyPath: keyPath, Level: cfg.Level,
 		Seed: stats.DeriveSeed(cfg.Seed, 3), Policy: cfg.Policy,
 		Anchor: anchor, AnchorSlot: slot, Status: status,
 		OnEvent: func(e Event) {
 			logf("tick=%d ev=%s op=%s attempt=%d wait=%d err=%q",
-				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, oneLine(e.Detail))
+				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, OneLine(e.Detail))
 		},
 	})
-	pem := key.MarshalPEM()
-	defer scrub.Bytes(pem)
-	if err := k.FS().WriteFile("/etc/keys/soak.key", pem); err != nil {
+	if err := host.InstallKey(k, keyPath, key); err != nil {
 		status.Refuse(fmt.Sprintf("key install: %v", err))
-		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), oneLine(err.Error()))
+		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), OneLine(err.Error()))
 	} else if err := sup.Start(); err != nil {
-		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), oneLine(err.Error()))
-	}
-
-	check := func(prev Counters) string {
-		if err := k.Alloc().CheckConsistency(); err != nil {
-			return fmt.Sprintf("allocator inconsistent: %v", err)
-		}
-		if err := k.VM().CheckConsistency(); err != nil {
-			return fmt.Sprintf("vm inconsistent: %v", err)
-		}
-		cur := sup.Counters()
-		if cur.Retries < prev.Retries || cur.BackoffTicks < prev.BackoffTicks ||
-			cur.Recoveries < prev.Recoveries || cur.Exhaustions < prev.Exhaustions ||
-			cur.Reprovisions < prev.Reprovisions || cur.Restarts < prev.Restarts {
-			return fmt.Sprintf("recovery counters regressed: %+v -> %+v", prev, cur)
-		}
-		// The effective-level audit is the no-false-security gate; at a
-		// sealed effective level its rules include "zero allocated
-		// plaintext key parts" — no plaintext at rest, re-provision
-		// windows included.
-		if rep := core.NewWithStatus(k, status).AuditEffective(patterns); !rep.OK() {
-			return fmt.Sprintf("audit violations at %s: %s",
-				status.Effective(), strings.Join(rep.Violations, "; "))
-		}
-		return ""
+		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), OneLine(err.Error()))
 	}
 
 	rng := stats.NewRand(stats.DeriveSeed(cfg.Seed, 2))
@@ -248,29 +223,29 @@ func RunStorm(cfg StormConfig) (*StormResult, error) {
 			if pid := sup.PID(); pid != 0 {
 				if _, err := k.MemoryPressure(pid, 2); err != nil {
 					logf("tick=%d ev=pressure-error op=churn attempt=0 wait=0 err=%q",
-						k.Clock(), oneLine(err.Error()))
+						k.Clock(), OneLine(err.Error()))
 				}
 			}
 		case 5:
 			_ = sup.Maintain()
 		}
 		k.Tick()
-		if v := check(prev); v != "" {
+		if v := sup.CheckInvariants(patterns, prev); v != "" {
 			res.InvariantErr = v
-			logf("tick=%d ev=violation step=%d err=%q", k.Clock(), step, oneLine(v))
+			logf("tick=%d ev=violation step=%d err=%q", k.Clock(), step, OneLine(v))
 			break
 		}
 		prev = sup.Counters()
 	}
 	res.Survived = sup.Running() && res.InvariantErr == ""
 	if err := sup.Stop(); err != nil {
-		logf("tick=%d ev=stop-error err=%q", k.Clock(), oneLine(err.Error()))
+		logf("tick=%d ev=stop-error err=%q", k.Clock(), OneLine(err.Error()))
 	}
 	k.Tick()
 	if res.InvariantErr == "" {
-		if v := check(prev); v != "" {
+		if v := sup.CheckInvariants(patterns, prev); v != "" {
 			res.InvariantErr = v
-			logf("tick=%d ev=violation step=end err=%q", k.Clock(), oneLine(v))
+			logf("tick=%d ev=violation step=end err=%q", k.Clock(), OneLine(v))
 		}
 	}
 
@@ -312,8 +287,36 @@ func RunStorms(cfgs []StormConfig, workers int) ([]*StormResult, error) {
 	})
 }
 
-// oneLine flattens error text for the log: joined errors print multi-line
-// and the log's replay contract is line-oriented.
-func oneLine(s string) string {
+// CheckInvariants asserts the storm invariants on the supervisor's machine
+// after a step and returns the first violation, or "" when all hold:
+// allocator and VM consistency, no recovery counter below prev, and a
+// clean effective-level audit for patterns. Fleet storms run the same
+// check on every member.
+func (s *Supervisor) CheckInvariants(patterns []scan.Pattern, prev Counters) string {
+	if err := s.k.Alloc().CheckConsistency(); err != nil {
+		return fmt.Sprintf("allocator inconsistent: %v", err)
+	}
+	if err := s.k.VM().CheckConsistency(); err != nil {
+		return fmt.Sprintf("vm inconsistent: %v", err)
+	}
+	cur := s.counters
+	if cur.Retries < prev.Retries || cur.BackoffTicks < prev.BackoffTicks ||
+		cur.Recoveries < prev.Recoveries || cur.Exhaustions < prev.Exhaustions ||
+		cur.Reprovisions < prev.Reprovisions || cur.Restarts < prev.Restarts {
+		return fmt.Sprintf("recovery counters regressed: %+v -> %+v", prev, cur)
+	}
+	// The effective-level audit is the no-false-security gate; at a
+	// sealed effective level its rules include "zero allocated plaintext
+	// key parts" — no plaintext at rest, re-provision windows included.
+	if rep := core.NewWithStatus(s.k, s.status).AuditEffective(patterns); !rep.OK() {
+		return fmt.Sprintf("audit violations at %s: %s",
+			s.status.Effective(), strings.Join(rep.Violations, "; "))
+	}
+	return ""
+}
+
+// OneLine flattens error text for a log: joined errors print multi-line
+// and the storm logs' replay contract is line-oriented.
+func OneLine(s string) string {
 	return strings.ReplaceAll(s, "\n", " | ")
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"memshield/internal/host"
 	"memshield/internal/protect"
 )
 
@@ -12,7 +13,7 @@ import (
 // chain — fault plan, backoff jitter, workload mix, re-provision epochs —
 // derives from the seed, so any divergence is nondeterminism.
 func TestStormReplayByteIdentical(t *testing.T) {
-	cfg := StormConfig{Kind: KindSSHD, Level: protect.LevelSealed, Seed: 42, Steps: 120}
+	cfg := StormConfig{Kind: host.KindSSHD, Level: protect.LevelSealed, Seed: 42, Steps: 120}
 	a, err := RunStorm(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -44,9 +45,9 @@ func TestStormReplayByteIdentical(t *testing.T) {
 func TestStormsWorkerCountInvariance(t *testing.T) {
 	var cfgs []StormConfig
 	for i := 0; i < 6; i++ {
-		kind := KindSSHD
+		kind := host.KindSSHD
 		if i%2 == 1 {
-			kind = KindHTTPD
+			kind = host.KindHTTPD
 		}
 		cfgs = append(cfgs, StormConfig{
 			Kind: kind, Level: protect.LevelSealed, Seed: int64(1000 + i), Steps: 80,
@@ -78,7 +79,7 @@ func TestStormsWorkerCountInvariance(t *testing.T) {
 func TestStormSweepHoldsInvariants(t *testing.T) {
 	var cfgs []StormConfig
 	levels := []protect.Level{protect.LevelIntegrated, protect.LevelSecureDealloc, protect.LevelSealed}
-	for _, kind := range []Kind{KindSSHD, KindHTTPD} {
+	for _, kind := range []host.Kind{host.KindSSHD, host.KindHTTPD} {
 		for li, level := range levels {
 			for i := 0; i < 2; i++ {
 				cfgs = append(cfgs, StormConfig{
@@ -131,7 +132,7 @@ func TestStormDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Kind != KindSSHD || r.Level != protect.LevelSealed || r.Seed != 9 {
+	if r.Kind != host.KindSSHD || r.Level != protect.LevelSealed || r.Seed != 9 {
 		t.Fatalf("defaults not applied: %+v", r)
 	}
 	if len(r.Log) == 0 || r.Fingerprint == "" {

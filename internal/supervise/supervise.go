@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
@@ -203,19 +204,10 @@ type Event struct {
 	Detail string
 }
 
-// Kind selects which server the supervisor runs.
-type Kind string
-
-// Kinds.
-const (
-	KindSSHD  Kind = "sshd"
-	KindHTTPD Kind = "httpd"
-)
-
 // Config describes one supervised server.
 type Config struct {
 	// Kind selects the server.
-	Kind Kind
+	Kind host.Kind
 	// KeyPath is the key's PEM file in the simulated filesystem.
 	KeyPath string
 	// Level is the protection level to deploy.
@@ -252,46 +244,16 @@ type Config struct {
 	ReprovisionGate func() bool
 }
 
-// Server is the supervisor's view of a running server.
-type Server interface {
-	Connect() (int, error)
-	Churn(id, n int) error
-	Disconnect(id int) error
-	Maintain() error
-	Stop() error
-	PID() int
-	Running() bool
-}
-
-type sshServer struct{ s *sshd.Server }
-
-func (h sshServer) Connect() (int, error)   { return h.s.Connect() }
-func (h sshServer) Churn(id, n int) error   { return h.s.Transfer(id, n) }
-func (h sshServer) Disconnect(id int) error { return h.s.Disconnect(id) }
-func (h sshServer) Maintain() error         { return nil }
-func (h sshServer) Stop() error             { return h.s.Stop() }
-func (h sshServer) PID() int                { return h.s.MasterPID() }
-func (h sshServer) Running() bool           { return h.s.Running() }
-
-type httpServer struct{ s *httpd.Server }
-
-func (h httpServer) Connect() (int, error)   { return h.s.Connect() }
-func (h httpServer) Churn(id, n int) error   { return h.s.Request(id, n) }
-func (h httpServer) Disconnect(id int) error { return h.s.Disconnect(id) }
-func (h httpServer) Maintain() error         { return h.s.MaintainSpares() }
-func (h httpServer) Stop() error             { return h.s.Stop() }
-func (h httpServer) PID() int                { return h.s.ParentPID() }
-func (h httpServer) Running() bool           { return h.s.Running() }
-
-// Supervisor runs one server under the recovery policy. Like the rest of
-// the machine it is single-goroutine.
+// Supervisor runs one server under the recovery policy. It is itself a
+// host.Server, so a driver holds a supervised server the way it holds a
+// bare one. Like the rest of the machine it is single-goroutine.
 type Supervisor struct {
 	k      *kernel.Kernel
 	cfg    Config
 	policy Policy
 	status *protect.Status
 
-	srv        Server
+	srv        host.Server
 	generation int
 	epoch      int64
 	counters   Counters
@@ -332,7 +294,7 @@ func (s *Supervisor) Start() error {
 // run-wide status.
 func (s *Supervisor) boot() error {
 	switch s.cfg.Kind {
-	case KindSSHD:
+	case host.KindSSHD:
 		srv, err := sshd.Start(s.k, sshd.Config{
 			KeyPath: s.cfg.KeyPath, Level: s.cfg.Level,
 			Seed: s.cfg.Seed, SealEpoch: s.epoch, Status: s.status,
@@ -340,8 +302,8 @@ func (s *Supervisor) boot() error {
 		if err != nil {
 			return err
 		}
-		s.srv = sshServer{srv}
-	case KindHTTPD:
+		s.srv = host.SSHD{Server: srv}
+	case host.KindHTTPD:
 		srv, err := httpd.Start(s.k, httpd.Config{
 			KeyPath: s.cfg.KeyPath, Level: s.cfg.Level,
 			Seed: s.cfg.Seed, SealEpoch: s.epoch, Status: s.status,
@@ -349,7 +311,7 @@ func (s *Supervisor) boot() error {
 		if err != nil {
 			return err
 		}
-		s.srv = httpServer{srv}
+		s.srv = host.HTTPD{Server: srv}
 	default:
 		return fmt.Errorf("%w: %q", ErrUnknownKind, s.cfg.Kind)
 	}

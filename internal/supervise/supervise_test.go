@@ -9,6 +9,7 @@ import (
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/crypto/seal"
 	"memshield/internal/fault"
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/kernel/vm"
@@ -46,7 +47,7 @@ func testRig(t *testing.T, level protect.Level, plan *fault.Plan) (*kernel.Kerne
 	return k, key, anchor, slot
 }
 
-func newSupervisor(k *kernel.Kernel, kind Kind, level protect.Level, anchor *hsm.Module, slot int) *Supervisor {
+func newSupervisor(k *kernel.Kernel, kind host.Kind, level protect.Level, anchor *hsm.Module, slot int) *Supervisor {
 	return New(k, Config{
 		Kind: kind, KeyPath: testKeyPath, Level: level,
 		Seed: stats.DeriveSeed(7, 3), Policy: DefaultPolicy(11),
@@ -62,7 +63,7 @@ func TestConnectRetriesTransientUnseal(t *testing.T) {
 		fault.SiteUnseal: {Nth: []uint64{1}},
 	}}
 	k, key, anchor, slot := testRig(t, protect.LevelSealed, plan)
-	sup := newSupervisor(k, KindSSHD, protect.LevelSealed, anchor, slot)
+	sup := newSupervisor(k, host.KindSSHD, protect.LevelSealed, anchor, slot)
 	if err := sup.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestConnectExhaustsBudget(t *testing.T) {
 		fault.SiteUnseal: {Prob: 1},
 	}}
 	k, _, anchor, slot := testRig(t, protect.LevelSealed, plan)
-	sup := newSupervisor(k, KindSSHD, protect.LevelSealed, anchor, slot)
+	sup := newSupervisor(k, host.KindSSHD, protect.LevelSealed, anchor, slot)
 	if err := sup.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -143,7 +144,7 @@ func TestReprovisionAfterSealDestroy(t *testing.T) {
 	k, key, anchor, slot := testRig(t, protect.LevelSealed, plan)
 	var events []Event
 	sup := New(k, Config{
-		Kind: KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
+		Kind: host.KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
 		Seed: stats.DeriveSeed(7, 3), Policy: DefaultPolicy(11),
 		Anchor: anchor, AnchorSlot: slot,
 		OnEvent: func(e Event) { events = append(events, e) },
@@ -219,7 +220,7 @@ func TestDestroyWithoutAnchorStaysPermanent(t *testing.T) {
 	}}
 	k, key, _, _ := testRig(t, protect.LevelSealed, plan)
 	sup := New(k, Config{
-		Kind: KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
+		Kind: host.KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
 		Seed: stats.DeriveSeed(7, 3), Policy: DefaultPolicy(11),
 	})
 	if err := sup.Start(); err != nil {
@@ -256,7 +257,7 @@ func TestStartRetriesTransientRefusal(t *testing.T) {
 		fault.SiteMlock: {Nth: []uint64{1}},
 	}}
 	k, key, anchor, slot := testRig(t, protect.LevelIntegrated, plan)
-	sup := newSupervisor(k, KindSSHD, protect.LevelIntegrated, anchor, slot)
+	sup := newSupervisor(k, host.KindSSHD, protect.LevelIntegrated, anchor, slot)
 	if err := sup.Start(); err != nil {
 		t.Fatalf("supervised start should retry the transient mlock denial: %v", err)
 	}
@@ -289,7 +290,7 @@ func TestStartExhaustionLeavesRefusalStanding(t *testing.T) {
 		fault.SiteMlock: {Prob: 1},
 	}}
 	k, key, anchor, slot := testRig(t, protect.LevelIntegrated, plan)
-	sup := newSupervisor(k, KindSSHD, protect.LevelIntegrated, anchor, slot)
+	sup := newSupervisor(k, host.KindSSHD, protect.LevelIntegrated, anchor, slot)
 	err := sup.Start()
 	if err == nil {
 		t.Fatal("start should exhaust under a permanent mlock denial")
@@ -319,7 +320,7 @@ func TestHTTPDReprovision(t *testing.T) {
 		fault.SiteSeal: {Nth: []uint64{1}},
 	}}
 	k, key, anchor, slot := testRig(t, protect.LevelSealed, plan)
-	sup := newSupervisor(k, KindHTTPD, protect.LevelSealed, anchor, slot)
+	sup := newSupervisor(k, host.KindHTTPD, protect.LevelSealed, anchor, slot)
 	if err := sup.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -359,7 +360,7 @@ func TestReprovisionBudgetSpends(t *testing.T) {
 	}}
 	k, key, anchor, slot := testRig(t, protect.LevelSealed, plan)
 	sup := New(k, Config{
-		Kind: KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
+		Kind: host.KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
 		Seed: stats.DeriveSeed(7, 3), Policy: policy,
 		Anchor: anchor, AnchorSlot: slot,
 	})
@@ -405,7 +406,7 @@ func TestSupervisorDeterminism(t *testing.T) {
 		k, _, anchor, slot := testRig(t, protect.LevelSealed, plan)
 		var log []string
 		sup := New(k, Config{
-			Kind: KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
+			Kind: host.KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
 			Seed: stats.DeriveSeed(7, 3), Policy: DefaultPolicy(11),
 			Anchor: anchor, AnchorSlot: slot,
 			OnEvent: func(e Event) {
@@ -473,7 +474,7 @@ func TestReprovisionGateParksAndResumes(t *testing.T) {
 	var events []Event
 	granted := false
 	sup := New(k, Config{
-		Kind: KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
+		Kind: host.KindSSHD, KeyPath: testKeyPath, Level: protect.LevelSealed,
 		Seed: stats.DeriveSeed(7, 3), Policy: DefaultPolicy(11),
 		Anchor: anchor, AnchorSlot: slot,
 		OnEvent:         func(e Event) { events = append(events, e) },

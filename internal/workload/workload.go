@@ -21,9 +21,9 @@ import (
 	"fmt"
 
 	"memshield/internal/crypto/rsakey"
+	"memshield/internal/host"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
-	"memshield/internal/scrub"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
@@ -144,26 +144,12 @@ func (c *SSHBenchConfig) applyDefaults() {
 // sub-streams are minted with DeriveSeed (1=keygen, 2=scramble; 3 is the
 // caller's server stream), so adjacent caller seeds never alias.
 func setupMachine(memPages, keyBits int, seed int64, level protect.Level) (*kernel.Kernel, error) {
-	k, err := kernel.New(kernel.Config{
-		MemPages:      memPages,
-		DeallocPolicy: level.KernelPolicy(),
-	})
-	if err != nil {
-		return nil, err
-	}
 	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(seed, 1)), keyBits)
 	if err != nil {
 		return nil, err
 	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := k.FS().WriteFile(KeyPath, pemBytes); err != nil {
-		return nil, err
-	}
-	if err := k.ScrambleFreeMemory(stats.DeriveSeed(seed, 2)); err != nil {
-		return nil, err
-	}
-	return k, nil
+	return host.Boot(kernel.Config{MemPages: memPages, DeallocPolicy: level.KernelPolicy()},
+		stats.DeriveSeed(seed, 2), host.Key{Path: KeyPath, Key: key})
 }
 
 // RunSSHBench executes the scp stress benchmark at one protection level.

@@ -41,13 +41,13 @@ import (
 	"memshield/internal/core"
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/figures"
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/keyfinder"
 	"memshield/internal/mem"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
-	"memshield/internal/scrub"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/sim"
@@ -179,9 +179,7 @@ func (m *Machine) InstallKey(path string, bits int) (*Key, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memshield: %w", err)
 	}
-	pemBytes := key.MarshalPEM()
-	defer scrub.Bytes(pemBytes)
-	if err := m.k.FS().WriteFile(path, pemBytes); err != nil {
+	if err := host.InstallKey(m.k, path, key); err != nil {
 		return nil, fmt.Errorf("memshield: %w", err)
 	}
 	return &Key{Private: key, Path: path}, nil

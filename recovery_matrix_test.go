@@ -31,6 +31,7 @@ import (
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/crypto/seal"
 	"memshield/internal/fault"
+	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/kernel/alloc"
@@ -269,9 +270,9 @@ func runRecoveryScenario(kind string, level protect.Level, seed int64) recoveryO
 		return out
 	}
 	status := protect.NewStatus(level)
-	supKind := supervise.KindSSHD
+	supKind := host.KindSSHD
 	if kind == "httpd" {
-		supKind = supervise.KindHTTPD
+		supKind = host.KindHTTPD
 	}
 	sup := supervise.New(k, supervise.Config{
 		Kind: supKind, KeyPath: faultKeyPath, Level: level,
