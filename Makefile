@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-cold lint-json lint-self test-faults soak soak-smoke bench-smoke bench-json fleet-smoke contract fuzz figures figures-smoke
+.PHONY: all build test race lint lint-cold lint-json lint-self test-faults soak soak-smoke bench-smoke fleet-smoke contract fuzz figures figures-smoke
 
 all: build lint test
 
@@ -77,18 +77,6 @@ soak-smoke:
 bench-smoke:
 	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPrivateOp' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl
 
-# The fleet bench trajectory (EXPERIMENTS.md "Benchmark JSON format"): the
-# fleet engine at 10k and 100k connections, converted to BENCH_10.json by
-# cmd/benchjson. The committed BENCH_10.json is the engine's first
-# trajectory point and still holds rows of the per-tick loop baseline
-# deleted since, so a regenerated file is an artifact, not a replacement.
-# Single-iteration runs — the workloads are deterministic, so one iteration
-# is the measurement. The ~5-minute 1M-connection timeline is opt-in and stays out
-# of this target; run it with the command documented in fleetbench_test.go:
-#   go test -bench FleetTimeline1M -fleet-1m -benchtime=1x .
-bench-json:
-	$(GO) test -run TestNothing -bench 'BenchmarkFleet' -benchmem -benchtime=1x . | $(GO) run ./cmd/benchjson -o BENCH_10.json
-
 # Fleet engine smoke for CI: the shard/worker-invariance contract under
 # the race detector, then a small fleet storm (shared re-provision
 # budget, serial grant order) with the serial replay verified.
@@ -129,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder
+	$(GO) test -fuzz=FuzzStorm -fuzztime=30s ./internal/supervise
 
 figures:
 	$(GO) run ./cmd/figures -all

@@ -26,15 +26,6 @@ func main() {
 	}
 }
 
-func parseLevel(s string) (protect.Level, error) {
-	for _, l := range protect.All() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown level %q", s)
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("memscan", flag.ContinueOnError)
 	var (
@@ -49,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := protect.ParseLevel(*level)
 	if err != nil {
 		return err
 	}

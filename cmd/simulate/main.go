@@ -28,15 +28,6 @@ func main() {
 	}
 }
 
-func parseLevel(s string) (protect.Level, error) {
-	for _, l := range protect.All() {
-		if l.String() == s {
-			return l, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown level %q (want none, application, library, kernel, integrated, secure-dealloc or sealed)", s)
-}
-
 func parseKind(s string) (sim.ServerKind, error) {
 	switch s {
 	case "ssh", "openssh":
@@ -64,7 +55,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	lvl, err := parseLevel(*level)
+	lvl, err := protect.ParseLevel(*level)
 	if err != nil {
 		return err
 	}

@@ -21,12 +21,6 @@ func TestRunTimeline(t *testing.T) {
 }
 
 func TestParseHelpers(t *testing.T) {
-	if _, err := parseLevel("kernel"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseLevel("bogus"); err == nil {
-		t.Fatal("bogus level should error")
-	}
 	if _, err := parseKind("apache"); err != nil {
 		t.Fatal(err)
 	}

@@ -50,6 +50,16 @@ func All() []Level {
 	return []Level{LevelNone, LevelApp, LevelLibrary, LevelKernel, LevelIntegrated, LevelSecureDealloc, LevelSealed}
 }
 
+// ParseLevel returns the level whose String is s.
+func ParseLevel(s string) (Level, error) {
+	for _, l := range All() {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown level %q (want none, application, library, kernel, integrated, secure-dealloc or sealed)", s)
+}
+
 func (l Level) String() string {
 	switch l {
 	case LevelNone:

@@ -1,6 +1,7 @@
 package protect
 
 import (
+	"strings"
 	"testing"
 
 	"memshield/internal/kernel/alloc"
@@ -83,5 +84,23 @@ func TestInvalidLevel(t *testing.T) {
 	}
 	if Level(99).String() == "" {
 		t.Fatal("unknown level should still format")
+	}
+}
+
+func TestParseLevel(t *testing.T) {
+	for _, l := range All() {
+		got, err := ParseLevel(l.String())
+		if err != nil || got != l {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", l.String(), got, err, l)
+		}
+	}
+	_, err := ParseLevel("bogus")
+	if err == nil {
+		t.Fatal("bogus level should error")
+	}
+	for _, l := range All() {
+		if !strings.Contains(err.Error(), l.String()) {
+			t.Errorf("error %q does not list level %q", err, l)
+		}
 	}
 }

@@ -2,10 +2,13 @@
 // supervised server, with the machine's invariants checked at every step
 // and a deterministic event log.
 //
-// A storm is one machine under a probabilistic fault plan armed across
-// every site, serving a seeded connection workload through a Supervisor.
-// After every workload step (one machine tick; backoff waits advance the
-// clock further inside a step) the harness asserts:
+// A Storm is the one storm machine: a kernel under a probabilistic fault
+// plan armed across every site, a key escrowed in an HSM anchor, and a
+// seeded connection workload served through a Supervisor. RunStorm drives
+// one to its step count; internal/fleet drives many under a shared
+// re-provision arbiter. After every workload step (one machine tick;
+// backoff waits advance the clock further inside a step) the machine
+// asserts:
 //
 //   - structural consistency: alloc.CheckConsistency, vm.CheckConsistency;
 //   - no false security: core.AuditEffective is clean at the level the
@@ -24,6 +27,7 @@ package supervise
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 
 	"memshield/internal/core"
@@ -38,7 +42,16 @@ import (
 	"memshield/internal/stats"
 )
 
-// StormConfig describes one soak storm.
+// Every storm machine has the same size, key size and key path; the
+// recorded storm logs and fingerprints depend on them.
+const (
+	stormMemPages  = 768
+	stormSwapPages = 16
+	stormKeyBits   = 512
+	stormKeyPath   = "/etc/keys/soak.key"
+)
+
+// StormConfig describes one storm machine.
 type StormConfig struct {
 	// Kind selects the server (default host.KindSSHD).
 	Kind host.Kind
@@ -48,20 +61,18 @@ type StormConfig struct {
 	// Seed drives everything: keygen (sub-stream 1), the workload op mix
 	// (2), the server seed (3), the fault plan (4), the retry policy (5).
 	Seed int64
-	// Steps is the workload length in steps (default 200). Each step
-	// ends with one machine tick plus the full invariant check; retries
-	// inside a step advance the clock further.
+	// Steps is RunStorm's workload length in steps (default 200). Each
+	// step ends with one machine tick plus the full invariant check;
+	// retries inside a step advance the clock further.
 	Steps int
-	// MemPages / SwapPages size the machine (default 768 / 16).
-	MemPages  int
-	SwapPages int
-	// KeyBits sizes the RSA key (default 512).
-	KeyBits int
 	// Plan overrides the fault plan (nil = DefaultStormPlan(Seed)).
 	Plan *fault.Plan
 	// Policy overrides the retry policy (zero = DefaultPolicy of
 	// sub-stream 5).
 	Policy Policy
+	// ReprovisionGate is passed to the supervisor (nil = re-provision
+	// at once); a fleet arbiter sets one that always parks.
+	ReprovisionGate func() bool
 }
 
 func (c *StormConfig) applyDefaults() {
@@ -73,15 +84,6 @@ func (c *StormConfig) applyDefaults() {
 	}
 	if c.Steps == 0 {
 		c.Steps = 200
-	}
-	if c.MemPages == 0 {
-		c.MemPages = 768
-	}
-	if c.SwapPages == 0 {
-		c.SwapPages = 16
-	}
-	if c.KeyBits == 0 {
-		c.KeyBits = 512
 	}
 	if c.Plan == nil {
 		c.Plan = DefaultStormPlan(c.Seed)
@@ -111,6 +113,144 @@ func DefaultStormPlan(seed int64) *fault.Plan {
 	}
 }
 
+// Storm is one storm machine: its supervised server, the seeded op mix
+// and the state the invariant check compares against. The embedded
+// Supervisor lets a driver inspect and steer the server directly; the
+// driver decides when the machine steps, idles and stops.
+type Storm struct {
+	*Supervisor
+	k        *kernel.Kernel
+	patterns []scan.Pattern
+	logf     func(format string, args ...any)
+	rng      *rand.Rand
+	open     []int
+	gen      int
+	prev     Counters
+	// steps counts the workload steps that passed the invariant check.
+	steps     int
+	parks     int
+	violation string
+}
+
+// NewStorm provisions one storm machine: the kernel under the fault plan,
+// the seeded key (escrowed in an HSM anchor out-of-band, the same trust
+// model as the initial key install), and the supervised server. A failed
+// key install or start is logged as a refusal and the machine is still
+// returned; the error covers only harness bugs outside the faulted
+// surface. Every log line goes through logf.
+func NewStorm(cfg StormConfig, logf func(format string, args ...any)) (*Storm, error) {
+	cfg.applyDefaults()
+	k, err := kernel.New(kernel.Config{
+		MemPages:      stormMemPages,
+		SwapPages:     stormSwapPages,
+		DeallocPolicy: cfg.Level.KernelPolicy(),
+		FaultPlan:     cfg.Plan,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("soak: %w", err)
+	}
+	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(cfg.Seed, 1)), stormKeyBits)
+	if err != nil {
+		return nil, fmt.Errorf("soak: %w", err)
+	}
+	anchor := hsm.New()
+	slot, err := anchor.Import(key)
+	if err != nil {
+		return nil, fmt.Errorf("soak: %w", err)
+	}
+	s := &Storm{k: k, patterns: scan.PatternsFor(key), logf: logf}
+	status := protect.NewStatus(cfg.Level)
+	s.Supervisor = New(k, Config{
+		Kind: cfg.Kind, KeyPath: stormKeyPath, Level: cfg.Level,
+		Seed: stats.DeriveSeed(cfg.Seed, 3), Policy: cfg.Policy,
+		Anchor: anchor, AnchorSlot: slot, Status: status,
+		ReprovisionGate: cfg.ReprovisionGate,
+		OnEvent: func(e Event) {
+			logf("tick=%d ev=%s op=%s attempt=%d wait=%d err=%q",
+				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, OneLine(e.Detail))
+			if e.Kind == "parked" {
+				s.parks++
+			}
+		},
+	})
+	if err := host.InstallKey(k, stormKeyPath, key); err != nil {
+		status.Refuse(fmt.Sprintf("key install: %v", err))
+		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), OneLine(err.Error()))
+	} else if err := s.Start(); err != nil {
+		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), OneLine(err.Error()))
+	}
+	s.rng = stats.NewRand(stats.DeriveSeed(cfg.Seed, 2))
+	s.gen = s.Generation()
+	s.prev = s.Counters()
+	return s, nil
+}
+
+// Step runs one op of the seeded mix, ticks the machine and checks the
+// invariants. It returns false, with the violation logged and kept, when
+// a check fails; the machine must not step again after that.
+func (s *Storm) Step() bool {
+	if g := s.Generation(); g != s.gen {
+		// A restarted generation invalidated every open connection.
+		s.gen, s.open = g, nil
+	}
+	switch s.rng.Intn(6) {
+	case 0, 1:
+		if id, err := s.Connect(); err == nil {
+			s.open = append(s.open, id)
+			_ = s.Churn(id, 4096)
+		}
+	case 2:
+		if len(s.open) > 0 {
+			i := s.rng.Intn(len(s.open))
+			_ = s.Disconnect(s.open[i])
+			s.open = append(s.open[:i], s.open[i+1:]...)
+		}
+	case 3:
+		if len(s.open) > 0 {
+			_ = s.Churn(s.open[s.rng.Intn(len(s.open))], 4096)
+		}
+	case 4:
+		if pid := s.PID(); pid != 0 {
+			if _, err := s.k.MemoryPressure(pid, 2); err != nil {
+				s.logf("tick=%d ev=pressure-error op=churn attempt=0 wait=0 err=%q",
+					s.k.Clock(), OneLine(err.Error()))
+			}
+		}
+	case 5:
+		_ = s.Maintain()
+	}
+	s.k.Tick()
+	// The audit runs at the claimed level: a parked or degraded machine
+	// claims only what it has.
+	if v := s.CheckInvariants(s.patterns, s.prev); v != "" {
+		s.violation = v
+		s.logf("tick=%d ev=violation step=%d err=%q", s.k.Clock(), s.steps, OneLine(v))
+		return false
+	}
+	s.prev = s.Counters()
+	s.steps++
+	return true
+}
+
+// Idle ticks the machine without an op, so backoff and scrub schedules
+// stay live while the server cannot serve.
+func (s *Storm) Idle() { s.k.Tick() }
+
+// Stop stops the supervised server, logging any error, and ticks the
+// machine once.
+func (s *Storm) Stop() {
+	if err := s.Supervisor.Stop(); err != nil {
+		s.logf("tick=%d ev=stop-error err=%q", s.k.Clock(), OneLine(err.Error()))
+	}
+	s.k.Tick()
+}
+
+// Violation returns the first invariant violation ("" = none).
+func (s *Storm) Violation() string { return s.violation }
+
+// Parks counts the supervisor's parked events.
+func (s *Storm) Parks() int { return s.parks }
+
 // StormResult is one storm's complete outcome.
 type StormResult struct {
 	Kind  host.Kind
@@ -139,9 +279,10 @@ type StormResult struct {
 	Fingerprint string
 }
 
-// RunStorm executes one storm. The returned error covers only harness
-// bugs (setup outside the faulted surface); every in-storm failure is
-// part of the result.
+// RunStorm executes one storm: it steps the machine until Steps, a
+// violation, a terminal supervisor failure, or a server that stopped
+// serving after the first step. The returned error covers only harness
+// bugs; every in-storm failure is part of the result.
 func RunStorm(cfg StormConfig) (*StormResult, error) {
 	cfg.applyDefaults()
 	res := &StormResult{Kind: cfg.Kind, Level: cfg.Level, Seed: cfg.Seed}
@@ -149,115 +290,36 @@ func RunStorm(cfg StormConfig) (*StormResult, error) {
 		res.Log = append(res.Log, fmt.Sprintf(format, args...))
 	}
 	logf("storm kind=%s level=%s seed=%d steps=%d mem=%d swap=%d",
-		cfg.Kind, cfg.Level, cfg.Seed, cfg.Steps, cfg.MemPages, cfg.SwapPages)
-
-	k, err := kernel.New(kernel.Config{
-		MemPages:      cfg.MemPages,
-		SwapPages:     cfg.SwapPages,
-		DeallocPolicy: cfg.Level.KernelPolicy(),
-		FaultPlan:     cfg.Plan,
-	})
+		cfg.Kind, cfg.Level, cfg.Seed, cfg.Steps, stormMemPages, stormSwapPages)
+	s, err := NewStorm(cfg, logf)
 	if err != nil {
-		return nil, fmt.Errorf("soak: %w", err)
+		return nil, err
 	}
-	key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(cfg.Seed, 1)), cfg.KeyBits)
-	if err != nil {
-		return nil, fmt.Errorf("soak: %w", err)
-	}
-	patterns := scan.PatternsFor(key)
-	// The anchor is provisioned out-of-band, before the storm: the same
-	// trust model as the initial key install.
-	anchor := hsm.New()
-	slot, err := anchor.Import(key)
-	if err != nil {
-		return nil, fmt.Errorf("soak: %w", err)
-	}
-	status := protect.NewStatus(cfg.Level)
-	const keyPath = "/etc/keys/soak.key"
-	sup := New(k, Config{
-		Kind: cfg.Kind, KeyPath: keyPath, Level: cfg.Level,
-		Seed: stats.DeriveSeed(cfg.Seed, 3), Policy: cfg.Policy,
-		Anchor: anchor, AnchorSlot: slot, Status: status,
-		OnEvent: func(e Event) {
-			logf("tick=%d ev=%s op=%s attempt=%d wait=%d err=%q",
-				e.Tick, e.Kind, e.Op, e.Attempt, e.Wait, OneLine(e.Detail))
-		},
-	})
-	if err := host.InstallKey(k, keyPath, key); err != nil {
-		status.Refuse(fmt.Sprintf("key install: %v", err))
-		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), OneLine(err.Error()))
-	} else if err := sup.Start(); err != nil {
-		logf("tick=%d ev=refused op=start attempt=0 wait=0 err=%q", k.Clock(), OneLine(err.Error()))
-	}
-
-	rng := stats.NewRand(stats.DeriveSeed(cfg.Seed, 2))
-	var open []int
-	gen := sup.Generation()
-	prev := sup.Counters()
-	step := 0
-	for ; step < cfg.Steps; step++ {
-		if sup.Failed() != nil || (!sup.Running() && step > 0) {
+	for s.steps < cfg.Steps {
+		if s.Failed() != nil || (!s.Running() && s.steps > 0) || !s.Step() {
 			break
 		}
-		if g := sup.Generation(); g != gen {
-			// A restarted generation invalidated every open connection.
-			gen, open = g, nil
-		}
-		switch rng.Intn(6) {
-		case 0, 1:
-			if id, err := sup.Connect(); err == nil {
-				open = append(open, id)
-				_ = sup.Churn(id, 4096)
-			}
-		case 2:
-			if len(open) > 0 {
-				i := rng.Intn(len(open))
-				_ = sup.Disconnect(open[i])
-				open = append(open[:i], open[i+1:]...)
-			}
-		case 3:
-			if len(open) > 0 {
-				_ = sup.Churn(open[rng.Intn(len(open))], 4096)
-			}
-		case 4:
-			if pid := sup.PID(); pid != 0 {
-				if _, err := k.MemoryPressure(pid, 2); err != nil {
-					logf("tick=%d ev=pressure-error op=churn attempt=0 wait=0 err=%q",
-						k.Clock(), OneLine(err.Error()))
-				}
-			}
-		case 5:
-			_ = sup.Maintain()
-		}
-		k.Tick()
-		if v := sup.CheckInvariants(patterns, prev); v != "" {
-			res.InvariantErr = v
-			logf("tick=%d ev=violation step=%d err=%q", k.Clock(), step, OneLine(v))
-			break
-		}
-		prev = sup.Counters()
 	}
-	res.Survived = sup.Running() && res.InvariantErr == ""
-	if err := sup.Stop(); err != nil {
-		logf("tick=%d ev=stop-error err=%q", k.Clock(), OneLine(err.Error()))
-	}
-	k.Tick()
+	res.InvariantErr = s.violation
+	res.Survived = s.Running() && res.InvariantErr == ""
+	s.Stop()
 	if res.InvariantErr == "" {
-		if v := sup.CheckInvariants(patterns, prev); v != "" {
+		if v := s.CheckInvariants(s.patterns, s.prev); v != "" {
 			res.InvariantErr = v
-			logf("tick=%d ev=violation step=end err=%q", k.Clock(), OneLine(v))
+			logf("tick=%d ev=violation step=end err=%q", s.k.Clock(), OneLine(v))
 		}
 	}
 
-	res.Counters = sup.Counters()
-	res.Generation = sup.Generation()
-	res.Epoch = sup.Epoch()
+	status := s.Status()
+	res.Counters = s.Counters()
+	res.Generation = s.Generation()
+	res.Epoch = s.Epoch()
 	res.Refused, _ = status.Refused()
 	res.Effective = status.Effective()
-	rep := core.NewWithStatus(k, status).AuditEffective(patterns)
-	res.Fingerprint = stormFingerprint(k.Injector(), rep, status, res)
+	rep := core.NewWithStatus(s.k, status).AuditEffective(s.patterns)
+	res.Fingerprint = stormFingerprint(s.k.Injector(), rep, status, res)
 	logf("final steps=%d survived=%v gen=%d epoch=%d retries=%d backoff=%d recoveries=%d exhaustions=%d reprovisions=%d restarts=%d",
-		step, res.Survived, res.Generation, res.Epoch,
+		s.steps, res.Survived, res.Generation, res.Epoch,
 		res.Counters.Retries, res.Counters.BackoffTicks, res.Counters.Recoveries,
 		res.Counters.Exhaustions, res.Counters.Reprovisions, res.Counters.Restarts)
 	logf("final status=%q effective=%s fingerprint=%s", status.Summary(), res.Effective, res.Fingerprint)
