@@ -307,14 +307,14 @@ func (r *RSA) MemoryAlign() error {
 		return errors.Join(fmt.Errorf("ssl: memory align: %w", err), r.heap.Free(base))
 	}
 	off := vm.VAddr(0)
-	for i, bn := range r.Parts() {
+	for _, bn := range r.Parts() {
 		if err := r.movePart(bn, base+off); err != nil {
-			return errors.Join(fmt.Errorf("ssl: memory align: %w", err), r.scrapAlign(base, i))
+			return errors.Join(fmt.Errorf("ssl: memory align: %w", err), r.scrapAlign(base))
 		}
 		off += vm.VAddr(bn.size)
 	}
 	if err := r.dropMontCache(); err != nil {
-		return errors.Join(fmt.Errorf("ssl: memory align: %w", err), r.scrapAlign(base, len(r.Parts())))
+		return errors.Join(fmt.Errorf("ssl: memory align: %w", err), r.scrapAlign(base))
 	}
 	r.aligned = base
 	r.alignedPages = pages
@@ -324,8 +324,11 @@ func (r *RSA) MemoryAlign() error {
 }
 
 // movePart copies one BIGNUM into the aligned region at dst and cleanses
-// its old buffer. The BIGNUM's pointer is rebound only after every step
-// succeeded, so a failed move leaves the part owning its old buffer.
+// its old buffer. The BIGNUM is rebound to dst as soon as the old buffer
+// is zeroed: a free that fails after that has still dropped the chunk
+// (libc forgets an emptied arena before the kernel scrubs its pages), so
+// the part must not own it any more. A move that fails earlier leaves the
+// part owning its old buffer.
 func (r *RSA) movePart(bn *BigNum, dst vm.VAddr) error {
 	val, err := bn.Bytes()
 	defer scrub.Bytes(val)
@@ -335,27 +338,34 @@ func (r *RSA) movePart(bn *BigNum, dst vm.VAddr) error {
 	if err := r.heap.Write(dst, val); err != nil {
 		return err
 	}
-	if err := r.heap.FreeZero(bn.ptr); err != nil {
+	old := bn.ptr
+	n, err := r.heap.SizeOf(old)
+	if err != nil {
+		return err
+	}
+	if err := r.heap.Zero(old, n); err != nil {
 		return err
 	}
 	bn.ptr = dst
 	bn.static = true
-	return nil
+	return r.heap.Free(old)
 }
 
-// scrapAlign is MemoryAlign's scrub-and-refuse path after movedParts parts
-// have been rebound into the region at base: it destroys the region (which
-// already holds key bytes), cleanses the not-yet-moved parts' old buffers,
-// drops any Montgomery cache, and marks the object freed. All steps are
-// attempted; failures are joined.
-func (r *RSA) scrapAlign(base vm.VAddr, movedParts int) error {
+// scrapAlign is MemoryAlign's scrub-and-refuse path once parts have
+// started moving into the region at base: it destroys the region (which
+// already holds key bytes), cleanses the old buffers of the parts not yet
+// rebound, drops any Montgomery cache, and marks the object freed. All
+// steps are attempted; failures are joined.
+func (r *RSA) scrapAlign(base vm.VAddr) error {
 	var errs []error
 	if n, err := r.heap.SizeOf(base); err == nil {
 		errs = append(errs, r.heap.Zero(base, n))
 	}
 	errs = append(errs, r.heap.Free(base))
-	for _, bn := range r.Parts()[movedParts:] {
-		errs = append(errs, r.heap.FreeZero(bn.ptr))
+	for _, bn := range r.Parts() {
+		if !bn.static {
+			errs = append(errs, r.heap.FreeZero(bn.ptr))
+		}
 	}
 	errs = append(errs, r.dropMontCache())
 	r.freed = true

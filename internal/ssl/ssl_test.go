@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
+	"memshield/internal/fault"
 	"memshield/internal/kernel"
 	"memshield/internal/kernel/alloc"
 	"memshield/internal/libc"
@@ -25,7 +26,12 @@ type fixture struct {
 
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
-	k, err := kernel.New(kernel.Config{MemPages: 2048, DeallocPolicy: alloc.PolicyRetain})
+	return newFixtureConfig(t, kernel.Config{MemPages: 2048, DeallocPolicy: alloc.PolicyRetain})
+}
+
+func newFixtureConfig(t testing.TB, cfg kernel.Config) *fixture {
+	t.Helper()
+	k, err := kernel.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +272,42 @@ func TestMemoryAlignSingleCopy(t *testing.T) {
 	// Idempotent.
 	if err := r.MemoryAlign(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemoryAlignZeroOnFreeFailure fails each zero-on-free call that
+// MemoryAlign makes, one per run. Freeing a part's old buffer can release
+// its libc arena; when the kernel then cannot zero the arena's pages, libc
+// has already dropped the chunk, so the refusal must not free it again.
+func TestMemoryAlignZeroOnFreeFailure(t *testing.T) {
+	load := func(nth ...uint64) (*fixture, *RSA) {
+		f := newFixtureConfig(t, kernel.Config{
+			MemPages: 2048, DeallocPolicy: alloc.PolicyZeroOnFree,
+			FaultPlan: &fault.Plan{Rules: map[fault.Site]fault.Rule{fault.SiteZeroOnFree: {Nth: nth}}},
+		})
+		return f, f.load(t)
+	}
+	f, r := load()
+	first := f.k.Injector().Calls(fault.SiteZeroOnFree) + 1
+	if err := r.MemoryAlign(); err != nil {
+		t.Fatal(err)
+	}
+	last := f.k.Injector().Calls(fault.SiteZeroOnFree)
+	if last < first {
+		t.Fatal("MemoryAlign made no zero-on-free calls")
+	}
+	for n := first; n <= last; n++ {
+		f, r := load(n)
+		err := r.MemoryAlign()
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("zero-on-free call %d failed: MemoryAlign returned %v, want the injected failure", n, err)
+		}
+		if errors.Is(err, libc.ErrBadFree) || errors.Is(err, libc.ErrDoubleFree) {
+			t.Errorf("zero-on-free call %d failed: a part was freed twice: %v", n, err)
+		}
+		if got := f.countPattern(f.key.P.Bytes()); got != 0 {
+			t.Errorf("zero-on-free call %d failed: %d copies of p left after the refusal", n, got)
+		}
 	}
 }
 
