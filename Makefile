@@ -68,14 +68,16 @@ soak:
 soak-smoke:
 	$(GO) run ./cmd/soak -storms 6 -steps 120 -workers 4 -verify -log soak-events.log
 
-# One iteration of the scanning-engine, keyfinder and private-op benchmarks
-# under the race detector: exercises the sharded scan, the incremental
-# rescan, the one-dirty-frame rescan (internal/scan), the chunked factor
-# scan concurrency and the RSA-CRT private op, plain and sealed
-# (internal/crypto/rsakey, internal/ssl), without any timing sensitivity,
-# so it catches bit-rot in CI (DESIGN.md §4, §9). CI runs this on each PR.
+# One iteration of the scanning-engine, keyfinder, private-op and kernel
+# layer benchmarks under the race detector: exercises the sharded scan, the
+# incremental rescan, the one-dirty-frame rescan (internal/scan), the
+# chunked factor scan concurrency, the RSA-CRT private op, plain and sealed
+# (internal/crypto/rsakey, internal/ssl), the buddy page cycle per policy
+# (internal/kernel/alloc) and fork + COW break + exit (internal/kernel),
+# without any timing sensitivity, so it catches bit-rot in CI (DESIGN.md
+# §4, §9). CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPrivateOp' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPrivateOp|BenchmarkAllocFree|BenchmarkForkExit' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
 
 # Fleet engine smoke for CI: the shard/worker-invariance contract under
 # the race detector, then a small fleet storm (shared re-provision
@@ -118,6 +120,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder
 	$(GO) test -fuzz=FuzzStorm -fuzztime=30s ./internal/supervise
+	$(GO) test -fuzz=FuzzAllocMatchesReference -fuzztime=30s ./internal/kernel/alloc
 
 figures:
 	$(GO) run ./cmd/figures -all

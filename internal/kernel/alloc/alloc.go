@@ -92,18 +92,22 @@ type Allocator struct {
 
 	// free[o] is a LIFO stack of free block heads of order o.
 	free [MaxOrder + 1][]mem.PageNum
-	// freeIdx maps a free block head to its order, for O(1) buddy lookup
-	// and membership checks during merge.
-	freeIdx map[mem.PageNum]int
-	// freePos maps a free block head to its index within its order's
-	// stack, making removal O(1). Removal swaps with the stack's last
-	// element, which slightly perturbs pop order relative to a strict
-	// LIFO — an acceptable (and deterministic) trade for making the
-	// free-list mixing used by experiments linear instead of quadratic.
-	freePos map[mem.PageNum]int
-	// allocated maps an allocated block head to its order, so Free does
-	// not need the caller to remember the size.
-	allocated map[mem.PageNum]int
+	// Per-frame buddy state, indexed by page number, as Linux keeps it in
+	// struct page. Each order field stores order+1, so the zero value means
+	// "not a block head" and New needs no initialisation pass.
+	//
+	// freeOrder[pn] is the order+1 of the free block headed by pn, for
+	// O(1) buddy lookup and membership checks during merge. freePos[pn]
+	// is that head's index within its order's stack, making removal O(1).
+	// Removal swaps with the stack's last element, which slightly perturbs
+	// pop order relative to a strict LIFO — an acceptable (and
+	// deterministic) trade for making the free-list mixing used by
+	// experiments linear instead of quadratic. allocOrder[pn] is the
+	// order+1 of the allocated block headed by pn, so Free does not need
+	// the caller to remember the size.
+	freeOrder  []uint8
+	freePos    []int32
+	allocOrder []uint8
 
 	// deferredZero holds pages awaiting clearing under PolicySecureDealloc.
 	deferredZero []mem.PageNum
@@ -137,12 +141,13 @@ func New(m *mem.Memory, policy Policy) (*Allocator, error) {
 	default:
 		return nil, fmt.Errorf("alloc: unknown policy %d", int(policy))
 	}
+	n := m.NumPages()
 	a := &Allocator{
-		mem:       m,
-		policy:    policy,
-		freeIdx:   make(map[mem.PageNum]int),
-		freePos:   make(map[mem.PageNum]int),
-		allocated: make(map[mem.PageNum]int),
+		mem:        m,
+		policy:     policy,
+		freeOrder:  make([]uint8, n),
+		freePos:    make([]int32, n),
+		allocOrder: make([]uint8, n),
 	}
 	a.seedFreeLists()
 	return a, nil
@@ -167,28 +172,33 @@ func (a *Allocator) seedFreeLists() {
 }
 
 func (a *Allocator) pushFree(pn mem.PageNum, order int) {
-	a.freePos[pn] = len(a.free[order])
+	a.freePos[pn] = int32(len(a.free[order]))
 	a.free[order] = append(a.free[order], pn)
-	a.freeIdx[pn] = order
+	a.freeOrder[pn] = uint8(order + 1)
 }
 
-// removeFree removes the specific block head pn from the order's free stack
+// removeFree removes the free block head pn from the order's free stack
 // in O(1) by swapping it with the stack's last element.
 func (a *Allocator) removeFree(pn mem.PageNum, order int) {
-	pos, ok := a.freePos[pn]
-	if !ok {
-		return
-	}
+	pos := int(a.freePos[pn])
 	stack := a.free[order]
 	last := len(stack) - 1
 	if pos != last {
 		moved := stack[last]
 		stack[pos] = moved
-		a.freePos[moved] = pos
+		a.freePos[moved] = int32(pos)
 	}
 	a.free[order] = stack[:last]
-	delete(a.freeIdx, pn)
-	delete(a.freePos, pn)
+	a.freeOrder[pn] = 0
+}
+
+// allocatedOrder returns the order of the allocated block headed by pn,
+// and false when pn is out of range or not an allocated block head.
+func (a *Allocator) allocatedOrder(pn mem.PageNum) (int, bool) {
+	if pn >= mem.PageNum(len(a.allocOrder)) || a.allocOrder[pn] == 0 {
+		return 0, false
+	}
+	return int(a.allocOrder[pn]) - 1, true
 }
 
 // Policy returns the active deallocation policy.
@@ -244,8 +254,7 @@ func (a *Allocator) AllocPages(order int, owner mem.Owner) (mem.PageNum, error) 
 	stack := a.free[from]
 	pn := stack[len(stack)-1]
 	a.free[from] = stack[:len(stack)-1]
-	delete(a.freeIdx, pn)
-	delete(a.freePos, pn)
+	a.freeOrder[pn] = 0
 	// Split down to the requested order, pushing upper halves back.
 	for from > order {
 		from--
@@ -253,7 +262,7 @@ func (a *Allocator) AllocPages(order int, owner mem.Owner) (mem.PageNum, error) 
 		a.pushFree(buddy, from)
 		a.stats.Splits++
 	}
-	a.allocated[pn] = order
+	a.allocOrder[pn] = uint8(order + 1)
 	size := mem.PageNum(1) << order
 	for p := pn; p < pn+size; p++ {
 		f := a.mem.Frame(p)
@@ -276,7 +285,7 @@ func (a *Allocator) AllocPage(owner mem.Owner) (mem.PageNum, error) {
 // BlockOrder returns the order of the allocated block headed by pn, or an
 // error if pn is not an allocated block head.
 func (a *Allocator) BlockOrder(pn mem.PageNum) (int, error) {
-	order, ok := a.allocated[pn]
+	order, ok := a.allocatedOrder(pn)
 	if !ok {
 		return 0, fmt.Errorf("alloc: page %d is not an allocated block head", pn)
 	}
@@ -303,7 +312,7 @@ func (a *Allocator) zeroPage(pn mem.PageNum) error {
 // stats sequence is unchanged by this ordering (EvZero per page, then one
 // EvFree).
 func (a *Allocator) Free(pn mem.PageNum) error {
-	order, ok := a.allocated[pn]
+	order, ok := a.allocatedOrder(pn)
 	if !ok {
 		return fmt.Errorf("alloc: free of page %d which is not an allocated block head", pn)
 	}
@@ -315,7 +324,7 @@ func (a *Allocator) Free(pn mem.PageNum) error {
 			}
 		}
 	}
-	delete(a.allocated, pn)
+	a.allocOrder[pn] = 0
 	for p := pn; p < pn+size; p++ {
 		f := a.mem.Frame(p)
 		f.State = mem.FrameFree
@@ -342,14 +351,15 @@ func (a *Allocator) Free(pn mem.PageNum) error {
 }
 
 // insertAndMerge puts a free block on the lists, coalescing with its buddy
-// repeatedly while possible.
+// repeatedly while possible. When the page count is not a multiple of
+// 2^MaxOrder, a buddy block can fall past the last frame; it is bounds-
+// checked before its state is read.
 func (a *Allocator) insertAndMerge(pn mem.PageNum, order int) {
+	n := mem.PageNum(len(a.freeOrder))
 	for order < MaxOrder {
-		buddy := pn ^ (mem.PageNum(1) << order)
-		if bOrder, ok := a.freeIdx[buddy]; !ok || bOrder != order {
-			break
-		}
-		if int(buddy)+(1<<order) > a.mem.NumPages() {
+		size := mem.PageNum(1) << order
+		buddy := pn ^ size
+		if buddy+size > n || a.freeOrder[buddy] != uint8(order+1) {
 			break
 		}
 		a.removeFree(buddy, order)
@@ -404,38 +414,39 @@ func (a *Allocator) ZeroPending(pn mem.PageNum) bool {
 }
 
 // CheckConsistency validates allocator invariants, returning the first
-// violation found. It is intended for tests and property checks:
+// violation found. Blocks are checked in frame order, so with several
+// violations the one reported is always the lowest-numbered. It is
+// intended for tests and property checks:
 //
 //  1. Every frame is either inside exactly one free block or exactly one
 //     allocated block (full, non-overlapping coverage).
-//  2. Free-list entries agree with freeIdx and frame states.
+//  2. Free-list entries agree with the per-frame free state and frame
+//     states.
 //  3. Under PolicyZeroOnFree, every free page is all-zero.
 func (a *Allocator) CheckConsistency() error {
-	covered := make([]int, a.mem.NumPages())
+	n := a.mem.NumPages()
+	covered := make([]int, n)
 	for order, stack := range a.free {
-		for _, head := range stack {
-			if got, ok := a.freeIdx[head]; !ok || got != order {
+		for i, head := range stack {
+			if head >= mem.PageNum(n) || a.freeOrder[head] != uint8(order+1) || int(a.freePos[head]) != i {
 				return fmt.Errorf("free block %d order %d missing from index", head, order)
-			}
-			for p := head; p < head+(mem.PageNum(1)<<order); p++ {
-				if int(p) >= len(covered) {
-					return fmt.Errorf("free block %d order %d exceeds memory", head, order)
-				}
-				covered[p]++
-				if a.mem.Frame(p).State != mem.FrameFree {
-					return fmt.Errorf("page %d on free list but state %v", p, a.mem.Frame(p).State)
-				}
 			}
 		}
 	}
-	for head, order := range a.allocated {
-		for p := head; p < head+(mem.PageNum(1)<<order); p++ {
-			if int(p) >= len(covered) {
-				return fmt.Errorf("allocated block %d order %d exceeds memory", head, order)
+	for head := 0; head < n; head++ {
+		if a.freeOrder[head] != 0 {
+			order := int(a.freeOrder[head]) - 1
+			if pos := int(a.freePos[head]); pos >= len(a.free[order]) || a.free[order][pos] != mem.PageNum(head) {
+				return fmt.Errorf("free index entry %d order %d not on its free list", head, order)
 			}
-			covered[p]++
-			if a.mem.Frame(p).State != mem.FrameAllocated {
-				return fmt.Errorf("page %d allocated but state %v", p, a.mem.Frame(p).State)
+			if err := a.coverBlock(covered, head, order, mem.FrameFree); err != nil {
+				return err
+			}
+		}
+		if a.allocOrder[head] != 0 {
+			order := int(a.allocOrder[head]) - 1
+			if err := a.coverBlock(covered, head, order, mem.FrameAllocated); err != nil {
+				return err
 			}
 		}
 	}
@@ -445,12 +456,29 @@ func (a *Allocator) CheckConsistency() error {
 		}
 	}
 	if a.policy == PolicyZeroOnFree {
-		for head, order := range a.freeIdx {
-			for p := head; p < head+(mem.PageNum(1)<<order); p++ {
-				if !a.mem.PageIsZero(p) {
-					return fmt.Errorf("zero-on-free violated: free page %d is dirty", p)
-				}
+		for p := 0; p < n; p++ {
+			if a.mem.Frame(mem.PageNum(p)).State == mem.FrameFree && !a.mem.PageIsZero(mem.PageNum(p)) {
+				return fmt.Errorf("zero-on-free violated: free page %d is dirty", p)
 			}
+		}
+	}
+	return nil
+}
+
+// coverBlock counts the pages of the block headed by head in covered and
+// checks that each is in the state want, the state of the block's list.
+func (a *Allocator) coverBlock(covered []int, head, order int, want mem.FrameState) error {
+	kind, where := "allocated", "allocated"
+	if want == mem.FrameFree {
+		kind, where = "free", "on free list"
+	}
+	for p := head; p < head+1<<order; p++ {
+		if p >= len(covered) {
+			return fmt.Errorf("%s block %d order %d exceeds memory", kind, head, order)
+		}
+		covered[p]++
+		if got := a.mem.Frame(mem.PageNum(p)).State; got != want {
+			return fmt.Errorf("page %d %s but state %v", p, where, got)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package alloc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -532,5 +533,34 @@ func TestInjectedDeferredZeroRetriesOnNextTick(t *testing.T) {
 	}
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckConsistencyIsDeterministic: with several violations,
+// CheckConsistency reports the lowest-numbered one on every call, so a
+// storm that logs it replays byte-identically.
+func TestCheckConsistencyIsDeterministic(t *testing.T) {
+	m, a := newAlloc(t, 256, PolicyRetain)
+	var heads []mem.PageNum
+	for i := 0; i < 8; i++ {
+		pn, err := a.AllocPage(mem.OwnerUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heads = append(heads, pn)
+	}
+	lowest := heads[0]
+	for _, pn := range heads {
+		m.Frame(pn).State = mem.FrameFree // corrupt: allocated block, free frame
+		if pn < lowest {
+			lowest = pn
+		}
+	}
+	want := fmt.Sprintf("page %d allocated but state %v", lowest, mem.FrameFree)
+	for i := 0; i < 50; i++ {
+		err := a.CheckConsistency()
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: CheckConsistency = %v, want %q", i, err, want)
+		}
 	}
 }

@@ -39,6 +39,13 @@ type Process struct {
 	PPID  int
 	Name  string
 	State State
+
+	// children counts the other table entries whose PPID is this PID, so
+	// Exit scans for children to reparent only when there are some. It
+	// can over-count, never under-count: a process that Exit reparents
+	// onto itself (a cycle only a not-yet-assigned parent PID can build)
+	// keeps counting itself, which costs one needless scan.
+	children int
 }
 
 // Table is the machine's process table. PID 0 is reserved for the kernel
@@ -46,6 +53,10 @@ type Process struct {
 type Table struct {
 	procs   map[int]*Process
 	nextPID int
+	// futurePPID is the largest PPID passed to Create before that PID was
+	// assigned. Only a new process whose PID is at most this can already
+	// have children in the table.
+	futurePPID int
 }
 
 // NewTable creates an empty process table. PIDs start at 1 (init).
@@ -57,6 +68,18 @@ func NewTable() *Table {
 // returning it with a fresh PID.
 func (t *Table) Create(ppid int, name string) *Process {
 	p := &Process{PID: t.nextPID, PPID: ppid, Name: name, State: StateRunning}
+	if parent, ok := t.procs[ppid]; ok {
+		parent.children++
+	} else if ppid >= t.nextPID && ppid > t.futurePPID {
+		t.futurePPID = ppid
+	}
+	if p.PID <= t.futurePPID {
+		for _, c := range t.procs {
+			if c.PPID == p.PID {
+				p.children++
+			}
+		}
+	}
 	t.nextPID++
 	t.procs[p.PID] = p
 	return p
@@ -79,6 +102,8 @@ func (t *Table) Exists(pid int) bool {
 
 // Exit marks a running process as a zombie. Its children are re-parented to
 // the exiting process's parent (a simplification of re-parenting to init).
+// The table is scanned only when the process has children; a process that
+// never forked exits in O(1).
 func (t *Table) Exit(pid int) error {
 	p, err := t.Get(pid)
 	if err != nil {
@@ -88,11 +113,18 @@ func (t *Table) Exit(pid int) error {
 		return fmt.Errorf("proc: pid %d already exited", pid)
 	}
 	p.State = StateZombie
+	if p.children == 0 {
+		return nil
+	}
 	for _, c := range t.procs {
 		if c.PPID == pid {
 			c.PPID = p.PPID
 		}
 	}
+	if parent, ok := t.procs[p.PPID]; ok {
+		parent.children += p.children
+	}
+	p.children = 0
 	return nil
 }
 
@@ -104,6 +136,9 @@ func (t *Table) Reap(pid int) error {
 	}
 	if p.State != StateZombie {
 		return fmt.Errorf("proc: reap of running pid %d", pid)
+	}
+	if parent, ok := t.procs[p.PPID]; ok {
+		parent.children--
 	}
 	delete(t.procs, pid)
 	return nil

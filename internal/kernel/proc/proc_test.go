@@ -2,7 +2,10 @@ package proc
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 func TestCreateAssignsIncreasingPIDs(t *testing.T) {
@@ -112,5 +115,77 @@ func TestStateString(t *testing.T) {
 	}
 	if State(9).String() == "" {
 		t.Fatal("unknown state should format")
+	}
+}
+
+// Property: over random Create/Exit/Reap sequences, Children matches a
+// shadow model of every entry's parent after each operation — so the child
+// count can never let Exit skip a scan that had children to reparent.
+// Parents are drawn from live, zombie and reaped PIDs, PID 0 and PIDs not
+// yet assigned.
+func TestQuickChildrenMatchShadowModel(t *testing.T) {
+	type entry struct {
+		ppid   int
+		zombie bool
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTable()
+		shadow := map[int]*entry{}
+		next := 1
+		for step := 0; step < 200; step++ {
+			pid := rng.Intn(next + 3)
+			switch rng.Intn(3) {
+			case 0:
+				p := tb.Create(pid, "p")
+				if p.PID != next {
+					return false
+				}
+				shadow[next] = &entry{ppid: pid}
+				next++
+			case 1:
+				e, ok := shadow[pid]
+				err := tb.Exit(pid)
+				if ok && !e.zombie {
+					if err != nil {
+						return false
+					}
+					e.zombie = true
+					for _, c := range shadow {
+						if c.ppid == pid {
+							c.ppid = e.ppid
+						}
+					}
+				} else if err == nil {
+					return false
+				}
+			case 2:
+				e, ok := shadow[pid]
+				err := tb.Reap(pid)
+				if ok && e.zombie {
+					if err != nil {
+						return false
+					}
+					delete(shadow, pid)
+				} else if err == nil {
+					return false
+				}
+			}
+			for parent := 0; parent < next+3; parent++ {
+				var want []int
+				for c := 1; c < next; c++ {
+					if e, ok := shadow[c]; ok && e.ppid == parent {
+						want = append(want, c)
+					}
+				}
+				if !slices.Equal(tb.Children(parent), want) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -55,26 +55,34 @@ var (
 	ErrSwapIO = errors.New("vm: swap store I/O error")
 )
 
-// pte is one page-table entry.
+// pte is one page-table entry. An entry that is neither present nor
+// swapped is a hole: its page was released by an Unmap that failed part
+// way, and lookups treat it as unmapped.
 type pte struct {
 	frame    mem.PageNum
+	swapSlot int
 	present  bool // resident in physical memory
 	writable bool
 	cow      bool // shared copy-on-write after fork
 	locked   bool // mlocked: never swapped
 	swapped  bool // contents live in a swap slot
-	swapSlot int
 	// userRO marks pages the process made read-only via Mprotect; unlike
 	// the transient COW read-only state, a write here faults instead of
 	// copying.
 	userRO bool
 }
 
+// hole reports whether the entry maps nothing.
+func (e *pte) hole() bool { return !e.present && !e.swapped }
+
 // VMA describes one virtual memory area (a contiguous mapped region).
 type VMA struct {
 	Start VAddr
 	End   VAddr // exclusive, page aligned
 	Name  string
+	// ptes is the area's page table: one entry per page, indexed by the
+	// page's offset from Start.
+	ptes []pte
 }
 
 // Pages returns the number of pages the VMA spans.
@@ -85,10 +93,38 @@ func (v *VMA) Contains(a VAddr) bool { return a >= v.Start && a < v.End }
 
 // AddressSpace is the virtual memory image of one process.
 type AddressSpace struct {
-	pid    int
+	pid int
+	// vmas is sorted by Start: placement only ever bumps nextVA, and a
+	// partial Unmap replaces an area with its pieces in place.
 	vmas   []*VMA
-	pt     map[VPage]*pte
 	nextVA VAddr // bump pointer for MapAnon placement
+}
+
+// lookup returns the page-table entry for vp, or nil when vp lies outside
+// every VMA or in a hole.
+func (s *AddressSpace) lookup(vp VPage) *pte {
+	lo, hi := 0, len(s.vmas)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.vmas[mid].End.Page() <= vp {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(s.vmas) {
+		return nil
+	}
+	v := s.vmas[lo]
+	first := v.Start.Page()
+	if vp < first {
+		return nil
+	}
+	e := &v.ptes[vp-first]
+	if e.hole() {
+		return nil
+	}
+	return e
 }
 
 // PID returns the owning process ID.
@@ -104,9 +140,11 @@ func (s *AddressSpace) VMAs() []*VMA {
 // MappedPages returns the number of resident (present) pages.
 func (s *AddressSpace) MappedPages() int {
 	n := 0
-	for _, e := range s.pt {
-		if e.present {
-			n++
+	for _, v := range s.vmas {
+		for i := range v.ptes {
+			if v.ptes[i].present {
+				n++
+			}
 		}
 	}
 	return n
@@ -159,7 +197,6 @@ func (mg *Manager) NewSpace(pid int) (*AddressSpace, error) {
 	}
 	s := &AddressSpace{
 		pid:    pid,
-		pt:     make(map[VPage]*pte),
 		nextVA: 0x1000, // leave page 0 unmapped, like a real process
 	}
 	mg.spaces[pid] = s
@@ -195,13 +232,11 @@ func (mg *Manager) MapAnon(pid int, npages int, name string) (VAddr, error) {
 		return 0, fmt.Errorf("vm: MapAnon npages must be positive, got %d", npages)
 	}
 	start := s.nextVA
-	frames := make([]mem.PageNum, 0, npages)
-	for i := 0; i < npages; i++ {
+	ptes := make([]pte, npages)
+	for i := range ptes {
 		pn, err := mg.alloc.AllocPage(mem.OwnerUser)
 		if err != nil {
-			for _, f := range frames {
-				_ = mg.alloc.Free(f)
-			}
+			mg.freeFrames(ptes[:i])
 			return 0, fmt.Errorf("vm: MapAnon: %w", err)
 		}
 		// Anonymous mappings are zero-filled on first touch in real
@@ -209,23 +244,26 @@ func (mg *Manager) MapAnon(pid int, npages int, name string) (VAddr, error) {
 		// joins the rollback, or the whole batch leaks.
 		if zerr := mg.mem.ZeroPage(pn); zerr != nil {
 			_ = mg.alloc.Free(pn)
-			for _, f := range frames {
-				_ = mg.alloc.Free(f)
-			}
+			mg.freeFrames(ptes[:i])
 			return 0, fmt.Errorf("vm: MapAnon: %w", zerr)
 		}
-		frames = append(frames, pn)
+		ptes[i] = pte{frame: pn, present: true, writable: true}
 	}
-	for i, pn := range frames {
-		vp := (start + VAddr(i*mem.PageSize)).Page()
-		s.pt[vp] = &pte{frame: pn, present: true, writable: true}
-		f := mg.mem.Frame(pn)
-		f.AddMapper(pid)
+	for i := range ptes {
+		mg.mem.Frame(ptes[i].frame).AddMapper(pid)
 	}
-	vma := &VMA{Start: start, End: start + VAddr(npages*mem.PageSize), Name: name}
+	vma := &VMA{Start: start, End: start + VAddr(npages*mem.PageSize), Name: name, ptes: ptes}
 	s.vmas = append(s.vmas, vma)
 	s.nextVA = vma.End + mem.PageSize // guard page gap
 	return start, nil
+}
+
+// freeFrames rolls back a partly built mapping, freeing its frames in
+// page order.
+func (mg *Manager) freeFrames(ptes []pte) {
+	for i := range ptes {
+		_ = mg.alloc.Free(ptes[i].frame)
+	}
 }
 
 // MapShared maps existing physical frames (typically page-cache pages)
@@ -248,14 +286,14 @@ func (mg *Manager) MapShared(pid int, frames []mem.PageNum, name string) (VAddr,
 		}
 	}
 	start := s.nextVA
+	ptes := make([]pte, len(frames))
 	for i, pn := range frames {
-		vp := (start + VAddr(i*mem.PageSize)).Page()
-		s.pt[vp] = &pte{frame: pn, present: true, writable: false}
+		ptes[i] = pte{frame: pn, present: true, writable: false}
 		f := mg.mem.Frame(pn)
 		f.RefCount++
 		f.AddMapper(pid)
 	}
-	vma := &VMA{Start: start, End: start + VAddr(len(frames)*mem.PageSize), Name: name}
+	vma := &VMA{Start: start, End: start + VAddr(len(frames)*mem.PageSize), Name: name, ptes: ptes}
 	s.vmas = append(s.vmas, vma)
 	s.nextVA = vma.End + mem.PageSize
 	return start, nil
@@ -264,6 +302,8 @@ func (mg *Manager) MapShared(pid int, frames []mem.PageNum, name string) (VAddr,
 // Unmap removes npages starting at the page containing addr from pid's
 // address space. Frames whose last reference drops are returned to the
 // allocator (the dealloc policy decides whether their contents survive).
+// When a release fails, Unmap stops there: the pages already released
+// become holes, and the rest stay mapped.
 func (mg *Manager) Unmap(pid int, addr VAddr, npages int) error {
 	s, err := mg.Space(pid)
 	if err != nil {
@@ -271,14 +311,14 @@ func (mg *Manager) Unmap(pid int, addr VAddr, npages int) error {
 	}
 	for i := 0; i < npages; i++ {
 		vp := addr.Page() + VPage(i)
-		e, ok := s.pt[vp]
-		if !ok {
+		e := s.lookup(vp)
+		if e == nil {
 			return fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
 		}
 		if err := mg.dropPTE(pid, e); err != nil {
 			return err
 		}
-		delete(s.pt, vp)
+		*e = pte{}
 	}
 	mg.trimVMAs(s, addr, npages)
 	return nil
@@ -310,7 +350,8 @@ func (mg *Manager) dropPTE(pid int, e *pte) error {
 }
 
 // trimVMAs removes or shrinks VMAs covering the unmapped range. Partial
-// unmaps in the middle of a VMA split it.
+// unmaps in the middle of a VMA split it; each piece keeps its slice of
+// the area's entries.
 func (mg *Manager) trimVMAs(s *AddressSpace, addr VAddr, npages int) {
 	lo := addr.Page().Base()
 	hi := lo + VAddr(npages*mem.PageSize)
@@ -322,16 +363,20 @@ func (mg *Manager) trimVMAs(s *AddressSpace, addr VAddr, npages int) {
 		case v.Start >= lo && v.End <= hi:
 			// fully removed
 		case v.Start < lo && v.End > hi:
-			out = append(out,
-				&VMA{Start: v.Start, End: lo, Name: v.Name},
-				&VMA{Start: hi, End: v.End, Name: v.Name})
+			out = append(out, v.slice(v.Start, lo), v.slice(hi, v.End))
 		case v.Start < lo:
-			out = append(out, &VMA{Start: v.Start, End: lo, Name: v.Name})
+			out = append(out, v.slice(v.Start, lo))
 		default:
-			out = append(out, &VMA{Start: hi, End: v.End, Name: v.Name})
+			out = append(out, v.slice(hi, v.End))
 		}
 	}
 	s.vmas = out
+}
+
+// slice returns a new VMA over [start, end) within v, sharing v's entries.
+func (v *VMA) slice(start, end VAddr) *VMA {
+	i, j := int((start-v.Start)>>mem.PageShift), int((end-v.Start)>>mem.PageShift)
+	return &VMA{Start: start, End: end, Name: v.Name, ptes: v.ptes[i:j:j]}
 }
 
 // DestroySpace tears down pid's entire address space, releasing every frame
@@ -350,28 +395,21 @@ func (mg *Manager) DestroySpace(pid int) error {
 	if err != nil {
 		return err
 	}
+	// VMAs are sorted, so teardown frees pages in ascending virtual page
+	// order: the allocator's LIFO free lists, and every experiment
+	// downstream of them, depend on that order.
 	var errs error
-	for _, vp := range sortedVPages(s.pt) {
-		if err := mg.dropPTE(pid, s.pt[vp]); err != nil {
-			errs = errors.Join(errs, fmt.Errorf("vm: destroy pid %d vpage %d: %w", pid, vp, err))
+	for _, v := range s.vmas {
+		for i := range v.ptes {
+			if err := mg.dropPTE(pid, &v.ptes[i]); err != nil {
+				vp := v.Start.Page() + VPage(i)
+				errs = errors.Join(errs, fmt.Errorf("vm: destroy pid %d vpage %d: %w", pid, vp, err))
+			}
 		}
 	}
 	delete(mg.spaces, pid)
 	mg.emit(trace.EvExit, pid, 0, 0)
 	return errs
-}
-
-// sortedVPages returns the page table's keys in ascending order, so that
-// teardown frees pages deterministically (map iteration order would make
-// the allocator's LIFO free lists — and every downstream experiment —
-// nondeterministic).
-func sortedVPages(pt map[VPage]*pte) []VPage {
-	out := make([]VPage, 0, len(pt))
-	for vp := range pt {
-		out = append(out, vp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Fork clones parent's address space for child using copy-on-write: every
@@ -386,33 +424,44 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 	if _, ok := mg.spaces[childPID]; ok {
 		return fmt.Errorf("%w: pid %d", ErrSpaceExists, childPID)
 	}
-	// Fault in swapped pages before sharing (sorted: swap-in allocates).
-	for _, vp := range sortedVPages(ps.pt) {
-		if e := ps.pt[vp]; e.swapped {
-			if err := mg.swapIn(parentPID, ps, vp, e); err != nil {
-				return err
+	// Fault in swapped pages before sharing, in ascending virtual page
+	// order: swap-in allocates.
+	total := 0
+	for _, v := range ps.vmas {
+		for i := range v.ptes {
+			if e := &v.ptes[i]; e.swapped {
+				if err := mg.swapIn(parentPID, e); err != nil {
+					return err
+				}
 			}
 		}
+		total += len(v.ptes)
 	}
+	// The child's entries share one backing array, cut per VMA with the
+	// capacity capped.
+	backing := make([]pte, total)
 	cs := &AddressSpace{
 		pid:    childPID,
-		pt:     make(map[VPage]*pte, len(ps.pt)),
+		vmas:   make([]*VMA, len(ps.vmas)),
 		nextVA: ps.nextVA,
 	}
-	for _, v := range ps.vmas {
-		cs.vmas = append(cs.vmas, &VMA{Start: v.Start, End: v.End, Name: v.Name})
-	}
-	for vp, e := range ps.pt {
-		if !e.present {
-			continue
+	for k, v := range ps.vmas {
+		n := len(v.ptes)
+		ptes := backing[:n:n]
+		backing = backing[n:]
+		for i := range v.ptes {
+			e := &v.ptes[i]
+			if !e.present {
+				continue
+			}
+			e.cow = true
+			e.writable = false
+			ptes[i] = *e
+			f := mg.mem.Frame(e.frame)
+			f.RefCount++
+			f.AddMapper(childPID)
 		}
-		e.cow = true
-		e.writable = false
-		child := *e
-		cs.pt[vp] = &child
-		f := mg.mem.Frame(e.frame)
-		f.RefCount++
-		f.AddMapper(childPID)
+		cs.vmas[k] = &VMA{Start: v.Start, End: v.End, Name: v.Name, ptes: ptes}
 	}
 	mg.spaces[childPID] = cs
 	mg.emit(trace.EvFork, parentPID, 0, childPID)
@@ -426,8 +475,8 @@ func (mg *Manager) Translate(pid int, addr VAddr) (mem.Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok || !e.present {
+	e := s.lookup(addr.Page())
+	if e == nil || !e.present {
 		return 0, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	return e.frame.Base() + mem.Addr(addr.Offset()), nil
@@ -441,12 +490,12 @@ func (mg *Manager) Read(pid int, addr VAddr, n int) ([]byte, error) {
 	}
 	out := make([]byte, 0, n)
 	for n > 0 {
-		e, ok := s.pt[addr.Page()]
-		if !ok {
+		e := s.lookup(addr.Page())
+		if e == nil {
 			return nil, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 		}
 		if e.swapped {
-			if err := mg.swapIn(pid, s, addr.Page(), e); err != nil {
+			if err := mg.swapIn(pid, e); err != nil {
 				return nil, err
 			}
 		}
@@ -474,13 +523,12 @@ func (mg *Manager) Write(pid int, addr VAddr, b []byte) error {
 		return err
 	}
 	for len(b) > 0 {
-		vp := addr.Page()
-		e, ok := s.pt[vp]
-		if !ok {
+		e := s.lookup(addr.Page())
+		if e == nil {
 			return fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 		}
 		if e.swapped {
-			if err := mg.swapIn(pid, s, vp, e); err != nil {
+			if err := mg.swapIn(pid, e); err != nil {
 				return err
 			}
 		}
@@ -559,12 +607,12 @@ func (mg *Manager) setLock(pid int, addr VAddr, npages int, locked bool) error {
 	}
 	for i := 0; i < npages; i++ {
 		vp := addr.Page() + VPage(i)
-		e, ok := s.pt[vp]
-		if !ok {
+		e := s.lookup(vp)
+		if e == nil {
 			return fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
 		}
 		if e.swapped {
-			if err := mg.swapIn(pid, s, vp, e); err != nil {
+			if err := mg.swapIn(pid, e); err != nil {
 				return err
 			}
 		}
@@ -585,8 +633,8 @@ func (mg *Manager) Mprotect(pid int, addr VAddr, npages int, writable bool) erro
 	}
 	for i := 0; i < npages; i++ {
 		vp := addr.Page() + VPage(i)
-		e, ok := s.pt[vp]
-		if !ok {
+		e := s.lookup(vp)
+		if e == nil {
 			return fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
 		}
 		e.userRO = !writable
@@ -600,8 +648,8 @@ func (mg *Manager) IsLocked(pid int, addr VAddr) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok {
+	e := s.lookup(addr.Page())
+	if e == nil {
 		return false, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	return e.locked, nil
@@ -623,8 +671,8 @@ func (mg *Manager) SwapOut(pid int, addr VAddr) error {
 	if err != nil {
 		return err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok || !e.present {
+	e := s.lookup(addr.Page())
+	if e == nil || !e.present {
 		return fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	if e.locked {
@@ -659,7 +707,7 @@ func (mg *Manager) SwapOut(pid int, addr VAddr) error {
 }
 
 // swapIn faults a swapped page back into a fresh frame.
-func (mg *Manager) swapIn(pid int, s *AddressSpace, vp VPage, e *pte) error {
+func (mg *Manager) swapIn(pid int, e *pte) error {
 	content, err := mg.swap.Load(e.swapSlot)
 	if err != nil {
 		return err
@@ -680,7 +728,6 @@ func (mg *Manager) swapIn(pid int, s *AddressSpace, vp VPage, e *pte) error {
 	f := mg.mem.Frame(pn)
 	f.AddMapper(pid)
 	f.Locked = e.locked
-	_ = vp
 	return nil
 }
 
@@ -695,18 +742,18 @@ func (mg *Manager) SwapOutVictims(pid int, n int) (int, error) {
 	// Deterministic order: walk VMAs in mapping order.
 	evicted := 0
 	for _, v := range s.vmas {
-		for vp := v.Start.Page(); vp < v.End.Page(); vp++ {
+		for i := range v.ptes {
 			if evicted >= n {
 				return evicted, nil
 			}
-			e, ok := s.pt[vp]
-			if !ok || !e.present || e.locked {
+			e := &v.ptes[i]
+			if !e.present || e.locked {
 				continue
 			}
 			if mg.mem.Frame(e.frame).RefCount > 1 {
 				continue
 			}
-			if err := mg.SwapOut(pid, vp.Base()); err != nil {
+			if err := mg.SwapOut(pid, v.Start+VAddr(i*mem.PageSize)); err != nil {
 				// A full swap area stays full for the rest of the scan;
 				// every later victim would fail identically, so stop.
 				// Other failures (injected store I/O) skip this victim
@@ -729,8 +776,8 @@ func (mg *Manager) FrameOf(pid int, addr VAddr) (mem.PageNum, error) {
 	if err != nil {
 		return 0, err
 	}
-	e, ok := s.pt[addr.Page()]
-	if !ok || !e.present {
+	e := s.lookup(addr.Page())
+	if e == nil || !e.present {
 		return 0, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	return e.frame, nil
@@ -750,9 +797,9 @@ func (mg *Manager) DumpSpace(pid int, skipLocked bool) ([]byte, error) {
 	var out []byte
 	zeros := make([]byte, mem.PageSize)
 	for _, v := range s.vmas {
-		for vp := v.Start.Page(); vp < v.End.Page(); vp++ {
-			e, ok := s.pt[vp]
-			if !ok || !e.present {
+		for i := range v.ptes {
+			e := &v.ptes[i]
+			if !e.present {
 				continue
 			}
 			if skipLocked && e.locked {
@@ -781,67 +828,81 @@ func (mg *Manager) SharedWith(pid int, addr VAddr) (bool, error) {
 
 // CheckConsistency verifies the manager's structural invariants against
 // physical memory and the swap area, returning the first violation found.
+// Spaces are checked in PID order and pages in ascending virtual page
+// order, so with several violations the one reported is always the same.
 // Like alloc.CheckConsistency it exists for tests and property harnesses —
 // the fault matrix runs it after every injected-fault sweep to prove that
 // no error path, organic or injected, leaves the VM layer torn:
 //
-//  1. No PTE is simultaneously present and swapped.
-//  2. A present PTE references a valid, allocated frame that records the
-//     owning process as a mapper, and its virtual page lies inside one of
-//     the space's VMAs.
-//  3. A frame's RefCount is at least the number of present PTEs that
+//  1. A space's VMAs are sorted, disjoint and hold one entry per page.
+//  2. No PTE is simultaneously present and swapped.
+//  3. A present PTE references a valid, allocated frame that records the
+//     owning process as a mapper.
+//  4. A frame's RefCount is at least the number of present PTEs that
 //     reference it (non-VM holders may account for more, never fewer).
-//  4. A swapped PTE's slot is in range and in use, and no two PTEs share a
+//  5. A swapped PTE's slot is in range and in use, and no two PTEs share a
 //     slot (shared pages are never swapped).
 func (mg *Manager) CheckConsistency() error {
-	mapped := make(map[mem.PageNum]int)
-	slotOwned := make(map[int]bool)
-	for pid, s := range mg.spaces {
-		for vp, e := range s.pt {
-			if e.present && e.swapped {
-				return fmt.Errorf("vm: pid %d vpage %d both present and swapped", pid, vp)
+	pids := make([]int, 0, len(mg.spaces))
+	for pid := range mg.spaces {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids)
+	mapped := make([]int, mg.mem.NumPages())
+	slotOwned := make([]bool, mg.swap.Slots())
+	for _, pid := range pids {
+		s := mg.spaces[pid]
+		var prevEnd VAddr
+		for _, v := range s.vmas {
+			if v.Start < prevEnd || v.End <= v.Start || len(v.ptes) != v.Pages() {
+				return fmt.Errorf("vm: pid %d VMA [%#x, %#x) out of order or holds %d entries", pid, v.Start, v.End, len(v.ptes))
 			}
-			if e.present {
-				if !mg.mem.ValidPage(e.frame) {
-					return fmt.Errorf("vm: pid %d vpage %d maps invalid frame %d", pid, vp, e.frame)
+			prevEnd = v.End
+			for i := range v.ptes {
+				if err := mg.checkPTE(pid, v.Start.Page()+VPage(i), &v.ptes[i], mapped, slotOwned); err != nil {
+					return err
 				}
-				f := mg.mem.Frame(e.frame)
-				if f.State != mem.FrameAllocated {
-					return fmt.Errorf("vm: pid %d vpage %d maps frame %d in state %v", pid, vp, e.frame, f.State)
-				}
-				if !f.HasMapper(pid) {
-					return fmt.Errorf("vm: frame %d does not list mapper %d", e.frame, pid)
-				}
-				inVMA := false
-				for _, v := range s.vmas {
-					if v.Contains(vp.Base()) {
-						inVMA = true
-						break
-					}
-				}
-				if !inVMA {
-					return fmt.Errorf("vm: pid %d vpage %d mapped outside every VMA", pid, vp)
-				}
-				mapped[e.frame]++
-			}
-			if e.swapped {
-				if e.swapSlot < 0 || e.swapSlot >= mg.swap.Slots() {
-					return fmt.Errorf("vm: pid %d vpage %d swapped to out-of-range slot %d", pid, vp, e.swapSlot)
-				}
-				if !mg.swap.SlotInUse(e.swapSlot) {
-					return fmt.Errorf("vm: pid %d vpage %d swapped to released slot %d", pid, vp, e.swapSlot)
-				}
-				if slotOwned[e.swapSlot] {
-					return fmt.Errorf("vm: swap slot %d referenced by more than one PTE", e.swapSlot)
-				}
-				slotOwned[e.swapSlot] = true
 			}
 		}
 	}
 	for pn, n := range mapped {
-		if f := mg.mem.Frame(pn); f.RefCount < n {
+		if f := mg.mem.Frame(mem.PageNum(pn)); f.RefCount < n {
 			return fmt.Errorf("vm: frame %d refcount %d below its %d present mappings", pn, f.RefCount, n)
 		}
+	}
+	return nil
+}
+
+// checkPTE checks one entry of pid's page table, counting a present
+// entry's frame in mapped and claiming a swapped entry's slot in slotOwned.
+func (mg *Manager) checkPTE(pid int, vp VPage, e *pte, mapped []int, slotOwned []bool) error {
+	if e.present && e.swapped {
+		return fmt.Errorf("vm: pid %d vpage %d both present and swapped", pid, vp)
+	}
+	if e.present {
+		if !mg.mem.ValidPage(e.frame) {
+			return fmt.Errorf("vm: pid %d vpage %d maps invalid frame %d", pid, vp, e.frame)
+		}
+		f := mg.mem.Frame(e.frame)
+		if f.State != mem.FrameAllocated {
+			return fmt.Errorf("vm: pid %d vpage %d maps frame %d in state %v", pid, vp, e.frame, f.State)
+		}
+		if !f.HasMapper(pid) {
+			return fmt.Errorf("vm: frame %d does not list mapper %d", e.frame, pid)
+		}
+		mapped[e.frame]++
+	}
+	if e.swapped {
+		if e.swapSlot < 0 || e.swapSlot >= len(slotOwned) {
+			return fmt.Errorf("vm: pid %d vpage %d swapped to out-of-range slot %d", pid, vp, e.swapSlot)
+		}
+		if !mg.swap.SlotInUse(e.swapSlot) {
+			return fmt.Errorf("vm: pid %d vpage %d swapped to released slot %d", pid, vp, e.swapSlot)
+		}
+		if slotOwned[e.swapSlot] {
+			return fmt.Errorf("vm: swap slot %d referenced by more than one PTE", e.swapSlot)
+		}
+		slotOwned[e.swapSlot] = true
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -969,6 +970,100 @@ func TestSwapOutVictimsStopsOnFullDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := mg.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckConsistencyIsDeterministic: with violations in several spaces,
+// CheckConsistency reports the lowest PID's lowest page on every call, so
+// a storm that logs it replays byte-identically.
+func TestCheckConsistencyIsDeterministic(t *testing.T) {
+	m, _, mg := newVM(t, 64, 0, alloc.PolicyRetain, false)
+	var want string
+	for _, pid := range []int{4, 2, 3, 1} {
+		if _, err := mg.NewSpace(pid); err != nil {
+			t.Fatal(err)
+		}
+		va, err := mg.MapAnon(pid, 2, "buf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			pn, err := mg.FrameOf(pid, va+VAddr(i*mem.PageSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Frame(pn).RemoveMapper(pid) // corrupt: PTE whose frame forgot it
+			if pid == 1 && i == 0 {
+				want = fmt.Sprintf("vm: frame %d does not list mapper %d", pn, pid)
+			}
+		}
+	}
+	for i := 0; i < 50; i++ {
+		err := mg.CheckConsistency()
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: CheckConsistency = %v, want %q", i, err, want)
+		}
+	}
+}
+
+// TestFailedUnmapLeavesHoles: an Unmap whose third release fails its
+// zero-on-free scrub stops there. The two pages already released read as
+// unmapped, the rest still read their bytes, and the space stays
+// consistent; a fork of it and the teardown of both spaces return every
+// frame.
+func TestFailedUnmapLeavesHoles(t *testing.T) {
+	_, a, mg := newVM(t, 64, 0, alloc.PolicyZeroOnFree, false)
+	a.SetInjector(fault.NewInjector(&fault.Plan{
+		Seed:  1,
+		Rules: map[fault.Site]fault.Rule{fault.SiteZeroOnFree: {Nth: []uint64{3}}},
+	}))
+	start := a.FreePages()
+	if _, err := mg.NewSpace(1); err != nil {
+		t.Fatal(err)
+	}
+	va, err := mg.MapAnon(1, 4, "buf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(i int) VAddr { return va + VAddr(i*mem.PageSize) }
+	for i := 0; i < 4; i++ {
+		if err := mg.Write(1, page(i), []byte{byte(0xa0 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mg.Unmap(1, va, 4); !errors.Is(err, alloc.ErrZeroOnFree) {
+		t.Fatalf("Unmap = %v, want alloc.ErrZeroOnFree", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := mg.Read(1, page(i), 1); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("read of released page %d = %v, want ErrBadAddress", i, err)
+		}
+	}
+	for i := 2; i < 4; i++ {
+		got, err := mg.Read(1, page(i), 1)
+		if err != nil || got[0] != byte(0xa0+i) {
+			t.Fatalf("read of page %d = %v, %v; want [%#x]", i, got, err, 0xa0+i)
+		}
+	}
+	if err := mg.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mg.Fork(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := mg.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range []int{1, 2} {
+		if err := mg.DestroySpace(pid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := a.FreePages(); got != start {
+		t.Fatalf("FreePages after teardown = %d, want %d", got, start)
+	}
+	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }
