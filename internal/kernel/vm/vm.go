@@ -72,9 +72,6 @@ type pte struct {
 	userRO bool
 }
 
-// hole reports whether the entry maps nothing.
-func (e *pte) hole() bool { return !e.present && !e.swapped }
-
 // VMA describes one virtual memory area (a contiguous mapped region).
 type VMA struct {
 	Start VAddr
@@ -103,25 +100,12 @@ type AddressSpace struct {
 // lookup returns the page-table entry for vp, or nil when vp lies outside
 // every VMA or in a hole.
 func (s *AddressSpace) lookup(vp VPage) *pte {
-	lo, hi := 0, len(s.vmas)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.vmas[mid].End.Page() <= vp {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(s.vmas) {
+	i := sort.Search(len(s.vmas), func(i int) bool { return s.vmas[i].End.Page() > vp })
+	if i == len(s.vmas) || vp < s.vmas[i].Start.Page() {
 		return nil
 	}
-	v := s.vmas[lo]
-	first := v.Start.Page()
-	if vp < first {
-		return nil
-	}
-	e := &v.ptes[vp-first]
-	if e.hole() {
+	e := &s.vmas[i].ptes[vp-s.vmas[i].Start.Page()]
+	if !e.present && !e.swapped {
 		return nil
 	}
 	return e
