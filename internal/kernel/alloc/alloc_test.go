@@ -135,8 +135,13 @@ func TestDoubleFree(t *testing.T) {
 	if err := a.Free(pn); err == nil {
 		t.Fatal("double free: want error")
 	}
-	if err := a.Free(999); err == nil {
-		t.Fatal("free of never-allocated page: want error")
+	for _, bad := range []mem.PageNum{999, ^mem.PageNum(0)} {
+		if err := a.Free(bad); err == nil {
+			t.Fatalf("free of out-of-range page %d: want error", bad)
+		}
+		if _, err := a.BlockOrder(bad); err == nil {
+			t.Fatalf("order of out-of-range page %d: want error", bad)
+		}
 	}
 }
 
