@@ -177,7 +177,7 @@ func (a *Allocator) pushFree(pn mem.PageNum, order int) {
 	a.freeOrder[pn] = uint8(order + 1)
 }
 
-// removeFree removes the free block head pn from the order's free stack
+// removeFree removes the specific block head pn from the order's free stack
 // in O(1) by swapping it with the stack's last element.
 func (a *Allocator) removeFree(pn mem.PageNum, order int) {
 	pos := int(a.freePos[pn])
