@@ -23,15 +23,17 @@ const fuzzMaxPages = 2100
 // the same page, the same error, the same Stats, FreePages and
 // PendingZero, and both allocators consistent.
 //
-// Input layout: byte 0-1 page count, byte 2 policy, byte 3 the number of
-// injected failures, then two bytes per failure (site, call index), then
-// three bytes per operation.
+// Input layout: bytes 0-1 the page count minus one, byte 2 the policy,
+// byte 3 the number of injected failures, then two bytes per failure
+// (site, call index), then three bytes per operation. The seed sizes are
+// not multiples of 2^MaxOrder, so the last block's buddy can fall past
+// the end.
 func FuzzAllocMatchesReference(f *testing.F) {
-	f.Add([]byte{0x04, 0x01, 0, 0, 0, 0, 0, 3, 0, 0, 4, 0, 0})                         // 1025 pages, retain
-	f.Add([]byte{0x05, 0xdc, 1, 2, 0, 3, 1, 2, 0, 2, 0, 1, 0, 3, 200, 1, 4, 0, 0, 3, 0, 0}) // 1500, zero-on-free
-	f.Add([]byte{0x07, 0xff, 2, 1, 1, 4, 0, 0, 0, 0, 1, 0, 3, 0, 0, 5, 0, 0, 6, 0, 0})      // 2048, secure-dealloc
-	f.Add([]byte{0x00, 0x0d, 1, 0, 0, 0, 0, 3, 12, 0, 4, 255, 0, 7, 0, 0, 4, 1, 12})        // 13 pages
-	f.Add([]byte{0x08, 0x01, 0, 0, 2, 10, 0, 2, 10, 0, 3, 0, 0, 3, 0, 1, 6, 2, 0})          // 2049 pages, big blocks
+	f.Add([]byte{0x04, 0x00, 0, 0, 0, 0, 0, 3, 0, 0, 4, 0, 0})                              // 1025 pages, retain
+	f.Add([]byte{0x05, 0xdb, 1, 2, 0, 3, 1, 2, 0, 2, 0, 1, 0, 3, 200, 1, 4, 0, 0, 3, 0, 0}) // 1500, zero-on-free
+	f.Add([]byte{0x07, 0xfe, 2, 1, 1, 4, 0, 0, 0, 0, 1, 0, 3, 0, 0, 5, 0, 0, 6, 0, 0})      // 2047, secure-dealloc
+	f.Add([]byte{0x00, 0x0c, 1, 0, 0, 0, 0, 3, 12, 0, 4, 255, 0, 7, 0, 0, 4, 1, 12})        // 13 pages
+	f.Add([]byte{0x08, 0x00, 0, 0, 2, 10, 0, 2, 10, 0, 3, 0, 0, 3, 0, 1, 6, 2, 0})          // 2049 pages, big blocks
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return

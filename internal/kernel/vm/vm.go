@@ -421,8 +421,9 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 		}
 		total += len(v.ptes)
 	}
-	// The child's entries share one backing array, cut per VMA with the
-	// capacity capped.
+	// One backing array holds all of the child's entries, so a fork makes
+	// one allocation for its page tables; each VMA's slice has its
+	// capacity capped so it can never grow into the next one's.
 	backing := make([]pte, total)
 	cs := &AddressSpace{
 		pid:    childPID,
