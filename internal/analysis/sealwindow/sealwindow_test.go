@@ -13,6 +13,7 @@ var fixturePkgs = []string{
 	"sealwinok",     // clean windows: read/use/wipe inside, local aliases
 	"sealwinbad",    // reads outside windows, unscopable callbacks, early aliases
 	"sealwinescape", // channel/goroutine/global/return/retainer escapes
+	"sealwincopy",   // copy() and copying helpers carry window taint
 }
 
 // TestSealwindow runs the fixture table sequentially.
