@@ -192,7 +192,7 @@ func D2iPrivateKey(h *libc.Heap, pemData []byte, opts ...LoadOption) (*RSA, erro
 	}
 	r := &RSA{
 		heap:  h,
-		pub:   rsakey.PublicKey{N: new(big.Int).Set(key.N), E: new(big.Int).Set(key.E)},
+		pub:   key.PublicKey,
 		flags: FlagCachePrivate | FlagCachePublic,
 	}
 	parts := []struct {
