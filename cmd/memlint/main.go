@@ -71,7 +71,8 @@ var suite = []*analysis.Analyzer{
 // behavior changes (new checks, message rewording, policy table edits),
 // so stale cached findings can never mask or invent a diagnostic.
 // 2: sealwindow analyzer; keycopy/keylifetime points-to retrofit.
-const suiteVersion = "2"
+// 3: one key-taint engine: interprocedural keycopy, copy() taints dst.
+const suiteVersion = "3"
 
 // cacheSalt is everything besides source bytes that can change a
 // finding: the suite version, the toolchain and target platform (build

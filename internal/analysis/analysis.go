@@ -206,6 +206,25 @@ func FuncObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
+// BuiltinName returns the name of the built-in function a call invokes
+// (append, copy, clear, ...), or "".
+func BuiltinName(info *types.Info, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
+		return ""
+	}
+	return id.Name
+}
+
+// IsConversion reports whether a call expression is a type conversion.
+func IsConversion(info *types.Info, call *ast.CallExpr) bool {
+	tv, ok := info.Types[call.Fun]
+	return ok && tv.IsType()
+}
+
 // IsPkgLevel reports whether obj is a package-level variable — the
 // canonical "long-lived native-heap location" for the keycopy analyzer.
 func IsPkgLevel(obj types.Object) bool {

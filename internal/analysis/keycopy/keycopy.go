@@ -12,17 +12,16 @@
 // source, with result N tainted. The loader collects the markers from the
 // declaring packages (internal/crypto/rsakey, internal/crypto/pemfile,
 // internal/ssl today) while type-checking them, so a new key-material
-// producer only has to mark itself. A source reached through a function
-// value — a local binding, a var declaration, a struct field — resolves
-// through the dataflow package's points-to layer and taints exactly
-// like the direct call.
+// producer only has to mark itself.
 //
-// Taint is flow-sensitive: the pass runs a forward may-analysis over the
-// function's CFG (internal/analysis/dataflow), so a variable tainted in
-// one branch does not poison the sibling branch — only code the taint can
-// actually reach. Taint propagates through assignment, re-slicing, append
-// and clones, and merges by union at joins and around loop back edges.
-// Violations:
+// Taint comes from the keytaint engine, shared with keylifetime and
+// sealwindow: flow-sensitive over each function's CFG (a variable
+// tainted in one branch does not poison the sibling branch) and
+// interprocedural (a helper that returns a view or a copy of key bytes
+// returns key bytes; a source reached through a function value taints
+// like the direct call). It follows assignment, re-slicing, append,
+// copy and clones, and merges by union at joins and around loop back
+// edges. Violations:
 //
 //   - bytes.Clone / slices.Clone of tainted bytes — an explicit second
 //     native copy, flagged unconditionally;
@@ -44,6 +43,7 @@ import (
 
 	"memshield/internal/analysis"
 	"memshield/internal/analysis/dataflow"
+	"memshield/internal/analysis/keytaint"
 	"memshield/internal/analysis/policy"
 )
 
@@ -61,13 +61,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	c := &checker{pass: pass}
-	c.ptc = dataflow.NewPT(func(full string) (*ast.FuncDecl, *types.Info, bool) {
-		if pass.LookupFunc == nil {
-			return nil, nil, false
-		}
-		fs, ok := pass.LookupFunc(full)
-		return fs.Decl, fs.Info, ok
-	}, pass.Summaries)
+	kt := keytaint.New(pass)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
@@ -77,8 +71,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			c.cur, c.pt = fd, nil
-			c.checkBody(fd.Body, nil)
+			kt.Func(fd).Walk(nil, c.visit)
 		}
 	}
 	return nil
@@ -86,44 +79,6 @@ func run(pass *analysis.Pass) error {
 
 type checker struct {
 	pass *analysis.Pass
-	// ptc builds points-to solutions so source calls through function
-	// values (a local, a var declaration, a struct field) resolve
-	// instead of going untainted. cur/pt lazily hold the solution for
-	// the declaration being checked; closures share it.
-	ptc *dataflow.PT
-	cur *ast.FuncDecl
-	pt  *dataflow.PointsTo
-}
-
-// ptOf lazily analyzes the current declaration's points-to graph.
-func (c *checker) ptOf() *dataflow.PointsTo {
-	if c.pt == nil && c.cur != nil {
-		c.pt = c.ptc.Analyze(c.cur, c.pass.TypesInfo)
-	}
-	return c.pt
-}
-
-// facts is the taint set: variables currently holding key material.
-type facts = dataflow.Facts[*types.Var]
-
-// sourceResult returns (result index, true) when call invokes a marked
-// key-material source — statically, or through a function value the
-// points-to layer resolves. Taint is a may-analysis, so any possible
-// source target suffices; completeness of the target set is not needed.
-func (c *checker) sourceResult(call *ast.CallExpr) (int, bool) {
-	if fn := analysis.FuncObj(c.pass.TypesInfo, call); fn != nil {
-		idx, ok := c.pass.Sources[fn.FullName()]
-		return idx, ok
-	}
-	if pt := c.ptOf(); pt != nil {
-		fns, _, _ := pt.FuncTargets(call.Fun)
-		for _, fn := range fns {
-			if idx, ok := c.pass.Sources[fn.FullName()]; ok {
-				return idx, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // cloneName reports a call to bytes.Clone or slices.Clone.
@@ -139,84 +94,6 @@ func (c *checker) cloneName(call *ast.CallExpr) string {
 		return "slices.Clone"
 	}
 	return ""
-}
-
-func (c *checker) builtinName(call *ast.CallExpr) string {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if _, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
-		return ""
-	}
-	return id.Name
-}
-
-// isTainted decides whether an expression carries key material under the
-// given facts.
-func (c *checker) isTainted(e ast.Expr, fs facts) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		v, _ := c.pass.TypesInfo.ObjectOf(x).(*types.Var)
-		return v != nil && fs.Has(v)
-	case *ast.SliceExpr:
-		return c.isTainted(x.X, fs)
-	case *ast.CallExpr:
-		if idx, ok := c.sourceResult(x); ok && idx == 0 {
-			return true
-		}
-		if c.cloneName(x) != "" && len(x.Args) == 1 {
-			return c.isTainted(x.Args[0], fs)
-		}
-		if c.builtinName(x) == "append" {
-			for _, a := range x.Args {
-				if c.isTainted(a, fs) {
-					return true
-				}
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-func (c *checker) taintLHS(lhs ast.Expr, fs facts) {
-	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
-		if v, ok := c.pass.TypesInfo.ObjectOf(id).(*types.Var); ok && !v.IsField() {
-			fs.Add(v)
-		}
-	}
-}
-
-// transfer is the gen-only taint transfer for one CFG node. It inspects
-// the node's full subtree — including function-literal bodies, so a
-// closure that smuggles taint into a captured variable still taints it
-// for the code after the literal (closures get their own precise pass in
-// checkBody, seeded from the facts at their occurrence).
-func (c *checker) transfer(n ast.Node, fs facts) {
-	dataflow.Inspect(n, func(m ast.Node) bool {
-		assign, ok := m.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		switch {
-		case len(assign.Lhs) == len(assign.Rhs):
-			for i, rhs := range assign.Rhs {
-				if c.isTainted(rhs, fs) {
-					c.taintLHS(assign.Lhs[i], fs)
-				}
-			}
-		case len(assign.Rhs) == 1:
-			// v, err := src(): taint the result at the source's index.
-			if call, ok := ast.Unparen(assign.Rhs[0]).(*ast.CallExpr); ok {
-				if idx, ok := c.sourceResult(call); ok && idx < len(assign.Lhs) {
-					c.taintLHS(assign.Lhs[idx], fs)
-				}
-			}
-		}
-		return true
-	})
 }
 
 // longLivedTarget describes an expression naming a long-lived native-heap
@@ -252,54 +129,23 @@ func (c *checker) longLivedTarget(e ast.Expr) string {
 	}
 }
 
-// checkBody runs the dataflow pass over one function body and reports
-// violations with the facts in force at each node. seed carries a
-// closure's captured taint (nil for top-level functions).
-//
-// Deferred function literals run at function exit, not where they are
-// registered, so they get a dedicated exit-block pass: the body is
-// analyzed under the exit block's entry facts (the union over every path
-// reaching exit) instead of the registration-point facts — a deferred
-// closure writing through a view taken after the defer statement is
-// invisible to the occurrence-point check. The deferred call's argument
-// expressions are still evaluated (and checked) at the DeferStmt node.
-func (c *checker) checkBody(body *ast.BlockStmt, seed facts) {
-	cfg := dataflow.New(body)
-	ins := dataflow.Forward(cfg, seed, c.transfer)
-	deferred := map[*ast.FuncLit]bool{}
-	for _, d := range cfg.Defers {
-		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-			deferred[lit] = true
-		}
+// visit reports every violation inside one CFG node under the engine's
+// taint facts in force before it.
+func (c *checker) visit(en *keytaint.Func, n ast.Node, fs keytaint.Facts) {
+	tainted := func(e ast.Expr) bool {
+		_, ok := en.Tainted(e, fs)
+		return ok
 	}
-	dataflow.Walk(cfg, ins, c.transfer, func(n ast.Node, fs facts) {
-		c.visit(n, fs, deferred)
-	})
-	exit := ins[cfg.Exit.Index]
-	for _, d := range cfg.Defers {
-		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-			c.checkBody(lit.Body, exit.Clone())
-		}
-	}
-}
-
-// visit reports every violation inside one CFG node. Function literals
-// are analyzed by a recursive checkBody seeded with the current facts —
-// except deferred literals, which the exit-block pass handles.
-func (c *checker) visit(n ast.Node, fs facts, deferred map[*ast.FuncLit]bool) {
 	dataflow.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
-			if !deferred[m] {
-				c.checkBody(m.Body, fs.Clone())
-			}
 			return false
 		case *ast.CallExpr:
-			if name := c.cloneName(m); name != "" && len(m.Args) == 1 && c.isTainted(m.Args[0], fs) {
+			if name := c.cloneName(m); name != "" && len(m.Args) == 1 && tainted(m.Args[0]) {
 				c.pass.Reportf(m.Pos(), "%s duplicates private-key material on the native "+
 					"heap; keep exactly one transient copy (DESIGN.md §5.8)", name)
 			}
-			if c.builtinName(m) == "copy" && len(m.Args) == 2 && c.isTainted(m.Args[1], fs) {
+			if analysis.BuiltinName(c.pass.TypesInfo, m) == "copy" && len(m.Args) == 2 && tainted(m.Args[1]) {
 				if dst := c.longLivedTarget(m.Args[0]); dst != "" {
 					c.pass.Reportf(m.Pos(), "copy writes private-key material into "+
 						"long-lived %s; key bytes must stay transient on the native heap", dst)
@@ -307,7 +153,7 @@ func (c *checker) visit(n ast.Node, fs facts, deferred map[*ast.FuncLit]bool) {
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range m.Rhs {
-				if len(m.Lhs) != len(m.Rhs) || !c.isTainted(rhs, fs) {
+				if len(m.Lhs) != len(m.Rhs) || !tainted(rhs) {
 					continue
 				}
 				if dst := c.longLivedTarget(m.Lhs[i]); dst != "" {

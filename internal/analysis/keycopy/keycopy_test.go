@@ -1,6 +1,8 @@
 package keycopy_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"memshield/internal/analysis/checktest"
@@ -31,4 +33,23 @@ func TestFlowSensitivity(t *testing.T) {
 // var declarations, struct fields — resolving via the points-to layer.
 func TestPointsTo(t *testing.T) {
 	checktest.Run(t, "testdata", keycopy.Analyzer, "keycopypts")
+}
+
+// TestInterprocedural pins key bytes that come back out of a helper —
+// a view of the argument, or a fresh copy of it.
+func TestInterprocedural(t *testing.T) {
+	checktest.Run(t, "testdata", keycopy.Analyzer, "keycopyinter")
+}
+
+// TestKeycopyWorkers re-runs every fixture at several worker counts: the
+// summaries the analyzers share through the session store must make the
+// results independent of scheduling.
+func TestKeycopyWorkers(t *testing.T) {
+	pkgs := []string{"keycopybad", "keycopyok", "memshield/internal/ssl",
+		"keycopyflow", "keycopypts", "keycopyinter"}
+	for _, workers := range []int{1, 4, runtime.NumCPU()} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			checktest.RunWorkers(t, "testdata", keycopy.Analyzer, workers, pkgs...)
+		})
+	}
 }

@@ -16,17 +16,12 @@
 // the obligation to the caller, whose own keylifetime pass sees the
 // callee's tainted-result summary and carries it forward.
 //
-// The analysis is interprocedural: per-function summaries (tainted
-// results with provenance chains, parameter/receiver flows, zeroized
-// parameters) are computed bottom-up over the call graph, memoized in
-// the load session, iterated to fixpoint for recursion cycles — direct
-// and mutual — and conservatively widened for unknown bodies and
-// function values whose points-to target set is incomplete. Calls
-// through function values (a local, a var declaration, a struct field)
-// resolve through the dataflow package's points-to layer when it can
-// prove the complete target set. Facts are field-sensitive to two levels
-// (k.D and k.Primes are distinct obligations; xs[*] covers a slice's
-// elements), so zeroizing one field never silently discharges another.
+// Both facts come from the keytaint engine, so the analysis is
+// interprocedural (per-function summaries with provenance chains,
+// iterated to fixpoint for recursion, widened for unknown bodies and
+// incomplete points-to target sets) and field-sensitive to two levels:
+// k.D and k.Primes are distinct obligations, so zeroizing one field
+// never silently discharges another.
 //
 // Obligations attach to the two shapes key material takes in this
 // codebase: byte slices (released by scrub.Bytes / clear) and
@@ -52,7 +47,7 @@ import (
 	"go/ast"
 
 	"memshield/internal/analysis"
-	"memshield/internal/analysis/dataflow"
+	"memshield/internal/analysis/keytaint"
 	"memshield/internal/analysis/policy"
 )
 
@@ -72,7 +67,7 @@ func run(pass *analysis.Pass) error {
 	if policy.Allowed(pass.PkgPath, policy.RetainKeys) {
 		return nil
 	}
-	c := newChecker(pass)
+	c := &checker{pass: pass, kt: keytaint.New(pass)}
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
@@ -82,58 +77,19 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			en := newEngine(c, pass.TypesInfo, fd, nil)
-			en.pts = c.ptFor(fd, pass.TypesInfo)
-			c.checkBody(en, fd.Body, nil)
+			// No seed: parameters are the caller's obligation, tracked
+			// through summaries.
+			c.kt.Func(fd).Walk(nil, c.visit)
 		}
 	}
 	return nil
 }
 
-// checkBody runs both dataflow passes over one function (or function
-// literal) body and reports every obligation the backward pass cannot
-// discharge. seed carries the forward taint facts at the body's
-// occurrence point (nil for top-level declarations: parameters are the
-// caller's obligation, tracked through summaries).
-func (c *checker) checkBody(en *engine, body *ast.BlockStmt, seed facts) {
-	cfg := dataflow.New(body)
-	ins := dataflow.Forward(cfg, seed, en.taintTransfer)
-	outs := dataflow.Backward(cfg, nil, en.releaseTransfer)
-
-	// released[n] is the set of paths guaranteed to be released on every
-	// continuation after node n — what the obligation check consults.
-	released := map[ast.Node]facts{}
-	dataflow.WalkBackward(cfg, outs, en.releaseTransfer, func(n ast.Node, fs facts) {
-		released[n] = fs.Clone()
-	})
-
-	bc := &bodyCheck{c: c, en: en, released: released, deferred: map[*ast.FuncLit]bool{}}
-	for _, d := range cfg.Defers {
-		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-			bc.deferred[lit] = true
-		}
-	}
-	dataflow.Walk(cfg, ins, en.taintTransfer, bc.visit)
-
-	// Exit-block pass: a deferred closure runs at function exit and
-	// observes the union of facts over every path reaching it — analyze
-	// its body there, not at the registration point.
-	exit := ins[cfg.Exit.Index]
-	for _, d := range cfg.Defers {
-		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
-			sub := newEngine(c, en.info, nil, lit)
-			sub.pts = en.pts
-			c.checkBody(sub, lit.Body, exit.Clone())
-		}
-	}
-}
-
-// bodyCheck is the per-body reporting walk, run under the forward facts.
-type bodyCheck struct {
-	c        *checker
-	en       *engine
-	released map[ast.Node]facts
-	deferred map[*ast.FuncLit]bool
+// checker reports every obligation the engine's backward release pass
+// cannot discharge, node by node under the forward taint facts.
+type checker struct {
+	pass *analysis.Pass
+	kt   *keytaint.Checker
 }
 
 // Expression contexts for the anonymous-source-call scan: a call whose
@@ -158,10 +114,10 @@ func throughCtx(ctx int) int {
 	return ctxLeak
 }
 
-func (b *bodyCheck) visit(n ast.Node, fs facts) {
+func (c *checker) visit(en *keytaint.Func, n ast.Node, fs keytaint.Facts) {
 	switch s := n.(type) {
 	case *ast.AssignStmt:
-		b.checkAssignParts(s, s.Lhs, s.Rhs, fs)
+		c.checkAssignParts(en, s, s.Lhs, s.Rhs, fs)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -170,54 +126,54 @@ func (b *bodyCheck) visit(n ast.Node, fs facts) {
 					for i, id := range vs.Names {
 						lhs[i] = id
 					}
-					b.checkAssignParts(s, lhs, vs.Values, fs)
+					c.checkAssignParts(en, s, lhs, vs.Values, fs)
 				}
 			}
 		}
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
-			b.scanExpr(r, fs, ctxReturn)
+			c.scanExpr(en, r, fs, ctxReturn)
 		}
 	case *ast.DeferStmt:
 		// Arguments are evaluated at registration; a source result passed
 		// to a deferred sink is created now and zeroized at exit, which
 		// satisfies the discipline.
-		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok && b.deferred[lit] {
-			return // body handled by the exit-block pass
+		if _, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
+			return // the engine walks the body at function exit
 		}
-		b.scanExpr(s.Call, fs, ctxLeak)
+		c.scanExpr(en, s.Call, fs, ctxLeak)
 	case *ast.GoStmt:
-		b.scanExpr(s.Call, fs, ctxLeak)
+		c.scanExpr(en, s.Call, fs, ctxLeak)
 	case *ast.ExprStmt:
-		b.scanExpr(s.X, fs, ctxLeak)
+		c.scanExpr(en, s.X, fs, ctxLeak)
 	case *ast.SendStmt:
 		// A channel send is an ownership transfer, like a return: the
-		// receiver end owns the release (releaseTransfer credits the sent
+		// receiver end owns the release (the engine credits the sent
 		// path symmetrically).
-		b.scanExpr(s.Value, fs, ctxReturn)
+		c.scanExpr(en, s.Value, fs, ctxReturn)
 	case *ast.RangeStmt:
-		b.scanExpr(s.X, fs, ctxLeak)
+		c.scanExpr(en, s.X, fs, ctxLeak)
 	case *ast.IncDecStmt, *ast.BranchStmt, *ast.EmptyStmt, *ast.LabeledStmt:
 		// no expressions that can carry byte slices
 	case ast.Expr:
 		// Decomposed control expressions: if/for conditions, switch tags,
 		// case expressions.
-		b.scanExpr(s, fs, ctxLeak)
+		c.scanExpr(en, s, fs, ctxLeak)
 	}
 }
 
 // checkAssignParts registers binding obligations for tainted call
 // results and scans the right-hand sides for anonymous source calls.
-// stmt is the enclosing CFG node, the key into the backward release map.
-func (b *bodyCheck) checkAssignParts(stmt ast.Node, lhs, rhs []ast.Expr, fs facts) {
+// stmt is the enclosing CFG node, the key into the backward release facts.
+func (c *checker) checkAssignParts(en *keytaint.Func, stmt ast.Node, lhs, rhs []ast.Expr, fs keytaint.Facts) {
 	if len(rhs) == 1 && len(lhs) > 1 {
 		if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
-			for idx, origin := range b.en.resultTaint(call, fs) {
+			for idx, origin := range en.ResultTaint(call, fs) {
 				if idx < len(lhs) {
-					b.obligation(stmt, lhs[idx], call, idx, origin)
+					c.obligation(en, stmt, lhs[idx], call, idx, origin)
 				}
 			}
-			b.scanExpr(call, fs, ctxBound)
+			c.scanExpr(en, call, fs, ctxBound)
 		}
 		return
 	}
@@ -228,11 +184,11 @@ func (b *bodyCheck) checkAssignParts(stmt ast.Node, lhs, rhs []ast.Expr, fs fact
 		ctx := ctxLeak
 		if call, ok := ast.Unparen(r).(*ast.CallExpr); ok {
 			ctx = ctxBound
-			if origin, ok := b.en.resultTaint(call, fs)[0]; ok {
-				b.obligation(stmt, lhs[i], call, 0, origin)
+			if origin, ok := en.ResultTaint(call, fs)[0]; ok {
+				c.obligation(en, stmt, lhs[i], call, 0, origin)
 			}
 		}
-		b.scanExpr(r, fs, ctx)
+		c.scanExpr(en, r, fs, ctx)
 	}
 }
 
@@ -243,28 +199,28 @@ func (b *bodyCheck) checkAssignParts(stmt ast.Node, lhs, rhs []ast.Expr, fs fact
 // *math/big.Int results (scrubbed with scrub.Big): a big.Int built from
 // key bytes holds the same limbs the slice did, so letting it escape
 // unscrubbed was the math/big hole this closes.
-func (b *bodyCheck) obligation(stmt ast.Node, lhs ast.Expr, call *ast.CallExpr, idx int, origin string) {
-	if !b.en.resultNeedsRelease(call, idx) {
+func (c *checker) obligation(en *keytaint.Func, stmt ast.Node, lhs ast.Expr, call *ast.CallExpr, idx int, origin string) {
+	if !en.ResultNeedsRelease(call, idx) {
 		return
 	}
 	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name == "_" {
-		b.c.pass.Reportf(lhs.Pos(),
+		c.pass.Reportf(lhs.Pos(),
 			"key material (%s) is discarded into _ where nothing can zeroize it; "+
 				"bind it and release it with scrub.Bytes (or another //memlint:sink)", origin)
 		return
 	}
-	p, ok := b.en.pathOf(lhs)
+	p, ok := en.PathOf(lhs)
 	if !ok {
-		b.c.pass.Reportf(lhs.Pos(),
+		c.pass.Reportf(lhs.Pos(),
 			"key material (%s) is stored where the lifetime verifier cannot prove "+
 				"a zeroize (map entry, pointer dereference, or a path deeper than two "+
 				"fields); bind it to a local first and scrub that", origin)
 		return
 	}
-	if b.released[stmt].Has(p) {
+	if en.ReleasedAfter(stmt).Has(p) {
 		return
 	}
-	b.c.pass.Reportf(lhs.Pos(),
+	c.pass.Reportf(lhs.Pos(),
 		"key material in %s (%s) is not zeroized on every path to return; "+
 			"release it with scrub.Bytes / scrub.Big / clear / a zeroizing callee, "+
 			"or return it to transfer the obligation to the caller (DESIGN.md §6)",
@@ -272,24 +228,19 @@ func (b *bodyCheck) obligation(stmt ast.Node, lhs ast.Expr, call *ast.CallExpr, 
 }
 
 // scanExpr walks an expression looking for source calls consumed where
-// no obligation can ever attach, and recurses into function literals at
-// their occurrence facts.
-func (b *bodyCheck) scanExpr(e ast.Expr, fs facts, ctx int) {
+// no obligation can ever attach. Function literals are the engine's to
+// walk, as bodies of their own.
+func (c *checker) scanExpr(en *keytaint.Func, e ast.Expr, fs keytaint.Facts, ctx int) {
+	info := c.pass.TypesInfo
 	switch x := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
-		// An immediately-invoked or go-spawned function literal is a body
-		// of its own: analyze it at the occurrence facts, so a key minted
-		// (and dropped) inside `go func() { ... }()` is not invisible.
-		if lit, ok := ast.Unparen(x.Fun).(*ast.FuncLit); ok {
-			b.scanExpr(lit, fs, ctxLeak)
-		}
 		// Conversions and append are transparent: the bytes end up in the
 		// surrounding context's value.
-		if b.en.isConversion(x) && len(x.Args) == 1 {
-			b.scanExpr(x.Args[0], fs, ctx)
+		if analysis.IsConversion(info, x) && len(x.Args) == 1 {
+			c.scanExpr(en, x.Args[0], fs, ctx)
 			return
 		}
-		if name := b.en.builtinName(x); name != "" {
+		if name := analysis.BuiltinName(info, x); name != "" {
 			argCtx := ctxLeak
 			if name == "append" {
 				argCtx = ctx
@@ -298,64 +249,54 @@ func (b *bodyCheck) scanExpr(e ast.Expr, fs facts, ctx int) {
 				argCtx = ctxSink
 			}
 			for _, a := range x.Args {
-				b.scanExpr(a, fs, argCtx)
+				c.scanExpr(en, a, fs, argCtx)
 			}
 			return
 		}
+		fn := analysis.FuncObj(info, x)
 		if ctx == ctxLeak {
-			if origin, ok := anyByteTaint(b.en, x, b.en.resultTaint(x, fs)); ok {
+			if origin, ok := anyByteTaint(en, x, en.ResultTaint(x, fs)); ok {
 				callee := "the callee"
-				if fn := analysis.FuncObj(b.en.info, x); fn != nil {
-					callee = prettyName(fn)
+				if fn != nil {
+					callee = keytaint.PrettyName(fn)
 				}
-				b.c.pass.Reportf(x.Pos(),
+				c.pass.Reportf(x.Pos(),
 					"result of %s carries key material (%s) but is consumed anonymously, "+
 						"so nothing can ever zeroize the copy; bind it to a local, use it, "+
 						"and release it with scrub.Bytes (or another //memlint:sink)",
 					callee, origin)
 			}
 		}
-		zeroized := map[int]bool{}
-		if fn := analysis.FuncObj(b.en.info, x); fn != nil {
-			for idx, z := range b.c.summaryOf(fn).ZeroizedParams {
-				if z {
-					zeroized[idx] = true
-				}
-			}
-		} else if fns, lits, complete := b.en.funcTargets(x.Fun); complete && len(fns) == 1 && len(lits) == 0 {
+		if fn == nil {
 			// A sink called through a function value is still a sink when
 			// the points-to layer proves the single target.
-			for idx, z := range b.c.summaryOf(fns[0]).ZeroizedParams {
-				if z {
-					zeroized[idx] = true
-				}
+			if fns, lits, complete := en.FuncTargets(x.Fun); complete && len(fns) == 1 && len(lits) == 0 {
+				fn = fns[0]
 			}
+		}
+		var zeroized map[int]bool
+		if fn != nil {
+			zeroized = c.kt.Summary(fn).ZeroizedParams
 		}
 		for i, a := range x.Args {
 			argCtx := ctxLeak
 			if zeroized[i] {
 				argCtx = ctxSink
 			}
-			b.scanExpr(a, fs, argCtx)
+			c.scanExpr(en, a, fs, argCtx)
 		}
-		if rx := receiverExpr(x); rx != nil {
-			b.scanExpr(rx, fs, ctxLeak)
-		}
-	case *ast.FuncLit:
-		if !b.deferred[x] {
-			sub := newEngine(b.c, b.en.info, nil, x)
-			sub.pts = b.en.pts
-			b.c.checkBody(sub, x.Body, fs.Clone())
+		if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
+			c.scanExpr(en, sel.X, fs, ctxLeak)
 		}
 	case *ast.BinaryExpr:
-		b.scanExpr(x.X, fs, ctxLeak)
-		b.scanExpr(x.Y, fs, ctxLeak)
+		c.scanExpr(en, x.X, fs, ctxLeak)
+		c.scanExpr(en, x.Y, fs, ctxLeak)
 	case *ast.UnaryExpr:
 		// &x in a return operand still transfers ownership of x's
 		// contents to the caller.
-		b.scanExpr(x.X, fs, throughCtx(ctx))
+		c.scanExpr(en, x.X, fs, throughCtx(ctx))
 	case *ast.StarExpr:
-		b.scanExpr(x.X, fs, ctxLeak)
+		c.scanExpr(en, x.X, fs, ctxLeak)
 	case *ast.CompositeLit:
 		// A composite literal in a return operand carries its elements out
 		// with it (ownership transfer); anywhere else the elements leak.
@@ -363,19 +304,19 @@ func (b *bodyCheck) scanExpr(e ast.Expr, fs facts, ctx int) {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				el = kv.Value
 			}
-			b.scanExpr(el, fs, throughCtx(ctx))
+			c.scanExpr(en, el, fs, throughCtx(ctx))
 		}
 	case *ast.IndexExpr:
-		b.scanExpr(x.X, fs, ctxLeak)
-		b.scanExpr(x.Index, fs, ctxLeak)
+		c.scanExpr(en, x.X, fs, ctxLeak)
+		c.scanExpr(en, x.Index, fs, ctxLeak)
 	case *ast.SliceExpr:
-		b.scanExpr(x.X, fs, ctxLeak)
+		c.scanExpr(en, x.X, fs, ctxLeak)
 	case *ast.SelectorExpr:
-		b.scanExpr(x.X, fs, ctxLeak)
+		c.scanExpr(en, x.X, fs, ctxLeak)
 	case *ast.TypeAssertExpr:
-		b.scanExpr(x.X, fs, ctxLeak)
+		c.scanExpr(en, x.X, fs, ctxLeak)
 	case *ast.KeyValueExpr:
-		b.scanExpr(x.Value, fs, ctxLeak)
+		c.scanExpr(en, x.Value, fs, ctxLeak)
 	}
 }
 
@@ -383,10 +324,10 @@ func (b *bodyCheck) scanExpr(e ast.Expr, fs facts, ctx int) {
 // slice or *big.Int), for deterministic messages on multi-result calls.
 // Tainted results of other types (a struct holding key fields) carry no
 // direct scrub obligation — the fields do, at their own bindings.
-func anyByteTaint(en *engine, call *ast.CallExpr, rt map[int]string) (string, bool) {
+func anyByteTaint(en *keytaint.Func, call *ast.CallExpr, rt map[int]string) (string, bool) {
 	best, origin := -1, ""
 	for idx, o := range rt {
-		if !en.resultNeedsRelease(call, idx) {
+		if !en.ResultNeedsRelease(call, idx) {
 			continue
 		}
 		if best < 0 || idx < best {

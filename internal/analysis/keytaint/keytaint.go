@@ -1,4 +1,23 @@
-package keylifetime
+// Package keytaint is memlint's one key-taint engine: it works out
+// which values may hold //memlint:source bytes, and which are released,
+// for the keylifetime, keycopy and sealwindow analyzers, each of which
+// is a property check over its facts.
+//
+// Facts are access paths, field-sensitive to two levels (k.D and
+// k.Primes are distinct; xs[*] covers a slice's elements). A forward
+// may-analysis over each body's CFG propagates taint through
+// assignments, declarations, range bindings, copy() and calls; a
+// backward must-analysis proves which paths are released (a
+// //memlint:sink, clear, a zeroizing callee, a return or a channel
+// send) on every path to exit. Calls resolve through per-function
+// summaries — tainted results with provenance chains, parameter and
+// receiver flows, zeroized parameters — computed bottom-up over the
+// call graph, memoized in the load session's summary store, iterated
+// to a fixpoint for recursion cycles and widened for unknown bodies.
+// Calls through function values resolve through syntactic bindings or,
+// failing that, the dataflow package's points-to layer, solved per
+// declaration on first use.
+package keytaint
 
 import (
 	"fmt"
@@ -12,7 +31,7 @@ import (
 	"memshield/internal/analysis/dataflow"
 )
 
-// A path is one field-sensitive taint fact: a root variable plus a
+// A Path is one field-sensitive taint fact: a root variable plus a
 // bounded access suffix — "" for the variable itself, ".D" for a struct
 // member, "[*]" for the elements of a slice, composed to depth two
 // ("k.D", "bufs[*]", "k.Parts[*]"). Field sensitivity is what keeps a
@@ -20,21 +39,21 @@ import (
 // distinct facts. Deeper accesses degrade to unresolvable, which is the
 // conservative direction for both analyses (taint may be missed only
 // where an obligation could never be discharged either).
-type path struct {
+type Path struct {
 	root *types.Var
 	sel  string
 }
 
-func (p path) String() string {
+func (p Path) String() string {
 	if p.root == nil {
 		return "<nil>"
 	}
 	return p.root.Name() + p.sel
 }
 
-// facts is a set of paths (forward: may hold key material; backward:
+// Facts is a set of paths (forward: may hold key material; backward:
 // definitely released before exit).
-type facts = dataflow.Facts[path]
+type Facts = dataflow.Facts[Path]
 
 // paramOriginPrefix tags taint origins that denote "flowed in from a
 // parameter" during summary computation; summaries translate them into
@@ -93,14 +112,16 @@ func (s *Summary) equal(o *Summary) bool {
 
 var widened = &Summary{Widened: true}
 
-// checker is the per-pass analyzer state shared by the obligation check
-// and the summary computation.
-type checker struct {
+// A Checker is one analyzer pass's engine state: the summary
+// computation's recursion bookkeeping and the per-declaration points-to
+// solutions. Summaries themselves live in the session store, shared by
+// every analyzer and pass.
+type Checker struct {
 	pass *analysis.Pass
 	// inProgress guards the bottom-up summary walk against call-graph
 	// cycles: a callee already on the stack answers with its current
 	// provisional iterate (the widened stub on the first round); the
-	// cycle's head then iterates to a fixpoint in summaryOf.
+	// cycle's head then iterates to a fixpoint in Summary.
 	inProgress map[string]bool
 	// sawCycle marks functions whose summary computation hit themselves
 	// on the stack — the ones worth iterating to fixpoint.
@@ -133,11 +154,11 @@ type checker struct {
 	pts map[*ast.FuncDecl]*dataflow.PointsTo
 }
 
-// newChecker builds the per-pass analyzer state, wiring the points-to
+// New builds the engine state for one pass, wiring the points-to
 // context onto the same function-source lookup and session summary
 // store the taint summaries use.
-func newChecker(pass *analysis.Pass) *checker {
-	c := &checker{
+func New(pass *analysis.Pass) *Checker {
+	c := &Checker{
 		pass:        pass,
 		inProgress:  map[string]bool{},
 		sawCycle:    map[string]bool{},
@@ -157,20 +178,15 @@ func newChecker(pass *analysis.Pass) *checker {
 	return c
 }
 
-// ptFor memoizes one points-to solution per declaration. Closure bodies
-// share the enclosing declaration's solution: Analyze generates
-// constraints for every literal in the body, so expressions inside a
-// closure resolve against the same node set.
-func (c *checker) ptFor(decl *ast.FuncDecl, info *types.Info) *dataflow.PointsTo {
-	if pt, ok := c.pts[decl]; ok {
-		return pt
-	}
-	pt := c.ptc.Analyze(decl, info)
-	c.pts[decl] = pt
-	return pt
+// Func returns the engine for one of the pass's function declarations.
+func (c *Checker) Func(decl *ast.FuncDecl) *Func {
+	return newFunc(c, c.pass.TypesInfo, decl, nil)
 }
 
-func (c *checker) cacheGet(key string) (*Summary, bool) {
+// Escapes resolves fn's points-to escape summary.
+func (c *Checker) Escapes(fn *types.Func) *dataflow.EscSummary { return c.ptc.SummaryOf(fn) }
+
+func (c *Checker) cacheGet(key string) (*Summary, bool) {
 	if c.pass.Summaries != nil {
 		v, ok := c.pass.Summaries.Get(key)
 		if !ok {
@@ -183,7 +199,7 @@ func (c *checker) cacheGet(key string) (*Summary, bool) {
 	return s, ok
 }
 
-func (c *checker) cachePut(key string, s *Summary) {
+func (c *Checker) cachePut(key string, s *Summary) {
 	if c.pass.Summaries != nil {
 		c.pass.Summaries.Put(key, s)
 		return
@@ -191,20 +207,20 @@ func (c *checker) cachePut(key string, s *Summary) {
 	c.local[key] = s
 }
 
-// prettyName renders a function for diagnostics: package name + function
+// PrettyName renders a function for diagnostics: package name + function
 // name ("rsakey.MarshalDER", "scrub.Bytes"), dropping receiver noise.
-func prettyName(fn *types.Func) string {
+func PrettyName(fn *types.Func) string {
 	if fn.Pkg() == nil {
 		return fn.Name()
 	}
 	return fn.Pkg().Name() + "." + fn.Name()
 }
 
-// summaryOf resolves fn's interprocedural summary: marker tables first,
+// Summary resolves fn's interprocedural summary: marker tables first,
 // then a memoized bottom-up computation over its body, then the widened
 // stub when no body is reachable. Marked sources and sinks contribute
 // their declared facts even when the body is also analyzed.
-func (c *checker) summaryOf(fn *types.Func) *Summary {
+func (c *Checker) Summary(fn *types.Func) *Summary {
 	key := fn.FullName()
 	if s, ok := c.cacheGet(key); ok {
 		return s
@@ -298,7 +314,7 @@ func (c *checker) summaryOf(fn *types.Func) *Summary {
 
 // computeSummary builds one function's summary from markers plus one
 // intraprocedural pass over its body (when available).
-func (c *checker) computeSummary(fn *types.Func) *Summary {
+func (c *Checker) computeSummary(fn *types.Func) *Summary {
 	sum := &Summary{
 		TaintedResults: map[int]string{},
 		ParamFlows:     map[int][]int{},
@@ -307,7 +323,7 @@ func (c *checker) computeSummary(fn *types.Func) *Summary {
 	name := fn.FullName()
 	marked := false
 	if idx, ok := c.pass.Sources[name]; ok {
-		sum.TaintedResults[idx] = prettyName(fn)
+		sum.TaintedResults[idx] = PrettyName(fn)
 		marked = true
 	}
 	if idx, ok := c.pass.Sinks[name]; ok {
@@ -325,17 +341,22 @@ func (c *checker) computeSummary(fn *types.Func) *Summary {
 		}
 		return widened
 	}
-	en := newEngine(c, fi.Info, fi.Decl, nil)
-	en.pts = c.ptFor(fi.Decl, fi.Info)
-	en.analyzeForSummary(fi.Decl, sum)
+	newFunc(c, fi.Info, fi.Decl, nil).analyzeForSummary(sum)
 	return sum
 }
 
-// engine runs the two dataflow passes over one function body under one
-// package's type info. It is built fresh per body.
-type engine struct {
-	c    *checker
+// A Func is the engine for one function or function-literal body under
+// one package's type info: its CFG, forward taint and backward release.
+// It is built fresh per body.
+type Func struct {
+	c    *Checker
 	info *types.Info
+	// decl is the enclosing declaration, whose points-to solution the
+	// body's function-value calls resolve against.
+	decl *ast.FuncDecl
+	cfg  *dataflow.CFG
+	// released caches ReleasedAfter's backward facts, per node.
+	released map[ast.Node]Facts
 
 	// bindings records function values assigned to local variables (a
 	// method value, a named function, a closure literal), so calls
@@ -349,16 +370,12 @@ type engine struct {
 	writes map[*types.Var]int
 	// origins maps each tainted path to its provenance chains (first few
 	// distinct gens, in gen order).
-	origins map[path][]string
+	origins map[Path][]string
 	// namedResults are the declared result variables, for bare returns.
-	namedResults []path
+	namedResults []Path
 	// results maps a named-result variable to its index.
 	resultIndex map[*types.Var]int
 	sig         *types.Signature
-	// pts, when non-nil, is the enclosing declaration's points-to
-	// solution. Engines for closures inherit their parent's: the
-	// solution already covers every literal in the declaration.
-	pts *dataflow.PointsTo
 }
 
 type binding struct {
@@ -370,22 +387,25 @@ type binding struct {
 // variables the literal zeroizes on all its paths, and whether its
 // results carry key material.
 type litSummary struct {
-	zeroizedCaptures []path
+	zeroizedCaptures []Path
 	taintedResults   map[int]string
 }
 
-func newEngine(c *checker, info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit) *engine {
-	en := &engine{
+// newFunc builds the engine for decl's body, or for lit's when lit is
+// non-nil.
+func newFunc(c *Checker, info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit) *Func {
+	en := &Func{
 		c:           c,
 		info:        info,
+		decl:        decl,
 		bindings:    map[*types.Var][]binding{},
 		writes:      map[*types.Var]int{},
-		origins:     map[path][]string{},
+		origins:     map[Path][]string{},
 		resultIndex: map[*types.Var]int{},
 	}
 	var body *ast.BlockStmt
 	var ftyp *ast.FuncType
-	if decl != nil {
+	if lit == nil {
 		body, ftyp = decl.Body, decl.Type
 		if fn, ok := info.Defs[decl.Name].(*types.Func); ok {
 			en.sig = fn.Type().(*types.Signature)
@@ -405,21 +425,88 @@ func newEngine(c *checker, info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLi
 			}
 			for _, n := range field.Names {
 				if v, ok := info.Defs[n].(*types.Var); ok {
-					en.namedResults = append(en.namedResults, path{v, ""})
+					en.namedResults = append(en.namedResults, Path{v, ""})
 					en.resultIndex[v] = idx
 				}
 				idx++
 			}
 		}
 	}
+	en.cfg = dataflow.New(body)
 	en.prescan(body)
 	return en
+}
+
+// Lit returns the engine for a function literal inside en's body.
+func (en *Func) Lit(lit *ast.FuncLit) *Func {
+	return newFunc(en.c, en.info, en.decl, lit)
+}
+
+// PointsTo returns the points-to solution of en's enclosing declaration,
+// solved on first use and memoized per declaration: most bodies never
+// call through a function value and never need one. Closure bodies
+// share the enclosing declaration's solution: Analyze generates
+// constraints for every literal in the body, so expressions inside a
+// closure resolve against the same node set.
+func (en *Func) PointsTo() *dataflow.PointsTo {
+	pt, ok := en.c.pts[en.decl]
+	if !ok {
+		pt = en.c.ptc.Analyze(en.decl, en.info)
+		en.c.pts[en.decl] = pt
+	}
+	return pt
+}
+
+// Walk runs the forward taint over en's body from seed and calls visit at
+// every CFG node with the facts in force before it. Function literals
+// are bodies of their own, walked the same way: a deferred literal under
+// the facts at function exit, where it runs (a closure writing through a
+// value taken after the defer statement is invisible at registration);
+// any other literal under the facts where it occurs. visit must not
+// descend into literals itself.
+func (en *Func) Walk(seed Facts, visit func(en *Func, n ast.Node, fs Facts)) {
+	ins := dataflow.Forward(en.cfg, seed, en.taintTransfer)
+	deferred := map[*ast.FuncLit]bool{}
+	for _, d := range en.cfg.Defers {
+		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
+			deferred[lit] = true
+		}
+	}
+	dataflow.Walk(en.cfg, ins, en.taintTransfer, func(n ast.Node, fs Facts) {
+		visit(en, n, fs)
+		dataflow.Inspect(n, func(m ast.Node) bool {
+			lit, ok := m.(*ast.FuncLit)
+			if ok && !deferred[lit] {
+				en.Lit(lit).Walk(fs.Clone(), visit)
+			}
+			return !ok
+		})
+	})
+	exit := ins[en.cfg.Exit.Index]
+	for _, d := range en.cfg.Defers {
+		if lit, ok := ast.Unparen(d.Call.Fun).(*ast.FuncLit); ok {
+			en.Lit(lit).Walk(exit.Clone(), visit)
+		}
+	}
+}
+
+// ReleasedAfter returns the paths released on every path from just after
+// n to the exit of en's body. The backward pass runs on first use.
+func (en *Func) ReleasedAfter(n ast.Node) Facts {
+	if en.released == nil {
+		en.released = map[ast.Node]Facts{}
+		outs := dataflow.Backward(en.cfg, nil, en.releaseTransfer)
+		dataflow.WalkBackward(en.cfg, outs, en.releaseTransfer, func(m ast.Node, fs Facts) {
+			en.released[m] = fs.Clone()
+		})
+	}
+	return en.released[n]
 }
 
 // prescan records function-value bindings and per-variable write counts
 // for the whole body, closures included (both are flow-insensitive
 // over-approximations consumed conservatively).
-func (en *engine) prescan(body *ast.BlockStmt) {
+func (en *Func) prescan(body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -455,26 +542,26 @@ func (en *engine) prescan(body *ast.BlockStmt) {
 	})
 }
 
-// pathOf resolves an expression to its access path. The second result is
+// PathOf resolves an expression to its access path. The second result is
 // false for expressions outside the path language (pointer derefs, map
 // entries, calls, paths deeper than two components).
-func (en *engine) pathOf(e ast.Expr) (path, bool) {
+func (en *Func) PathOf(e ast.Expr) (Path, bool) {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if v, ok := en.info.ObjectOf(x).(*types.Var); ok && !v.IsField() {
-			return path{v, ""}, true
+			return Path{v, ""}, true
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := en.info.Selections[x]; ok && sel.Kind() == types.FieldVal {
-			base, ok := en.pathOf(x.X)
+			base, ok := en.PathOf(x.X)
 			if !ok || pathDepth(base.sel) >= 2 {
-				return path{}, false
+				return Path{}, false
 			}
-			return path{base.root, base.sel + "." + x.Sel.Name}, true
+			return Path{base.root, base.sel + "." + x.Sel.Name}, true
 		}
 		// Package-qualified variable (pkg.Var).
 		if v, ok := en.info.ObjectOf(x.Sel).(*types.Var); ok && !v.IsField() {
-			return path{v, ""}, true
+			return Path{v, ""}, true
 		}
 	case *ast.IndexExpr:
 		// Map entries are out of the domain: a release through one key
@@ -482,24 +569,24 @@ func (en *engine) pathOf(e ast.Expr) (path, bool) {
 		// bounded way to tell keys apart.
 		if t := en.info.TypeOf(x.X); t != nil {
 			if _, isMap := t.Underlying().(*types.Map); isMap {
-				return path{}, false
+				return Path{}, false
 			}
 		}
-		base, ok := en.pathOf(x.X)
+		base, ok := en.PathOf(x.X)
 		if !ok {
-			return path{}, false
+			return Path{}, false
 		}
 		if strings.HasSuffix(base.sel, "[*]") {
 			return base, true
 		}
 		if pathDepth(base.sel) >= 2 {
-			return path{}, false
+			return Path{}, false
 		}
-		return path{base.root, base.sel + "[*]"}, true
+		return Path{base.root, base.sel + "[*]"}, true
 	case *ast.SliceExpr:
-		return en.pathOf(x.X) // a reslice shares the backing array
+		return en.PathOf(x.X) // a reslice shares the backing array
 	}
-	return path{}, false
+	return Path{}, false
 }
 
 func pathDepth(sel string) int {
@@ -508,26 +595,22 @@ func pathDepth(sel string) int {
 
 // lookup reports whether p or any enclosing prefix of p is in fs (a
 // wholesale-tainted struct taints every member read).
-func lookup(fs facts, p path) (path, bool) {
+func lookup(fs Facts, p Path) (Path, bool) {
 	for {
 		if fs.Has(p) {
 			return p, true
 		}
 		i := strings.LastIndexAny(p.sel, ".[")
 		if i < 0 {
-			return path{}, false
+			return Path{}, false
 		}
-		if p.sel[i] == '[' {
-			p.sel = p.sel[:i]
-		} else {
-			p.sel = p.sel[:i]
-		}
+		p.sel = p.sel[:i]
 	}
 }
 
 // addOrigin records a provenance chain for a freshly tainted path
 // (bounded, first-gen-wins per distinct chain).
-func (en *engine) addOrigin(p path, origin string) {
+func (en *Func) addOrigin(p Path, origin string) {
 	if origin == "" {
 		return
 	}
@@ -544,7 +627,7 @@ func (en *engine) addOrigin(p path, origin string) {
 
 // originOf returns the recorded provenance for a tainted path,
 // preferring a source chain over a parameter-flow tag.
-func (en *engine) originOf(p path) string {
+func (en *Func) originOf(p Path) string {
 	chains := en.origins[p]
 	for _, c := range chains {
 		if !strings.HasPrefix(c, paramOriginPrefix) {
@@ -557,10 +640,10 @@ func (en *engine) originOf(p path) string {
 	return "key material"
 }
 
-// taintedExpr reports whether e may carry key material under fs, with
-// the provenance chain of the first taint that reaches it.
-func (en *engine) taintedExpr(e ast.Expr, fs facts) (string, bool) {
-	if p, ok := en.pathOf(e); ok {
+// Tainted reports whether e may carry key material under fs, with the
+// provenance chain of the first taint that reaches it.
+func (en *Func) Tainted(e ast.Expr, fs Facts) (string, bool) {
+	if p, ok := en.PathOf(e); ok {
 		if hit, ok := lookup(fs, p); ok {
 			return en.originOf(hit), true
 		}
@@ -568,49 +651,31 @@ func (en *engine) taintedExpr(e ast.Expr, fs facts) (string, bool) {
 	}
 	switch x := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
-		rt := en.resultTaint(x, fs)
+		rt := en.ResultTaint(x, fs)
 		if o, ok := rt[0]; ok {
 			return o, true
 		}
 		return "", false
 	case *ast.BinaryExpr:
-		if o, ok := en.taintedExpr(x.X, fs); ok {
+		if o, ok := en.Tainted(x.X, fs); ok {
 			return o, true
 		}
-		return en.taintedExpr(x.Y, fs)
+		return en.Tainted(x.Y, fs)
 	case *ast.CompositeLit:
 		for _, el := range x.Elts {
 			if kv, ok := el.(*ast.KeyValueExpr); ok {
 				el = kv.Value
 			}
-			if o, ok := en.taintedExpr(el, fs); ok {
+			if o, ok := en.Tainted(el, fs); ok {
 				return o, true
 			}
 		}
 	case *ast.UnaryExpr:
-		return en.taintedExpr(x.X, fs)
+		return en.Tainted(x.X, fs)
 	case *ast.StarExpr:
-		return en.taintedExpr(x.X, fs)
+		return en.Tainted(x.X, fs)
 	}
 	return "", false
-}
-
-// builtinName returns the built-in a call invokes, or "".
-func (en *engine) builtinName(call *ast.CallExpr) string {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if _, ok := en.info.Uses[id].(*types.Builtin); !ok {
-		return ""
-	}
-	return id.Name
-}
-
-// isConversion reports whether the call is a type conversion.
-func (en *engine) isConversion(call *ast.CallExpr) bool {
-	tv, ok := en.info.Types[call.Fun]
-	return ok && tv.IsType()
 }
 
 // receiverExpr returns the receiver expression of a method call, or nil.
@@ -621,14 +686,11 @@ func receiverExpr(call *ast.CallExpr) ast.Expr {
 	return nil
 }
 
-// funcTargets resolves a call-site function expression through the
+// FuncTargets resolves a call-site function expression through the
 // points-to layer: the named functions and literals the expression may
 // hold, and whether that target set is provably complete.
-func (en *engine) funcTargets(e ast.Expr) ([]*types.Func, []*ast.FuncLit, bool) {
-	if en.pts == nil {
-		return nil, nil, false
-	}
-	return en.pts.FuncTargets(e)
+func (en *Func) FuncTargets(e ast.Expr) ([]*types.Func, []*ast.FuncLit, bool) {
+	return en.PointsTo().FuncTargets(e)
 }
 
 // calleeSummaries resolves a call's possible targets: the static callee,
@@ -637,16 +699,16 @@ func (en *engine) funcTargets(e ast.Expr) ([]*types.Func, []*ast.FuncLit, bool) 
 // values, values threaded through locals) — the points-to layer's
 // complete target set. An empty slice means "unknown" (treated as
 // widened).
-func (en *engine) calleeSummaries(call *ast.CallExpr) []*Summary {
+func (en *Func) calleeSummaries(call *ast.CallExpr) []*Summary {
 	if fn := analysis.FuncObj(en.info, call); fn != nil {
-		return []*Summary{en.c.summaryOf(fn)}
+		return []*Summary{en.c.Summary(fn)}
 	}
-	if p, ok := en.pathOf(call.Fun); ok && p.sel == "" {
+	if p, ok := en.PathOf(call.Fun); ok && p.sel == "" {
 		if bs := en.bindings[p.root]; len(bs) > 0 {
 			var out []*Summary
 			for _, b := range bs {
 				if b.fn != nil {
-					out = append(out, en.c.summaryOf(b.fn))
+					out = append(out, en.c.Summary(b.fn))
 				} else if b.lit != nil {
 					ls := en.litSummaryOf(b.lit)
 					s := &Summary{TaintedResults: ls.taintedResults}
@@ -656,10 +718,10 @@ func (en *engine) calleeSummaries(call *ast.CallExpr) []*Summary {
 			return out
 		}
 	}
-	if fns, lits, complete := en.funcTargets(call.Fun); complete {
+	if fns, lits, complete := en.FuncTargets(call.Fun); complete {
 		var out []*Summary
 		for _, fn := range fns {
-			out = append(out, en.c.summaryOf(fn))
+			out = append(out, en.c.Summary(fn))
 		}
 		for _, lit := range lits {
 			ls := en.litSummaryOf(lit)
@@ -670,20 +732,20 @@ func (en *engine) calleeSummaries(call *ast.CallExpr) []*Summary {
 	return nil
 }
 
-// resultTaint computes which results of a call may carry key material
+// ResultTaint computes which results of a call may carry key material
 // under fs, mapping result index → provenance chain.
-func (en *engine) resultTaint(call *ast.CallExpr, fs facts) map[int]string {
+func (en *Func) ResultTaint(call *ast.CallExpr, fs Facts) map[int]string {
 	out := map[int]string{}
-	if en.isConversion(call) && len(call.Args) == 1 {
-		if o, ok := en.taintedExpr(call.Args[0], fs); ok {
+	if analysis.IsConversion(en.info, call) && len(call.Args) == 1 {
+		if o, ok := en.Tainted(call.Args[0], fs); ok {
 			out[0] = o
 		}
 		return out
 	}
-	switch en.builtinName(call) {
+	switch analysis.BuiltinName(en.info, call) {
 	case "append":
 		for _, a := range call.Args {
-			if o, ok := en.taintedExpr(a, fs); ok {
+			if o, ok := en.Tainted(a, fs); ok {
 				out[0] = o
 				return out
 			}
@@ -699,7 +761,7 @@ func (en *engine) resultTaint(call *ast.CallExpr, fs facts) map[int]string {
 	}
 	callee := "call"
 	if fn := analysis.FuncObj(en.info, call); fn != nil {
-		callee = prettyName(fn)
+		callee = PrettyName(fn)
 	}
 	for _, sum := range sums {
 		for idx, origin := range sum.TaintedResults {
@@ -712,14 +774,14 @@ func (en *engine) resultTaint(call *ast.CallExpr, fs facts) map[int]string {
 			// into every result.
 			origin, tainted := "", false
 			for _, a := range call.Args {
-				if o, ok := en.taintedExpr(a, fs); ok {
+				if o, ok := en.Tainted(a, fs); ok {
 					origin, tainted = o, true
 					break
 				}
 			}
 			if !tainted {
 				if rx := receiverExpr(call); rx != nil {
-					if o, ok := en.taintedExpr(rx, fs); ok {
+					if o, ok := en.Tainted(rx, fs); ok {
 						origin, tainted = o, true
 					}
 				}
@@ -735,7 +797,7 @@ func (en *engine) resultTaint(call *ast.CallExpr, fs facts) map[int]string {
 			if pi >= len(call.Args) {
 				continue
 			}
-			if o, ok := en.taintedExpr(call.Args[pi], fs); ok {
+			if o, ok := en.Tainted(call.Args[pi], fs); ok {
 				for _, ri := range results {
 					if _, have := out[ri]; !have {
 						out[ri] = o + " via " + callee
@@ -745,7 +807,7 @@ func (en *engine) resultTaint(call *ast.CallExpr, fs facts) map[int]string {
 		}
 		if len(sum.RecvFlows) > 0 {
 			if rx := receiverExpr(call); rx != nil {
-				if o, ok := en.taintedExpr(rx, fs); ok {
+				if o, ok := en.Tainted(rx, fs); ok {
 					for _, ri := range sum.RecvFlows {
 						if _, have := out[ri]; !have {
 							out[ri] = o + " via " + callee
@@ -761,7 +823,7 @@ func (en *engine) resultTaint(call *ast.CallExpr, fs facts) map[int]string {
 // taintTransfer is the forward may-transfer: assignments, declarations
 // and range bindings propagate key material along paths. It is gen-only
 // (monotone); provenance is recorded on first gen.
-func (en *engine) taintTransfer(n ast.Node, fs facts) {
+func (en *Func) taintTransfer(n ast.Node, fs Facts) {
 	dataflow.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.AssignStmt:
@@ -779,10 +841,15 @@ func (en *engine) taintTransfer(n ast.Node, fs facts) {
 		case *ast.RangeStmt:
 			// for _, v := range xs with xs (or its elements) tainted
 			// binds tainted values to v.
-			if o, ok := en.taintedExpr(m.X, fs); ok && m.Value != nil {
-				if p, ok := en.pathOf(m.Value); ok {
-					fs.Add(p)
-					en.addOrigin(p, o)
+			if o, ok := en.Tainted(m.X, fs); ok && m.Value != nil {
+				en.gen(m.Value, o, fs)
+			}
+		case *ast.CallExpr:
+			// copy(dst, src) moves the bytes themselves: a buffer filled
+			// from key material holds key material.
+			if len(m.Args) == 2 && analysis.BuiltinName(en.info, m) == "copy" {
+				if o, ok := en.Tainted(m.Args[1], fs); ok {
+					en.gen(m.Args[0], o, fs)
 				}
 			}
 		}
@@ -790,25 +857,27 @@ func (en *engine) taintTransfer(n ast.Node, fs facts) {
 	})
 }
 
-func (en *engine) taintAssign(lhs, rhs []ast.Expr, fs facts) {
+// gen taints the path e names, if it has one, with the given origin.
+func (en *Func) gen(e ast.Expr, origin string, fs Facts) {
+	if p, ok := en.PathOf(e); ok {
+		fs.Add(p)
+		en.addOrigin(p, origin)
+	}
+}
+
+func (en *Func) taintAssign(lhs, rhs []ast.Expr, fs Facts) {
 	switch {
 	case len(lhs) == len(rhs):
 		for i, r := range rhs {
-			if o, ok := en.taintedExpr(r, fs); ok {
-				if p, ok := en.pathOf(lhs[i]); ok {
-					fs.Add(p)
-					en.addOrigin(p, o)
-				}
+			if o, ok := en.Tainted(r, fs); ok {
+				en.gen(lhs[i], o, fs)
 			}
 		}
 	case len(rhs) == 1:
 		if call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr); ok {
-			for idx, o := range en.resultTaint(call, fs) {
+			for idx, o := range en.ResultTaint(call, fs) {
 				if idx < len(lhs) {
-					if p, ok := en.pathOf(lhs[idx]); ok {
-						fs.Add(p)
-						en.addOrigin(p, o)
-					}
+					en.gen(lhs[idx], o, fs)
 				}
 			}
 		}
@@ -818,22 +887,22 @@ func (en *engine) taintAssign(lhs, rhs []ast.Expr, fs facts) {
 // releaseArgs yields the paths a call releases: arguments at marked or
 // summary-proven zeroizing positions, clear()'s operand, and — for an
 // unambiguous closure binding — the captures the closure zeroizes.
-func (en *engine) releaseArgs(call *ast.CallExpr, add func(path)) {
-	if en.builtinName(call) == "clear" && len(call.Args) == 1 {
-		if p, ok := en.pathOf(call.Args[0]); ok {
+func (en *Func) releaseArgs(call *ast.CallExpr, add func(Path)) {
+	if analysis.BuiltinName(en.info, call) == "clear" && len(call.Args) == 1 {
+		if p, ok := en.PathOf(call.Args[0]); ok {
 			add(p)
 		}
 		return
 	}
 	addParam := func(idx int) {
 		if idx < len(call.Args) {
-			if p, ok := en.pathOf(call.Args[idx]); ok {
+			if p, ok := en.PathOf(call.Args[idx]); ok {
 				add(p)
 			}
 		}
 	}
 	if fn := analysis.FuncObj(en.info, call); fn != nil {
-		sum := en.c.summaryOf(fn)
+		sum := en.c.Summary(fn)
 		for idx, z := range sum.ZeroizedParams {
 			if z {
 				addParam(idx)
@@ -843,13 +912,13 @@ func (en *engine) releaseArgs(call *ast.CallExpr, add func(path)) {
 	}
 	// Function-valued call: release credit only for an unambiguous
 	// target — with several possible targets we cannot prove which runs.
-	if p, ok := en.pathOf(call.Fun); ok && p.sel == "" {
+	if p, ok := en.PathOf(call.Fun); ok && p.sel == "" {
 		if bs := en.bindings[p.root]; len(bs) > 0 {
 			if len(bs) != 1 {
 				return
 			}
 			if bs[0].fn != nil {
-				for idx, z := range en.c.summaryOf(bs[0].fn).ZeroizedParams {
+				for idx, z := range en.c.Summary(bs[0].fn).ZeroizedParams {
 					if z {
 						addParam(idx)
 					}
@@ -864,9 +933,9 @@ func (en *engine) releaseArgs(call *ast.CallExpr, add func(path)) {
 	}
 	// No syntactic binding: credit a points-to resolution when it is
 	// complete and names exactly one target.
-	if fns, lits, complete := en.funcTargets(call.Fun); complete && len(fns)+len(lits) == 1 {
+	if fns, lits, complete := en.FuncTargets(call.Fun); complete && len(fns)+len(lits) == 1 {
 		if len(fns) == 1 {
-			for idx, z := range en.c.summaryOf(fns[0]).ZeroizedParams {
+			for idx, z := range en.c.Summary(fns[0]).ZeroizedParams {
 				if z {
 					addParam(idx)
 				}
@@ -886,18 +955,18 @@ func (en *engine) releaseArgs(call *ast.CallExpr, add func(path)) {
 // reassignment of p — the release below refers to the new value, not
 // the one p held above. Function-literal bodies are NOT descended into:
 // a sink inside a closure only counts through an analyzed call to it.
-func (en *engine) releaseTransfer(n ast.Node, fs facts) {
+func (en *Func) releaseTransfer(n ast.Node, fs Facts) {
 	// Kill first (reverse execution order: the assignment happens after
 	// its RHS is evaluated, so walking backward it is undone first).
 	if as, ok := n.(*ast.AssignStmt); ok {
 		// Alias credit: after `b := a` (or `a = a[:n]`) both sides share a
 		// backing array, so a release guaranteed below the assignment also
 		// releases the right-hand side's array. Collect before the kill.
-		var alias []path
+		var alias []Path
 		if len(as.Lhs) == len(as.Rhs) {
 			for i := range as.Lhs {
-				if lp, ok := en.pathOf(as.Lhs[i]); ok && fs.Has(lp) {
-					if rp, ok := en.pathOf(as.Rhs[i]); ok {
+				if lp, ok := en.PathOf(as.Lhs[i]); ok && fs.Has(lp) {
+					if rp, ok := en.PathOf(as.Rhs[i]); ok {
 						alias = append(alias, rp)
 					}
 				}
@@ -906,7 +975,7 @@ func (en *engine) releaseTransfer(n ast.Node, fs facts) {
 		for _, l := range as.Lhs {
 			switch ast.Unparen(l).(type) {
 			case *ast.Ident, *ast.SelectorExpr:
-				if p, ok := en.pathOf(l); ok {
+				if p, ok := en.PathOf(l); ok {
 					for q := range fs {
 						if q.root == p.root && strings.HasPrefix(q.sel, p.sel) {
 							fs.Remove(q)
@@ -947,23 +1016,23 @@ func (en *engine) releaseTransfer(n ast.Node, fs facts) {
 			}
 			return
 		}
-		en.releaseArgs(s.Call, func(p path) { fs.Add(p) })
+		en.releaseArgs(s.Call, func(p Path) { fs.Add(p) })
 		return
 	}
 	en.walkNoLit(n, func(m ast.Node) {
 		if call, ok := m.(*ast.CallExpr); ok {
-			en.releaseArgs(call, func(p path) { fs.Add(p) })
+			en.releaseArgs(call, func(p Path) { fs.Add(p) })
 		}
 	})
 }
 
 // creditTransfer marks the paths an ownership-transferring operand
-// (return result, channel send) hands off: the direct path, and — for a
+// (return result, channel send) hands off: the direct Path, and — for a
 // composite literal or an address-of wrapper — every leaf path packed
 // into the transferred value, so `return &Key{D: d}` credits d just as
 // `return d` would.
-func (en *engine) creditTransfer(e ast.Expr, fs facts) {
-	if p, ok := en.pathOf(e); ok {
+func (en *Func) creditTransfer(e ast.Expr, fs Facts) {
+	if p, ok := en.PathOf(e); ok {
 		fs.Add(p)
 		return
 	}
@@ -983,7 +1052,7 @@ func (en *engine) creditTransfer(e ast.Expr, fs facts) {
 }
 
 // walkNoLit walks a node's subtree without entering function literals.
-func (en *engine) walkNoLit(n ast.Node, fn func(ast.Node)) {
+func (en *Func) walkNoLit(n ast.Node, fn func(ast.Node)) {
 	dataflow.Inspect(n, func(m ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {
 			return false
@@ -998,19 +1067,17 @@ func (en *engine) walkNoLit(n ast.Node, fn func(ast.Node)) {
 // litSummaryOf computes (and memoizes checker-wide) which captured
 // variables a function literal zeroizes on all its paths, and whether
 // its results carry key material.
-func (en *engine) litSummaryOf(lit *ast.FuncLit) *litSummary {
+func (en *Func) litSummaryOf(lit *ast.FuncLit) *litSummary {
 	if ls, ok := en.c.litSums[lit]; ok {
 		return ls
 	}
 	ls := &litSummary{taintedResults: map[int]string{}}
 	en.c.litSums[lit] = ls // pre-publish: a closure cycle widens to "no effect"
 
-	sub := newEngine(en.c, en.info, nil, lit)
-	sub.pts = en.pts
-	cfg := dataflow.New(lit.Body)
-	outs := dataflow.Backward(cfg, nil, sub.releaseTransfer)
-	entry := entryFacts(cfg, outs, sub.releaseTransfer)
-	var caps []path
+	sub := en.Lit(lit)
+	outs := dataflow.Backward(sub.cfg, nil, sub.releaseTransfer)
+	entry := entryFacts(sub.cfg, outs, sub.releaseTransfer)
+	var caps []Path
 	for p := range entry {
 		if p.root.Pos() < lit.Pos() || p.root.Pos() > lit.End() {
 			caps = append(caps, p)
@@ -1019,8 +1086,8 @@ func (en *engine) litSummaryOf(lit *ast.FuncLit) *litSummary {
 	sort.Slice(caps, func(i, j int) bool { return caps[i].String() < caps[j].String() })
 	ls.zeroizedCaptures = caps
 
-	ins := dataflow.Forward(cfg, nil, sub.taintTransfer)
-	sub.collectResultTaint(cfg, ins, ls.taintedResults)
+	ins := dataflow.Forward(sub.cfg, nil, sub.taintTransfer)
+	sub.collectResultTaint(ins, ls.taintedResults)
 	return ls
 }
 
@@ -1028,7 +1095,7 @@ func (en *engine) litSummaryOf(lit *ast.FuncLit) *litSummary {
 // yielding the facts in force at the very start of the function — for
 // the release analysis, the set of paths released on every path from
 // entry to exit.
-func entryFacts(cfg *dataflow.CFG, outs []facts, transfer dataflow.Transfer[path]) facts {
+func entryFacts(cfg *dataflow.CFG, outs []Facts, transfer dataflow.Transfer[Path]) Facts {
 	fs := outs[cfg.Entry.Index].Clone()
 	for i := len(cfg.Entry.Nodes) - 1; i >= 0; i-- {
 		transfer(cfg.Entry.Nodes[i], fs)
@@ -1038,8 +1105,8 @@ func entryFacts(cfg *dataflow.CFG, outs []facts, transfer dataflow.Transfer[path
 
 // collectResultTaint walks every return statement under the forward
 // facts in force there and records which results may carry key material.
-func (en *engine) collectResultTaint(cfg *dataflow.CFG, ins []facts, out map[int]string) {
-	dataflow.Walk(cfg, ins, en.taintTransfer, func(n ast.Node, fs facts) {
+func (en *Func) collectResultTaint(ins []Facts, out map[int]string) {
+	dataflow.Walk(en.cfg, ins, en.taintTransfer, func(n ast.Node, fs Facts) {
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
 			return
@@ -1056,7 +1123,7 @@ func (en *engine) collectResultTaint(cfg *dataflow.CFG, ins []facts, out map[int
 			return
 		}
 		for i, r := range ret.Results {
-			if o, ok := en.taintedExpr(r, fs); ok {
+			if o, ok := en.Tainted(r, fs); ok {
 				if _, have := out[i]; !have {
 					out[i] = o
 				}
@@ -1070,13 +1137,13 @@ func (en *engine) collectResultTaint(cfg *dataflow.CFG, ins []facts, out map[int
 // origins, result taint is collected at returns and classified into
 // source chains vs. parameter/receiver flows, and the backward release
 // pass proves which byte-slice parameters are zeroized on all paths.
-func (en *engine) analyzeForSummary(decl *ast.FuncDecl, sum *Summary) {
-	seed := facts{}
+func (en *Func) analyzeForSummary(sum *Summary) {
+	seed := Facts{}
 	seedVar := func(v *types.Var, tag string) {
 		if v == nil || !seedable(v.Type()) {
 			return
 		}
-		p := path{v, ""}
+		p := Path{v, ""}
 		seed.Add(p)
 		en.addOrigin(p, paramOriginPrefix+tag)
 	}
@@ -1087,14 +1154,13 @@ func (en *engine) analyzeForSummary(decl *ast.FuncDecl, sum *Summary) {
 		seedVar(en.sig.Recv(), "recv")
 	}
 
-	cfg := dataflow.New(decl.Body)
-	ins := dataflow.Forward(cfg, seed, en.taintTransfer)
+	ins := dataflow.Forward(en.cfg, seed, en.taintTransfer)
 	raw := map[int]string{}
-	en.collectResultTaint(cfg, ins, raw)
+	en.collectResultTaint(ins, raw)
 	fnName := ""
 	if en.sig != nil {
-		if obj, ok := en.info.Defs[decl.Name].(*types.Func); ok {
-			fnName = prettyName(obj)
+		if obj, ok := en.info.Defs[en.decl.Name].(*types.Func); ok {
+			fnName = PrettyName(obj)
 		}
 	}
 	for idx, origin := range raw {
@@ -1127,12 +1193,12 @@ func (en *engine) analyzeForSummary(decl *ast.FuncDecl, sum *Summary) {
 		sort.Ints(sum.ParamFlows[pi])
 	}
 
-	outs := dataflow.Backward(cfg, nil, en.releaseTransfer)
-	entry := entryFacts(cfg, outs, en.releaseTransfer)
+	outs := dataflow.Backward(en.cfg, nil, en.releaseTransfer)
+	entry := entryFacts(en.cfg, outs, en.releaseTransfer)
 	if en.sig != nil {
 		for i := 0; i < en.sig.Params().Len(); i++ {
 			v := en.sig.Params().At(i)
-			if v != nil && needsRelease(v.Type()) && entry.Has(path{v, ""}) {
+			if v != nil && needsRelease(v.Type()) && entry.Has(Path{v, ""}) {
 				sum.ZeroizedParams[i] = true
 			}
 		}
@@ -1154,10 +1220,10 @@ func seedable(t types.Type) bool {
 	return false
 }
 
-// resultNeedsRelease reports whether a call's idx-th result carries a
+// ResultNeedsRelease reports whether a call's idx-th result carries a
 // scrub obligation: a byte slice (scrub.Bytes / clear) or a *math/big.Int
 // (scrub.Big), the two shapes key material takes in this codebase.
-func (en *engine) resultNeedsRelease(call *ast.CallExpr, idx int) bool {
+func (en *Func) ResultNeedsRelease(call *ast.CallExpr, idx int) bool {
 	tv, ok := en.info.Types[call]
 	if !ok {
 		return false

@@ -101,19 +101,6 @@ func (c *checker) baseVar(e ast.Expr) *types.Var {
 	}
 }
 
-// builtinName returns the name of the built-in function a call invokes,
-// or "".
-func (c *checker) builtinName(call *ast.CallExpr) string {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if _, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); !ok {
-		return ""
-	}
-	return id.Name
-}
-
 // isTainted decides whether an expression aliases the physical array under
 // the given facts.
 func (c *checker) isTainted(e ast.Expr, fs facts) bool {
@@ -125,9 +112,9 @@ func (c *checker) isTainted(e ast.Expr, fs facts) bool {
 }
 
 // transfer is the gen-only view-taint transfer for one CFG node. Like
-// keycopy's, it inspects the full subtree including function-literal
-// bodies, so closures that re-alias a captured view keep it tainted after
-// the literal.
+// the key-taint engine's, it inspects the full subtree including
+// function-literal bodies, so closures that re-alias a captured view keep
+// it tainted after the literal.
 func (c *checker) transfer(n ast.Node, fs facts) {
 	dataflow.Inspect(n, func(m ast.Node) bool {
 		assign, ok := m.(*ast.AssignStmt)
@@ -202,12 +189,12 @@ func (c *checker) visit(n ast.Node, fs facts, deferred map[*ast.FuncLit]bool) {
 				c.pass.Reportf(m.Pos(), "Memory.View aliases the physical-memory array; "+
 					"outside the disclosure packages use Memory.Read or the frame APIs")
 			}
-			switch c.builtinName(m) {
+			switch name := analysis.BuiltinName(c.pass.TypesInfo, m); name {
 			case "copy", "append":
 				if len(m.Args) > 0 && c.isTainted(m.Args[0], fs) {
 					c.pass.Reportf(m.Pos(), "%s writes through a physical-memory view; "+
 						"views are read-only — use Memory.Write to mutate simulated RAM",
-						c.builtinName(m))
+						name)
 				}
 			case "clear":
 				if len(m.Args) == 1 && c.isTainted(m.Args[0], fs) {

@@ -11,8 +11,9 @@
 // call a //memlint:window-marked function directly or through a locally
 // resolvable function value. Inside such a function, every call to a
 // //memlint:source-marked function must sit inside a window callback
-// (check a), and the byte slices those calls return inside a window
-// must not escape it (checks b and c, via the dataflow points-to layer).
+// (check a), and nothing the keytaint engine finds tainted by a read
+// inside a window may escape it (checks b and c, with escapes judged
+// by the dataflow points-to layer).
 // Functions that never open a window are out of scope here: their key
 // handling is the keylifetime verifier's subject (zeroize-on-all-paths),
 // and a package whose charter is the window mechanism itself carries the
@@ -35,6 +36,7 @@ import (
 
 	"memshield/internal/analysis"
 	"memshield/internal/analysis/dataflow"
+	"memshield/internal/analysis/keytaint"
 	"memshield/internal/analysis/policy"
 )
 
@@ -53,13 +55,7 @@ func run(pass *analysis.Pass) error {
 	if len(pass.Windows) == 0 {
 		return nil
 	}
-	ptc := dataflow.NewPT(func(full string) (*ast.FuncDecl, *types.Info, bool) {
-		if pass.LookupFunc == nil {
-			return nil, nil, false
-		}
-		fs, ok := pass.LookupFunc(full)
-		return fs.Decl, fs.Info, ok
-	}, pass.Summaries)
+	kt := keytaint.New(pass)
 	for _, f := range pass.Files {
 		if pass.IsTestFile(f) {
 			continue
@@ -69,7 +65,7 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			fc := &funcChecker{pass: pass, ptc: ptc, decl: fd}
+			fc := &funcChecker{pass: pass, kt: kt, decl: fd, fn: kt.Func(fd)}
 			fc.check()
 		}
 	}
@@ -86,16 +82,9 @@ type windowCall struct {
 // funcChecker verifies the window discipline inside one declaration.
 type funcChecker struct {
 	pass *analysis.Pass
-	ptc  *dataflow.PT
+	kt   *keytaint.Checker
 	decl *ast.FuncDecl
-	pt   *dataflow.PointsTo // built lazily, once per declaration
-}
-
-func (c *funcChecker) ptOf() *dataflow.PointsTo {
-	if c.pt == nil {
-		c.pt = c.ptc.Analyze(c.decl, c.pass.TypesInfo)
-	}
-	return c.pt
+	fn   *keytaint.Func
 }
 
 func (c *funcChecker) check() {
@@ -138,7 +127,7 @@ func (c *funcChecker) check() {
 		return true
 	})
 	if windowValueUse {
-		pt := c.ptOf()
+		pt := c.fn.PointsTo()
 		ast.Inspect(c.decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || analysis.FuncObj(info, call) != nil {
@@ -166,7 +155,7 @@ func (c *funcChecker) check() {
 			windows = append(windows, lit)
 			continue
 		}
-		fns, lits, complete := c.ptOf().FuncTargets(arg)
+		fns, lits, complete := c.fn.PointsTo().FuncTargets(arg)
 		if complete && len(fns) == 0 && len(lits) > 0 {
 			windows = append(windows, lits...)
 			continue
@@ -192,11 +181,12 @@ func (c *funcChecker) check() {
 		return true
 	})
 
-	// Checks (b) and (c): window-tainted bytes must not alias past the
-	// callback's end.
+	// Checks (b) and (c): bytes tainted inside a window must not alias
+	// past the callback's end. The walk starts with no facts: only what
+	// the callback itself reads is window taint.
 	for _, lit := range windows {
-		lc := &litCheck{c: c, lit: lit, tainted: map[*types.Var]bool{}}
-		lc.run()
+		lc := &litCheck{c: c, lit: lit, top: c.fn.Lit(lit)}
+		lc.top.Walk(nil, lc.visit)
 	}
 }
 
@@ -210,7 +200,7 @@ func (c *funcChecker) sourceOf(call *ast.CallExpr) (string, bool) {
 		}
 		return "", false
 	}
-	fns, _, _ := c.ptOf().FuncTargets(call.Fun)
+	fns, _, _ := c.fn.PointsTo().FuncTargets(call.Fun)
 	for _, fn := range fns {
 		if _, ok := c.pass.Sources[fn.FullName()]; ok {
 			return fn.Name(), true
@@ -228,38 +218,17 @@ func inAnyWindow(pos token.Pos, windows []*ast.FuncLit) bool {
 	return false
 }
 
-// litCheck proves checks (b) and (c) for one window callback: a local
-// forward taint over the literal's body, seeded by the byte slices that
-// //memlint:source calls return inside it, with escape verdicts drawn
-// from the enclosing function's points-to solution and the callees'
-// escape summaries.
+// litCheck proves checks (b) and (c) for one window callback over the
+// engine's forward taint, with escape verdicts drawn from the enclosing
+// function's points-to solution and the callees' escape summaries.
 type litCheck struct {
-	c       *funcChecker
-	lit     *ast.FuncLit
-	tainted map[*types.Var]bool
-}
-
-func (lc *litCheck) run() {
-	// Fixpoint the taint set first (the body is walked again to report,
-	// so stores that precede their taint source in text still resolve).
-	for {
-		if !lc.propagate() {
-			break
-		}
-	}
-	lc.report()
+	c   *funcChecker
+	lit *ast.FuncLit
+	top *keytaint.Func // the callback's own body
 }
 
 func (lc *litCheck) declaredInside(v *types.Var) bool {
 	return v.Pos() >= lc.lit.Pos() && v.Pos() <= lc.lit.End()
-}
-
-func (lc *litCheck) taintVar(v *types.Var) bool {
-	if v == nil || lc.tainted[v] || !lc.declaredInside(v) {
-		return false
-	}
-	lc.tainted[v] = true
-	return true
 }
 
 func (lc *litCheck) varOf(e ast.Expr) *types.Var {
@@ -270,162 +239,42 @@ func (lc *litCheck) varOf(e ast.Expr) *types.Var {
 	return nil
 }
 
-// propagate runs one taint round over the literal body; true means the
-// set grew.
-func (lc *litCheck) propagate() bool {
-	changed := false
-	ast.Inspect(lc.lit.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range s.Lhs {
-				var t bool
-				if len(s.Rhs) == len(s.Lhs) {
-					t = lc.taintExpr(s.Rhs[i])
-				} else if len(s.Rhs) == 1 {
-					t = lc.taintExpr(s.Rhs[0])
-				}
-				if t {
-					if lc.taintVar(lc.varOf(lhs)) {
-						changed = true
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, name := range s.Names {
-				var t bool
-				if len(s.Values) == len(s.Names) {
-					t = lc.taintExpr(s.Values[i])
-				} else if len(s.Values) == 1 {
-					t = lc.taintExpr(s.Values[0])
-				}
-				if t {
-					if v, ok := lc.c.pass.TypesInfo.Defs[name].(*types.Var); ok && lc.taintVar(v) {
-						changed = true
-					}
-				}
-			}
-		case *ast.RangeStmt:
-			if s.Value != nil && lc.taintExpr(s.X) {
-				if lc.taintVar(lc.varOf(s.Value)) {
-					changed = true
-				}
-			}
-		case *ast.CallExpr:
-			// copy(dst, src) moves the bytes themselves.
-			if id, ok := ast.Unparen(s.Fun).(*ast.Ident); ok && id.Name == "copy" {
-				if _, isB := lc.c.pass.TypesInfo.Uses[id].(*types.Builtin); isB && len(s.Args) == 2 {
-					if lc.taintExpr(s.Args[1]) {
-						if lc.taintVar(lc.varOf(rootExpr(s.Args[0]))) {
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-	return changed
-}
-
-// taintExpr reports whether e may hold open-window key bytes.
-func (lc *litCheck) taintExpr(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		v, _ := lc.c.pass.TypesInfo.ObjectOf(x).(*types.Var)
-		return v != nil && lc.tainted[v]
-	case *ast.CallExpr:
-		if _, ok := lc.c.sourceOf(x); ok {
-			return true
-		}
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
-			if _, isB := lc.c.pass.TypesInfo.Uses[id].(*types.Builtin); isB {
-				if id.Name == "append" {
-					for _, a := range x.Args {
-						if lc.taintExpr(a) {
-							return true
-						}
-					}
-				}
-				return false
-			}
-		}
-		// A byte-slice result computed from tainted bytes is tainted
-		// (identity-shaped helpers, concatenators).
-		if !isByteSliceType(lc.c.pass.TypesInfo.TypeOf(x)) {
-			return false
-		}
-		for _, a := range x.Args {
-			if lc.taintExpr(a) {
-				return true
-			}
-		}
-		return false
-	case *ast.SliceExpr:
-		return lc.taintExpr(x.X)
-	case *ast.IndexExpr:
-		return lc.taintExpr(x.X)
-	case *ast.StarExpr:
-		return lc.taintExpr(x.X)
-	case *ast.SelectorExpr:
-		return lc.taintExpr(x.X)
-	case *ast.UnaryExpr:
-		if x.Op == token.AND {
-			return lc.taintExpr(x.X)
-		}
-		return false
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				el = kv.Value
-			}
-			if lc.taintExpr(el) {
-				return true
-			}
-		}
-		return false
+// visit flags every statement in one CFG node that lets tainted bytes
+// outlive the window. Returns escape only through the callback's own
+// return statements, not a nested literal's.
+func (lc *litCheck) visit(en *keytaint.Func, n ast.Node, fs keytaint.Facts) {
+	tainted := func(e ast.Expr) bool {
+		_, ok := en.Tainted(e, fs)
+		return ok
 	}
-	return false
-}
-
-// report walks the body once more and flags every statement that lets
-// tainted bytes outlive the window.
-func (lc *litCheck) report() {
-	lc.reportIn(lc.lit.Body, true)
-}
-
-// reportIn visits stmts; topLit marks statements whose enclosing
-// function literal is the window callback itself (returns only escape
-// through the callback's own return statements).
-func (lc *litCheck) reportIn(n ast.Node, topLit bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.FuncLit:
-			if s != lc.lit {
-				lc.reportIn(s.Body, false)
-				return false
-			}
-		case *ast.AssignStmt:
-			lc.checkAssign(s)
-		case *ast.SendStmt:
-			if lc.taintExpr(s.Value) {
-				lc.c.pass.Reportf(s.Pos(),
-					"open-window key bytes escape the sealed window: sent on a channel")
-			}
-		case *ast.GoStmt:
-			lc.checkGo(s)
-			return false
-		case *ast.ReturnStmt:
-			if topLit {
-				for _, r := range s.Results {
-					if lc.taintExpr(r) {
-						lc.c.pass.Reportf(s.Pos(),
-							"open-window key bytes escape the sealed window: returned from the callback")
-						break
-					}
+	switch s := n.(type) {
+	case *ast.AssignStmt:
+		lc.checkAssign(en, s, fs)
+	case *ast.SendStmt:
+		if tainted(s.Value) {
+			lc.c.pass.Reportf(s.Pos(),
+				"open-window key bytes escape the sealed window: sent on a channel")
+		}
+	case *ast.GoStmt:
+		lc.checkGo(s, tainted)
+		return
+	case *ast.ReturnStmt:
+		if en == lc.top {
+			for _, r := range s.Results {
+				if tainted(r) {
+					lc.c.pass.Reportf(s.Pos(),
+						"open-window key bytes escape the sealed window: returned from the callback")
+					break
 				}
 			}
+		}
+	}
+	dataflow.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			return false
 		case *ast.CallExpr:
-			lc.checkCallArgs(s)
+			lc.checkCallArgs(m, tainted)
 		}
 		return true
 	})
@@ -434,13 +283,19 @@ func (lc *litCheck) reportIn(n ast.Node, topLit bool) {
 // checkAssign flags stores that leave the window: an assignment to a
 // variable declared outside the callback, or a store through a location
 // whose points-to set may outlive it.
-func (lc *litCheck) checkAssign(s *ast.AssignStmt) {
+func (lc *litCheck) checkAssign(en *keytaint.Func, s *ast.AssignStmt, fs keytaint.Facts) {
+	var results map[int]string
+	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
+		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
+			results = en.ResultTaint(call, fs)
+		}
+	}
 	for i, lhs := range s.Lhs {
-		var t bool
+		t := false
 		if len(s.Rhs) == len(s.Lhs) {
-			t = lc.taintExpr(s.Rhs[i])
-		} else if len(s.Rhs) == 1 {
-			t = lc.taintExpr(s.Rhs[0])
+			_, t = en.Tainted(s.Rhs[i], fs)
+		} else {
+			_, t = results[i]
 		}
 		if !t {
 			continue
@@ -479,10 +334,11 @@ func (lc *litCheck) checkAssign(s *ast.AssignStmt) {
 // baseOutlives consults the points-to solution: does the store base
 // reach memory allocated outside the window (or already escaped)?
 func (lc *litCheck) baseOutlives(base ast.Expr) bool {
+	pt := lc.c.fn.PointsTo()
 	var objs []*dataflow.PTObject
 	if v := lc.varOf(base); v != nil {
-		objs = lc.c.ptOf().VarPointsTo(v)
-	} else if o, ok := lc.c.ptOf().ObjectsOf(base); ok {
+		objs = pt.VarPointsTo(v)
+	} else if o, ok := pt.ObjectsOf(base); ok {
 		objs = o
 	} else {
 		// Unseen expression: cannot prove containment.
@@ -502,9 +358,9 @@ func (lc *litCheck) baseOutlives(base ast.Expr) bool {
 // checkGo flags goroutines that can still see tainted bytes after the
 // window closes: tainted arguments, or a spawned literal capturing a
 // tainted variable.
-func (lc *litCheck) checkGo(s *ast.GoStmt) {
+func (lc *litCheck) checkGo(s *ast.GoStmt, tainted func(ast.Expr) bool) {
 	for _, a := range s.Call.Args {
-		if lc.taintExpr(a) {
+		if tainted(a) {
 			lc.c.pass.Reportf(s.Pos(),
 				"open-window key bytes escape the sealed window: handed to a goroutine")
 			return
@@ -517,7 +373,7 @@ func (lc *litCheck) checkGo(s *ast.GoStmt) {
 			if !ok || captured {
 				return !captured
 			}
-			if v, ok := lc.c.pass.TypesInfo.Uses[id].(*types.Var); ok && lc.tainted[v] {
+			if v, ok := lc.c.pass.TypesInfo.Uses[id].(*types.Var); ok && tainted(id) {
 				if v.Pos() < glit.Pos() || v.Pos() > glit.End() {
 					captured = true
 				}
@@ -535,7 +391,7 @@ func (lc *litCheck) checkGo(s *ast.GoStmt) {
 // summary retains them. Callees without bodies (stdlib) are trusted not
 // to retain key bytes; unresolvable function values are keylifetime's
 // subject.
-func (lc *litCheck) checkCallArgs(call *ast.CallExpr) {
+func (lc *litCheck) checkCallArgs(call *ast.CallExpr, tainted func(ast.Expr) bool) {
 	fn := analysis.FuncObj(lc.c.pass.TypesInfo, call)
 	if fn == nil {
 		return
@@ -547,12 +403,12 @@ func (lc *litCheck) checkCallArgs(call *ast.CallExpr) {
 	if sig == nil {
 		return
 	}
-	sum := lc.c.ptc.SummaryOf(fn)
+	sum := lc.c.kt.Escapes(fn)
 	if sum == nil || sum.Widened {
 		return
 	}
 	for i, a := range call.Args {
-		if !lc.taintExpr(a) {
+		if !tainted(a) {
 			continue
 		}
 		pi := i
@@ -599,16 +455,4 @@ func storeBase(lhs ast.Expr) (ast.Expr, bool) {
 		return x.X, true
 	}
 	return nil, false
-}
-
-func isByteSliceType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
 }
