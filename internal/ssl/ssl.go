@@ -203,7 +203,9 @@ func D2iPrivateKey(h *libc.Heap, pemData []byte, opts ...LoadOption) (*RSA, erro
 		{&r.dp, key.Dp}, {&r.dq, key.Dq}, {&r.qinv, key.Qinv},
 	}
 	for i, part := range parts {
-		bn, err := newBigNum(h, part.val.Bytes())
+		raw := part.val.Bytes()
+		bn, err := newBigNum(h, raw)
+		scrub.Bytes(raw)
 		if err != nil {
 			errs := []error{fmt.Errorf("ssl: d2i: %w", err)}
 			for _, built := range parts[:i] {
