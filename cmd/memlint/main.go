@@ -71,7 +71,7 @@ var suite = []*analysis.Analyzer{
 // behavior changes (new checks, message rewording, policy table edits),
 // so stale cached findings can never mask or invent a diagnostic.
 // 2: sealwindow analyzer; keycopy/keylifetime points-to retrofit.
-// 3: one key-taint engine: interprocedural keycopy, copy() taints dst.
+// 3: one key-taint engine: interprocedural keycopy, copy() and range taint.
 const suiteVersion = "3"
 
 // cacheSalt is everything besides source bytes that can change a

@@ -9,6 +9,16 @@ import (
 	"memshield/internal/analysis/keycopy"
 )
 
+// fixturePkgs lists every keycopy fixture, for the worker-count check.
+var fixturePkgs = []string{
+	"keycopybad",             // duplication and long-lived stores
+	"keycopyok",              // transient handling stays silent
+	"memshield/internal/ssl", // a source package, allowlisted wholesale
+	"keycopyflow",            // branch-local taint, joins, loops, closures
+	"keycopypts",             // sources reached through function values
+	"keycopyinter",           // key bytes handed back by helpers
+}
+
 func TestFlagged(t *testing.T) {
 	checktest.Run(t, "testdata", keycopy.Analyzer, "keycopybad")
 }
@@ -45,11 +55,9 @@ func TestInterprocedural(t *testing.T) {
 // summaries the analyzers share through the session store must make the
 // results independent of scheduling.
 func TestKeycopyWorkers(t *testing.T) {
-	pkgs := []string{"keycopybad", "keycopyok", "memshield/internal/ssl",
-		"keycopyflow", "keycopypts", "keycopyinter"}
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			checktest.RunWorkers(t, "testdata", keycopy.Analyzer, workers, pkgs...)
+			checktest.RunWorkers(t, "testdata", keycopy.Analyzer, workers, fixturePkgs...)
 		})
 	}
 }

@@ -40,6 +40,11 @@ func LeakCopy(h *holder) {
 	h.b = dup(k) // want `private-key material escapes into long-lived struct field b`
 }
 
+// LeakSourceView parks a view of a source's result straight away.
+func LeakSourceView() {
+	stash = material()[4:] // want `private-key material escapes into long-lived package-level variable stash`
+}
+
 // CleanHeader stores a result the helper's summary proves key-free.
 func CleanHeader() {
 	k := material()

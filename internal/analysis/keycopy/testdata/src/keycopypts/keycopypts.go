@@ -41,6 +41,17 @@ func LeakViaField() {
 	cached = k // want `private-key material escapes into long-lived package-level variable cached`
 }
 
+// LeakViaMixedField reaches it through a field that may also hold a
+// caller's function: the target set is incomplete, and one possible
+// source target is enough.
+func LeakViaMixedField(alt func() []byte, other bool) {
+	h := holder{fn: material}
+	if other {
+		h.fn = alt
+	}
+	cached = h.fn() // want `private-key material escapes into long-lived package-level variable cached`
+}
+
 // LeakClone clones the func-value result directly.
 func LeakClone() {
 	src := material

@@ -1,7 +1,8 @@
-// Package keylifecopy pins copy() as a taint edge: a helper that copies
-// key bytes into a fresh buffer hands back key bytes, and so does a
-// parser that copies integers out of a decoded DER buffer — every part
-// of a key rsakey.ParsePEM returns is key material.
+// Package keylifecopy pins copying as a taint edge: a helper that copies
+// key bytes into a fresh buffer — with copy(), element by element or
+// through a range loop — hands back key bytes, and so does a parser that
+// copies integers out of a decoded DER buffer: every part of a key
+// rsakey.ParsePEM returns is key material.
 package keylifecopy
 
 import (
@@ -44,6 +45,40 @@ func CleanDup() {
 	defer wipe(k)
 	d := dup(k)
 	defer wipe(d)
+	use(d)
+}
+
+// dupEach copies b one element at a time.
+func dupEach(b []byte) []byte {
+	out := make([]byte, len(b))
+	for i := range b {
+		out[i] = b[i]
+	}
+	return out
+}
+
+// dupRange copies b through a range loop's value.
+func dupRange(b []byte) []byte {
+	out := make([]byte, 0, len(b))
+	for _, c := range b {
+		out = append(out, c)
+	}
+	return out
+}
+
+// LeakEach releases the key but not an element-by-element copy of it.
+func LeakEach() {
+	k := newKey()
+	defer wipe(k)
+	d := dupEach(k) // want `key material in d \(keylifecopy\.newKey via keylifecopy\.dupEach\) is not zeroized on every path`
+	use(d)
+}
+
+// LeakRange releases the key but not a range-loop copy of it.
+func LeakRange() {
+	k := newKey()
+	defer wipe(k)
+	d := dupRange(k) // want `key material in d \(keylifecopy\.newKey via keylifecopy\.dupRange\) is not zeroized on every path`
 	use(d)
 }
 

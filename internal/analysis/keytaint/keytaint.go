@@ -6,17 +6,18 @@
 // Facts are access paths, field-sensitive to two levels (k.D and
 // k.Primes are distinct; xs[*] covers a slice's elements). A forward
 // may-analysis over each body's CFG propagates taint through
-// assignments, declarations, range bindings, copy() and calls; a
-// backward must-analysis proves which paths are released (a
-// //memlint:sink, clear, a zeroizing callee, a return or a channel
-// send) on every path to exit. Calls resolve through per-function
-// summaries — tainted results with provenance chains, parameter and
-// receiver flows, zeroized parameters — computed bottom-up over the
-// call graph, memoized in the load session's summary store, iterated
-// to a fixpoint for recursion cycles and widened for unknown bodies.
-// Calls through function values resolve through syntactic bindings or,
-// failing that, the dataflow package's points-to layer, solved per
-// declaration on first use.
+// assignments, declarations, range bindings, comma-ok reads, copy() and
+// calls; a value carries the taint of any part of it. A backward
+// must-analysis proves which paths are released (a //memlint:sink,
+// clear, a zeroizing callee, a return or a channel send) on every path
+// to exit. Calls resolve through per-function summaries — tainted
+// results with provenance chains, parameter and receiver flows,
+// zeroized parameters — computed bottom-up over the call graph,
+// memoized in the load session's summary store, iterated to a fixpoint
+// for recursion cycles and widened for unknown bodies. Calls through
+// function values resolve through syntactic bindings or, failing that,
+// the dataflow package's points-to layer, solved per declaration on
+// first use.
 package keytaint
 
 import (
@@ -36,9 +37,10 @@ import (
 // member, "[*]" for the elements of a slice, composed to depth two
 // ("k.D", "bufs[*]", "k.Parts[*]"). Field sensitivity is what keeps a
 // zeroize of Key.D from falsely clearing Key.Primes: the two are
-// distinct facts. Deeper accesses degrade to unresolvable, which is the
-// conservative direction for both analyses (taint may be missed only
-// where an obligation could never be discharged either).
+// distinct facts. Deeper accesses, map entries and dereferences have no
+// path: a store through one taints the nearest base that has one, and a
+// read through one is tainted when its base is, so taint is kept; no
+// release through one is ever credited.
 type Path struct {
 	root *types.Var
 	sel  string
@@ -376,6 +378,9 @@ type Func struct {
 	// results maps a named-result variable to its index.
 	resultIndex map[*types.Var]int
 	sig         *types.Signature
+	// opaque makes every call's byte-slice results tainted when any
+	// argument is (see Opaque).
+	opaque bool
 }
 
 type binding struct {
@@ -437,9 +442,63 @@ func newFunc(c *Checker, info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit)
 	return en
 }
 
-// Lit returns the engine for a function literal inside en's body.
+// Lit returns the engine for a function literal inside en's body, with
+// en's call treatment.
 func (en *Func) Lit(lit *ast.FuncLit) *Func {
-	return newFunc(en.c, en.info, en.decl, lit)
+	sub := newFunc(en.c, en.info, en.decl, lit)
+	sub.opaque = en.opaque
+	return sub
+}
+
+// Opaque returns the engine for en's body with opaque calls: a call's
+// byte-slice results count as tainted whenever an argument is, whatever
+// the callee's summary proves. Summaries see key bytes leave a callee
+// only through its results, so a helper that routes them through a
+// buffer object, a map or a closure's parameters returns a clean result;
+// a proof that nothing escapes cannot take that on trust. Summaries
+// themselves are always computed without it.
+func (en *Func) Opaque() *Func {
+	o := *en
+	o.opaque = true
+	return &o
+}
+
+// Reach returns every fact the forward taint reaches anywhere in en's
+// body, statement order ignored: the transfer runs over every node,
+// nested function literals included, under one set until it stops
+// growing. A check that reads its facts from Reach holds for every
+// ordering of the body's statements, so a store that precedes the copy
+// filling its buffer still sees the key bytes.
+func (en *Func) Reach() Facts {
+	fs := Facts{}
+	for {
+		size := len(fs)
+		for _, blk := range en.cfg.Blocks {
+			for _, n := range blk.Nodes {
+				en.taintTransfer(n, fs)
+			}
+		}
+		if len(fs) == size {
+			return fs
+		}
+	}
+}
+
+// Nodes calls visit at every CFG node of en's body and, under their own
+// engines, at every node of the function literals inside it.
+func (en *Func) Nodes(visit func(en *Func, n ast.Node)) {
+	for _, blk := range en.cfg.Blocks {
+		for _, n := range blk.Nodes {
+			visit(en, n)
+			dataflow.Inspect(n, func(m ast.Node) bool {
+				lit, ok := m.(*ast.FuncLit)
+				if ok {
+					en.Lit(lit).Nodes(visit)
+				}
+				return !ok
+			})
+		}
+	}
 }
 
 // PointsTo returns the points-to solution of en's enclosing declaration,
@@ -608,6 +667,21 @@ func lookup(fs Facts, p Path) (Path, bool) {
 	}
 }
 
+// partOf returns the least tainted path strictly inside p — a member or
+// the elements of p — so that the answer does not depend on map order.
+func partOf(fs Facts, p Path) (Path, bool) {
+	var best Path
+	found := false
+	for q := range fs {
+		rest, ok := strings.CutPrefix(q.sel, p.sel)
+		if q.root != p.root || !ok || rest == "" || rest[0] != '.' && rest[0] != '[' || found && q.sel >= best.sel {
+			continue
+		}
+		best, found = q, true
+	}
+	return best, found
+}
+
 // addOrigin records a provenance chain for a freshly tainted path
 // (bounded, first-gen-wins per distinct chain).
 func (en *Func) addOrigin(p Path, origin string) {
@@ -641,15 +715,33 @@ func (en *Func) originOf(p Path) string {
 }
 
 // Tainted reports whether e may carry key material under fs, with the
-// provenance chain of the first taint that reaches it.
+// provenance chain of the first taint that reaches it. A value is
+// tainted when it, an enclosing value or any part of it is: a struct
+// whose field holds key bytes carries them, and so does a byte slice
+// whose elements are tainted. Reads the path language cannot name (map
+// entries, fields deeper than two levels) are tainted when their base
+// is.
 func (en *Func) Tainted(e ast.Expr, fs Facts) (string, bool) {
 	if p, ok := en.PathOf(e); ok {
 		if hit, ok := lookup(fs, p); ok {
 			return en.originOf(hit), true
 		}
+		if part, ok := partOf(fs, p); ok {
+			return en.originOf(part), true
+		}
 		return "", false
 	}
 	switch x := ast.Unparen(e).(type) {
+	case *ast.IndexExpr:
+		return en.Tainted(x.X, fs)
+	case *ast.SliceExpr:
+		return en.Tainted(x.X, fs)
+	case *ast.SelectorExpr:
+		if sel, ok := en.info.Selections[x]; ok && sel.Kind() == types.FieldVal {
+			return en.Tainted(x.X, fs)
+		}
+	case *ast.TypeAssertExpr:
+		return en.Tainted(x.X, fs)
 	case *ast.CallExpr:
 		rt := en.ResultTaint(x, fs)
 		if o, ok := rt[0]; ok {
@@ -693,43 +785,51 @@ func (en *Func) FuncTargets(e ast.Expr) ([]*types.Func, []*ast.FuncLit, bool) {
 	return en.PointsTo().FuncTargets(e)
 }
 
-// calleeSummaries resolves a call's possible targets: the static callee,
-// every syntactic binding of a function-valued variable, or — when the
-// prescan sees no binding (var declarations, struct-field function
-// values, values threaded through locals) — the points-to layer's
-// complete target set. An empty slice means "unknown" (treated as
+// targets resolves a function-valued call expression: the syntactic
+// bindings of a local when the prescan saw any, taken as complete, else
+// the points-to layer's target set (var declarations, struct-field
+// function values, values threaded through locals) with its
+// completeness bit.
+func (en *Func) targets(fun ast.Expr) ([]*types.Func, []*ast.FuncLit, bool) {
+	if p, ok := en.PathOf(fun); ok && p.sel == "" {
+		if bs := en.bindings[p.root]; len(bs) > 0 {
+			var fns []*types.Func
+			var lits []*ast.FuncLit
+			for _, b := range bs {
+				if b.fn != nil {
+					fns = append(fns, b.fn)
+				} else if b.lit != nil {
+					lits = append(lits, b.lit)
+				}
+			}
+			return fns, lits, true
+		}
+	}
+	return en.FuncTargets(fun)
+}
+
+// calleeSummaries resolves a call's possible targets for taint: the
+// static callee or every function-valued target. Taint is a
+// may-analysis, so an incomplete target set contributes the targets it
+// did resolve plus the widened stub for the rest; only release credit
+// needs completeness. An empty slice means "unknown" (treated as
 // widened).
 func (en *Func) calleeSummaries(call *ast.CallExpr) []*Summary {
 	if fn := analysis.FuncObj(en.info, call); fn != nil {
 		return []*Summary{en.c.Summary(fn)}
 	}
-	if p, ok := en.PathOf(call.Fun); ok && p.sel == "" {
-		if bs := en.bindings[p.root]; len(bs) > 0 {
-			var out []*Summary
-			for _, b := range bs {
-				if b.fn != nil {
-					out = append(out, en.c.Summary(b.fn))
-				} else if b.lit != nil {
-					ls := en.litSummaryOf(b.lit)
-					s := &Summary{TaintedResults: ls.taintedResults}
-					out = append(out, s)
-				}
-			}
-			return out
-		}
+	fns, lits, complete := en.targets(call.Fun)
+	var out []*Summary
+	for _, fn := range fns {
+		out = append(out, en.c.Summary(fn))
 	}
-	if fns, lits, complete := en.FuncTargets(call.Fun); complete {
-		var out []*Summary
-		for _, fn := range fns {
-			out = append(out, en.c.Summary(fn))
-		}
-		for _, lit := range lits {
-			ls := en.litSummaryOf(lit)
-			out = append(out, &Summary{TaintedResults: ls.taintedResults})
-		}
-		return out
+	for _, lit := range lits {
+		out = append(out, &Summary{TaintedResults: en.litSummaryOf(lit).taintedResults})
 	}
-	return nil
+	if !complete {
+		out = append(out, widened)
+	}
+	return out
 }
 
 // ResultTaint computes which results of a call may carry key material
@@ -817,14 +917,45 @@ func (en *Func) ResultTaint(call *ast.CallExpr, fs Facts) map[int]string {
 			}
 		}
 	}
+	if en.opaque {
+		for _, a := range call.Args {
+			o, ok := en.Tainted(a, fs)
+			if !ok {
+				continue
+			}
+			for ri, t := range en.resultTypes(call) {
+				if _, have := out[ri]; !have && isByteSlice(t) {
+					out[ri] = o + " via " + callee
+				}
+			}
+			break
+		}
+	}
 	return out
+}
+
+// resultTypes returns the types of a call's results.
+func (en *Func) resultTypes(call *ast.CallExpr) []types.Type {
+	tv, ok := en.info.Types[call]
+	if !ok {
+		return nil
+	}
+	tup, ok := tv.Type.(*types.Tuple)
+	if !ok {
+		return []types.Type{tv.Type}
+	}
+	ts := make([]types.Type, tup.Len())
+	for i := range ts {
+		ts[i] = tup.At(i).Type()
+	}
+	return ts
 }
 
 // taintTransfer is the forward may-transfer: assignments, declarations
 // and range bindings propagate key material along paths. It is gen-only
 // (monotone); provenance is recorded on first gen.
 func (en *Func) taintTransfer(n ast.Node, fs Facts) {
-	dataflow.Inspect(n, func(m ast.Node) bool {
+	visit := func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.AssignStmt:
 			en.taintAssign(m.Lhs, m.Rhs, fs)
@@ -854,14 +985,35 @@ func (en *Func) taintTransfer(n ast.Node, fs Facts) {
 			}
 		}
 		return true
-	})
+	}
+	if r, ok := n.(*ast.RangeStmt); ok {
+		visit(r) // Inspect visits a range node's operands, not the statement
+	}
+	dataflow.Inspect(n, visit)
 }
 
-// gen taints the path e names, if it has one, with the given origin.
+// gen taints the path e names with the given origin. A store the path
+// language cannot name (a map entry, a dereference, a field deeper than
+// two levels) taints the nearest base it can name instead.
 func (en *Func) gen(e ast.Expr, origin string, fs Facts) {
-	if p, ok := en.PathOf(e); ok {
-		fs.Add(p)
-		en.addOrigin(p, origin)
+	for {
+		if p, ok := en.PathOf(e); ok {
+			fs.Add(p)
+			en.addOrigin(p, origin)
+			return
+		}
+		switch x := ast.Unparen(e).(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		default:
+			return
+		}
 	}
 }
 
@@ -880,6 +1032,11 @@ func (en *Func) taintAssign(lhs, rhs []ast.Expr, fs Facts) {
 					en.gen(lhs[idx], o, fs)
 				}
 			}
+			return
+		}
+		// v, ok := m[k], x.(T) or <-ch: the value is the operand's.
+		if o, ok := en.Tainted(rhs[0], fs); ok {
+			en.gen(lhs[0], o, fs)
 		}
 	}
 }
@@ -901,49 +1058,26 @@ func (en *Func) releaseArgs(call *ast.CallExpr, add func(Path)) {
 			}
 		}
 	}
-	if fn := analysis.FuncObj(en.info, call); fn != nil {
-		sum := en.c.Summary(fn)
-		for idx, z := range sum.ZeroizedParams {
-			if z {
-				addParam(idx)
-			}
-		}
-		return
-	}
-	// Function-valued call: release credit only for an unambiguous
-	// target — with several possible targets we cannot prove which runs.
-	if p, ok := en.PathOf(call.Fun); ok && p.sel == "" {
-		if bs := en.bindings[p.root]; len(bs) > 0 {
-			if len(bs) != 1 {
-				return
-			}
-			if bs[0].fn != nil {
-				for idx, z := range en.c.Summary(bs[0].fn).ZeroizedParams {
-					if z {
-						addParam(idx)
-					}
-				}
-			} else if bs[0].lit != nil {
-				for _, cap := range en.litSummaryOf(bs[0].lit).zeroizedCaptures {
-					add(cap)
-				}
-			}
+	fn := analysis.FuncObj(en.info, call)
+	if fn == nil {
+		// Function-valued call: release credit only for a complete,
+		// unambiguous target set — with several possible targets we
+		// cannot prove which runs.
+		fns, lits, complete := en.targets(call.Fun)
+		if !complete || len(fns)+len(lits) != 1 {
 			return
 		}
-	}
-	// No syntactic binding: credit a points-to resolution when it is
-	// complete and names exactly one target.
-	if fns, lits, complete := en.FuncTargets(call.Fun); complete && len(fns)+len(lits) == 1 {
-		if len(fns) == 1 {
-			for idx, z := range en.c.Summary(fns[0]).ZeroizedParams {
-				if z {
-					addParam(idx)
-				}
-			}
-		} else {
+		if len(lits) == 1 {
 			for _, cap := range en.litSummaryOf(lits[0]).zeroizedCaptures {
 				add(cap)
 			}
+			return
+		}
+		fn = fns[0]
+	}
+	for idx, z := range en.c.Summary(fn).ZeroizedParams {
+		if z {
+			addParam(idx)
 		}
 	}
 }
@@ -1074,7 +1208,7 @@ func (en *Func) litSummaryOf(lit *ast.FuncLit) *litSummary {
 	ls := &litSummary{taintedResults: map[int]string{}}
 	en.c.litSums[lit] = ls // pre-publish: a closure cycle widens to "no effect"
 
-	sub := en.Lit(lit)
+	sub := newFunc(en.c, en.info, en.decl, lit)
 	outs := dataflow.Backward(sub.cfg, nil, sub.releaseTransfer)
 	entry := entryFacts(sub.cfg, outs, sub.releaseTransfer)
 	var caps []Path
@@ -1224,14 +1358,8 @@ func seedable(t types.Type) bool {
 // scrub obligation: a byte slice (scrub.Bytes / clear) or a *math/big.Int
 // (scrub.Big), the two shapes key material takes in this codebase.
 func (en *Func) ResultNeedsRelease(call *ast.CallExpr, idx int) bool {
-	tv, ok := en.info.Types[call]
-	if !ok {
-		return false
-	}
-	if tup, ok := tv.Type.(*types.Tuple); ok {
-		return idx < tup.Len() && needsRelease(tup.At(idx).Type())
-	}
-	return idx == 0 && needsRelease(tv.Type)
+	ts := en.resultTypes(call)
+	return idx < len(ts) && needsRelease(ts[idx])
 }
 
 // needsRelease reports whether values of t carry a direct scrub

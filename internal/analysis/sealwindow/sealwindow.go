@@ -20,13 +20,16 @@
 // policy.OpenWindow permission.
 //
 // Approximations, all in the conservative direction for the discipline
-// except the last: field paths truncate at depth 2 (extra aliases, never
-// missed ones); a call through an unresolvable function value widens
-// (its arguments count as escaping); but a window-tainted argument
-// passed to a resolvable callee is only flagged when that callee's
-// escape summary retains it — unresolvable callees without bodies
-// (stdlib) are trusted not to retain key bytes, the same trust keycopy
-// extends.
+// except the last: window taint is everything the callback reaches in
+// any statement order, and a call's byte-slice results carry its
+// arguments' taint whatever the callee's summary says; field paths
+// truncate at depth 2, a deeper store tainting its nearest base (extra
+// aliases, never missed ones); a call through an unresolvable function
+// value widens (its arguments count as escaping); but a window-tainted
+// argument passed to a resolvable callee is only flagged when that
+// callee's escape summary retains it — unresolvable callees without
+// bodies (stdlib) are trusted not to retain key bytes, the same trust
+// keycopy extends.
 package sealwindow
 
 import (
@@ -182,11 +185,15 @@ func (c *funcChecker) check() {
 	})
 
 	// Checks (b) and (c): bytes tainted inside a window must not alias
-	// past the callback's end. The walk starts with no facts: only what
-	// the callback itself reads is window taint.
+	// past the callback's end. Only what the callback itself reads is
+	// window taint. Every statement is judged under all the taint the
+	// callback reaches in any order, with calls opaque: a store that runs
+	// before the copy filling its buffer is still an alias, and a byte
+	// slice a helper computes from window bytes is window bytes.
 	for _, lit := range windows {
-		lc := &litCheck{c: c, lit: lit, top: c.fn.Lit(lit)}
-		lc.top.Walk(nil, lc.visit)
+		lc := &litCheck{c: c, lit: lit, top: c.fn.Lit(lit).Opaque()}
+		fs := lc.top.Reach()
+		lc.top.Nodes(func(en *keytaint.Func, n ast.Node) { lc.visit(en, n, fs) })
 	}
 }
 
