@@ -63,3 +63,53 @@ func FuzzMontExp(f *testing.F) {
 		}
 	})
 }
+
+// montExp sets z = x^e mod m for odd m > 1 on the private kernel, the
+// whole path SignCRT takes for one CRT half.
+func (ws *workspace) montExp(z *limbs, x, e *big.Int, m *limbs) {
+	inv := montInv(m[0])
+	ws.powMont(words(x), words(e), m, inv)
+	fromMont(z, &ws.acc, m, inv)
+}
+
+// words returns v's magnitude as little-endian 64-bit limbs.
+func words(v *big.Int) []uint64 {
+	w := make([]uint64, (v.BitLen()+63)/64)
+	loadWords(w, v.Bits())
+	return w
+}
+
+// FuzzPublicExp checks the public kernel against big.Int.Exp: any odd
+// modulus above 1 of up to 512 bits, a base reduced modulo it, and an
+// exponent of up to 8 bytes, through PublicOp.
+func FuzzPublicExp(f *testing.F) {
+	for n := 1; n <= 8; n++ {
+		mod := bytes.Repeat([]byte{0xa7}, 8*n)
+		m := new(big.Int).SetBytes(mod)
+		base := new(big.Int).Sub(m, big.NewInt(1)).Bytes()
+		for _, exp := range [][]byte{nil, {1}, {3}, {0x01, 0x00, 0x01}, bytes.Repeat([]byte{0xff}, 8)} {
+			f.Add(mod, base, exp)
+		}
+	}
+	f.Fuzz(func(t *testing.T, mod, base, exp []byte) {
+		if len(mod) > 2*kernelBits/8 || len(exp) > 8 {
+			return
+		}
+		m := new(big.Int).SetBytes(mod)
+		m.SetBit(m, 0, 1)
+		if m.BitLen() < 2 {
+			m.SetInt64(3)
+		}
+		x := new(big.Int).SetBytes(base)
+		x.Mod(x, m)
+		pub := &PublicKey{N: m, E: new(big.Int).SetBytes(exp)}
+		got, err := pub.PublicOp(x.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := padTo(new(big.Int).Exp(x, pub.E, m).Bytes(), (m.BitLen()+7)/8)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%x^%x mod %x: kernel %x, math/big %x", x, pub.E, m, got, want)
+		}
+	})
+}

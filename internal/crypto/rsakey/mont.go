@@ -5,32 +5,42 @@ import (
 	"math/bits"
 )
 
-// This file is the host-side private-operation kernel: Montgomery
-// exponentiation modulo an odd modulus of at most 256 bits, over fixed
-// [4]uint64 limbs. R is 2^256 throughout; a shorter modulus is zero-padded,
-// which Montgomery arithmetic permits for any odd m < R. SignCRT runs both
-// CRT halves of every key whose primes fit (every key of at most 512 bits)
-// on it; wider keys stay on big.Int.Exp.
+// This file holds the host-side RSA kernels: Montgomery arithmetic over
+// fixed little-endian uint64 limbs, so every key of at most 512 bits runs
+// without math/big. The private kernel works modulo an odd prime of at
+// most 256 bits over [4]uint64 limbs, with R = 2^256; a shorter modulus is
+// zero-padded, which Montgomery arithmetic permits for any odd m < R.
+// SignCRT and SignCRTParts run both CRT halves of every key whose parts
+// fit on it. The public kernel raises to the public exponent modulo an
+// odd modulus of at most 512 bits over [8]uint64 limbs, with R = 2^512.
+// Wider keys stay on big.Int.Exp.
 
-// kernelBits is the widest prime the kernel accepts.
+// kernelBits is the widest prime the private kernel accepts; the public
+// kernel takes moduli of up to twice that.
 const kernelBits = 256
 
 // limbs is a 256-bit little-endian value.
 type limbs [4]uint64
 
-// workspace is the scratch of one SignCRT. The primes and every
-// key-equivalent intermediate (m mod p and m mod q in Montgomery form, the
-// power table, s1, s2, h) live here and nowhere else; signCRT wipes it
-// before returning.
+// limbs8 is a 512-bit little-endian value.
+type limbs8 [8]uint64
+
+// workspace is the scratch of one CRT private operation. The key parts,
+// the message and every key-equivalent intermediate (m mod p and m mod q
+// in Montgomery form, the power table, s1, s2, h) live here and nowhere
+// else; crt wipes it before returning.
 type workspace struct {
-	p, q limbs     // the primes, zero-padded
-	r2   limbs     // R² mod the current prime
-	x    limbs     // a chunk being folded in by toMont
-	acc  limbs     // accumulator; s1·R at the end of the p half
-	s2   limbs     // m^dq mod q
-	h    limbs     // qinv·(s1 − s2) mod p
-	pow  [15]limbs // x^1 … x^15 in Montgomery form
-	s    [8]uint64 // s2 + q·h, the signature
+	p, q   limbs     // the primes, zero-padded
+	dp, dq limbs     // the CRT exponents
+	qinv   limbs     // q⁻¹ mod p
+	m      limbs8    // the message representative
+	r2     limbs     // R² mod the current prime
+	x      limbs     // a chunk being folded in by toMont
+	acc    limbs     // accumulator; s1·R at the end of the p half
+	s2     limbs     // m^dq mod q
+	h      limbs     // qinv·(s1 − s2) mod p
+	pow    [15]limbs // x^1 … x^15 in Montgomery form
+	s      limbs8    // s2 + q·h, the signature
 }
 
 // wipe zeroes every word of ws.
@@ -213,12 +223,38 @@ func limb(w []big.Word, i int) uint64 {
 	return v
 }
 
-// load sets z to v, which must be non-negative and at most 256 bits.
-func (z *limbs) load(v *big.Int) {
-	w := v.Bits()
+// loadWords sets z to the little-endian words w, which must fit in len(z)
+// limbs.
+func loadWords(z []uint64, w []big.Word) {
 	for i := range z {
 		z[i] = limb(w, i)
 	}
+}
+
+// load sets z to v, which must be non-negative and at most 256 bits.
+func (z *limbs) load(v *big.Int) { loadWords(z[:], v.Bits()) }
+
+// loadBytes sets z to the big-endian value b and reports whether it fits
+// in len(z) limbs. Leading zero bytes past that width are allowed.
+func loadBytes(z []uint64, b []byte) bool {
+	clear(z)
+	for i, v := range b {
+		j := len(b) - 1 - i // the byte's place, counted from the low end
+		if j >= 8*len(z) {
+			if v != 0 {
+				return false
+			}
+			continue
+		}
+		z[j/8] |= uint64(v) << (8 * (j % 8))
+	}
+	return true
+}
+
+// oddAboveOne reports whether z is an odd value above 1, as the package's
+// oddAboveOne does for a *big.Int.
+func (z *limbs) oddAboveOne() bool {
+	return z[0]&1 == 1 && (z[0] > 1 || z[1]|z[2]|z[3] != 0)
 }
 
 // rr sets ws.r2 = R² mod m for odd m > 1. Doubling 2^(len(m)−1), which is
@@ -242,17 +278,15 @@ func (ws *workspace) rr(m *limbs, inv uint64) {
 	}
 }
 
-// toMont sets z = v·R mod m for a non-negative v of any length, with ws.r2
-// already R² mod m. It folds v in 256-bit chunks from the top, Horner
-// style: z ← z·R + chunk·R, each term one Montgomery product by R². The
-// chunk is staged in ws.x, so z must not be &ws.x.
-func (ws *workspace) toMont(z *limbs, v []big.Word, m *limbs, inv uint64) {
-	const perChunk = kernelBits / bits.UintSize
+// toMont sets z = v·R mod m for a little-endian v of any length, with
+// ws.r2 already R² mod m. It folds v in 256-bit chunks from the top,
+// Horner style: z ← z·R + chunk·R, each term one Montgomery product by R².
+// The chunk is staged in ws.x, so z must not be &ws.x.
+func (ws *workspace) toMont(z *limbs, v []uint64, m *limbs, inv uint64) {
 	*z = limbs{}
-	for c := (len(v) + perChunk - 1) / perChunk; c > 0; c-- {
-		for i := range ws.x {
-			ws.x[i] = limb(v, 4*(c-1)+i)
-		}
+	for c := (len(v) + len(ws.x) - 1) / len(ws.x); c > 0; c-- {
+		ws.x = limbs{}
+		copy(ws.x[:], v[len(ws.x)*(c-1):])
 		montMul(z, z, &ws.r2, m, inv)
 		montMul(&ws.x, &ws.x, &ws.r2, m, inv)
 		modAdd(z, z, &ws.x, m)
@@ -266,24 +300,24 @@ func fromMont(z, x, m *limbs, inv uint64) {
 }
 
 // powMont sets ws.acc = x^e·R mod m (and ws.r2 = R² mod m) for odd m > 1
-// and any x, e ≥ 0. The exponent runs through a fixed 4-bit window: the
-// table holds x^1 … x^15, leading zero windows are skipped, and a zero
-// window costs its four squarings and no multiply.
-func (ws *workspace) powMont(x, e []big.Word, m *limbs, inv uint64) {
+// and little-endian x, e ≥ 0 of any length. The exponent runs through a
+// fixed 4-bit window: the table holds x^1 … x^15, leading zero windows are
+// skipped, and a zero window costs its four squarings and no multiply.
+func (ws *workspace) powMont(x, e []uint64, m *limbs, inv uint64) {
 	ws.rr(m, inv)
 	ws.toMont(&ws.pow[0], x, m, inv)
 	for i := 1; i < len(ws.pow); i++ {
 		montMul(&ws.pow[i], &ws.pow[i-1], &ws.pow[0], m, inv)
 	}
 	started := false
-	for i := len(e)*bits.UintSize/4 - 1; i >= 0; i-- {
+	for i := len(e)*16 - 1; i >= 0; i-- {
 		if started {
 			montSqr(&ws.acc, &ws.acc, m, inv)
 			montSqr(&ws.acc, &ws.acc, m, inv)
 			montSqr(&ws.acc, &ws.acc, m, inv)
 			montSqr(&ws.acc, &ws.acc, m, inv)
 		}
-		w := uint(e[4*i/bits.UintSize]>>(4*i%bits.UintSize)) & 15
+		w := uint(e[i/16]>>(4*(i%16))) & 15
 		switch {
 		case w == 0:
 		case started:
@@ -298,37 +332,42 @@ func (ws *workspace) powMont(x, e []big.Word, m *limbs, inv uint64) {
 	}
 }
 
-// montExp sets z = x^e mod m for odd m > 1, the kernel's whole path for
-// one modulus.
-func (ws *workspace) montExp(z *limbs, x, e *big.Int, m *limbs) {
-	inv := montInv(m[0])
-	ws.powMont(x.Bits(), e.Bits(), m, inv)
-	fromMont(z, &ws.acc, m, inv)
-}
-
-// signCRT is SignCRT on the kernel, for odd primes of at most kernelBits
-// bits: s2 = m^dq mod q, s1 = m^dp mod p, h = qinv·(s1 − s2) mod p and
-// s = s2 + q·h, with every intermediate in ws, which it wipes before
-// returning.
+// signCRT is SignCRT on the kernel, for a key whose parts all fit it: it
+// loads them and m into ws and runs crt, which wipes ws.
 func (k *PrivateKey) signCRT(m *big.Int, ws *workspace) []byte {
 	defer ws.wipe()
 	ws.p.load(k.P)
 	ws.q.load(k.Q)
-	ws.montExp(&ws.s2, m, k.Dq, &ws.q)
+	ws.dp.load(k.Dp)
+	ws.dq.load(k.Dq)
+	ws.qinv.load(k.Qinv)
+	loadWords(ws.m[:], m.Bits())
+	return ws.crt(k.Size())
+}
+
+// crt is the CRT private operation over the parts and message in ws, for
+// odd primes above 1 and m below p·q: s2 = m^dq mod q, s1 = m^dp mod p,
+// h = qinv·(s1 − s2) mod p and s = s2 + q·h, returned big-endian and
+// left-padded to size bytes. Every intermediate stays in ws; the caller
+// wipes it.
+func (ws *workspace) crt(size int) []byte {
+	q, inv := &ws.q, montInv(ws.q[0])
+	ws.powMont(ws.m[:], ws.dq[:], q, inv)
+	fromMont(&ws.s2, &ws.acc, q, inv)
 
 	// The p half stays in Montgomery form until h: s1·R − s2·R is
 	// (s1 − s2)·R, and its product with qinv·R is h·R.
 	p, inv := &ws.p, montInv(ws.p[0])
-	ws.powMont(m.Bits(), k.Dp.Bits(), p, inv)
+	ws.powMont(ws.m[:], ws.dp[:], p, inv)
 	montMul(&ws.h, &ws.s2, &ws.r2, p, inv) // s2·R; s2 < R suffices
 	modSub(&ws.acc, &ws.acc, &ws.h, p)
-	ws.toMont(&ws.h, k.Qinv.Bits(), p, inv)
+	ws.toMont(&ws.h, ws.qinv[:], p, inv)
 	montMul(&ws.acc, &ws.acc, &ws.h, p, inv)
 	fromMont(&ws.h, &ws.acc, p, inv)
 
 	// s = s2 + q·h < p·q, which fits eight limbs.
-	s, q, h := &ws.s, &ws.q, &ws.h
-	*s = [8]uint64{ws.s2[0], ws.s2[1], ws.s2[2], ws.s2[3]}
+	s, h := &ws.s, &ws.h
+	*s = limbs8{ws.s2[0], ws.s2[1], ws.s2[2], ws.s2[3]}
 	for i, w := range h {
 		var c uint64
 		c, s[i] = madd(q[0], w, s[i], 0)
@@ -339,12 +378,12 @@ func (k *PrivateKey) signCRT(m *big.Int, ws *workspace) []byte {
 			s[j], c = bits.Add64(s[j], c, 0)
 		}
 	}
-	return sigBytes(s, k.Size())
+	return sigBytes(s, size)
 }
 
 // sigBytes returns s big-endian in its minimal length, left-padded with
 // zeros to size bytes: what padTo(s.Bytes(), size) gives on math/big.
-func sigBytes(s *[8]uint64, size int) []byte {
+func sigBytes(s *limbs8, size int) []byte {
 	n := 0
 	for i := len(s) - 1; i >= 0; i-- {
 		if s[i] != 0 {
@@ -357,4 +396,106 @@ func sigBytes(s *[8]uint64, size int) []byte {
 		out[len(out)-1-i] = byte(s[i/8] >> (8 * (i % 8)))
 	}
 	return out
+}
+
+// reduce8 sets z to (top, z) − m when that 513-bit value is at least m,
+// the public kernel's reduceOnce.
+func reduce8(z *limbs8, top uint64, m *limbs8) {
+	var d limbs8
+	var b uint64
+	for i := range z {
+		d[i], b = bits.Sub64(z[i], m[i], b)
+	}
+	if _, b = bits.Sub64(top, 0, b); b == 0 {
+		*z = d
+	}
+}
+
+// less8 reports whether x < y.
+func less8(x, y *limbs8) bool {
+	var b uint64
+	for i := range x {
+		_, b = bits.Sub64(x[i], y[i], b)
+	}
+	return b != 0
+}
+
+// montMul8 sets z = x·y·R⁻¹ mod m with R = 2^512, by CIOS as montMul
+// does over four limbs. It requires x·y < m·R; z may alias x or y.
+func montMul8(z, x, y, m *limbs8, inv uint64) {
+	var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, c, cc, k uint64
+	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	for _, yi := range y {
+		c, t0 = madd(x0, yi, t0, 0)
+		c, t1 = madd(x1, yi, t1, c)
+		c, t2 = madd(x2, yi, t2, c)
+		c, t3 = madd(x3, yi, t3, c)
+		c, t4 = madd(x4, yi, t4, c)
+		c, t5 = madd(x5, yi, t5, c)
+		c, t6 = madd(x6, yi, t6, c)
+		c, t7 = madd(x7, yi, t7, c)
+		t8, t9 = bits.Add64(t8, c, 0)
+
+		k = t0 * inv
+		c, _ = madd(k, m[0], t0, 0)
+		c, t0 = madd(k, m[1], t1, c)
+		c, t1 = madd(k, m[2], t2, c)
+		c, t2 = madd(k, m[3], t3, c)
+		c, t3 = madd(k, m[4], t4, c)
+		c, t4 = madd(k, m[5], t5, c)
+		c, t5 = madd(k, m[6], t6, c)
+		c, t6 = madd(k, m[7], t7, c)
+		t7, cc = bits.Add64(t8, c, 0)
+		t8, _ = bits.Add64(t9, 0, cc)
+	}
+	*z = limbs8{t0, t1, t2, t3, t4, t5, t6, t7}
+	reduce8(z, t8, m)
+}
+
+// rr8 sets z = R² mod n for odd n > 1, with R = 2^512. Doubling
+// 2^(len(n)−1), which is below n, up to 2^576 = R·2^64 mod n takes at most
+// 575 shift-and-subtract steps (65 for a 512-bit modulus); three Montgomery
+// squarings then take R·2^64 through R·2^128 and R·2^256 to R·2^512 = R².
+func rr8(z, n *limbs8, inv uint64) {
+	b := 2*kernelBits - 1
+	for n[b/64]>>(b%64) == 0 {
+		b--
+	}
+	*z = limbs8{}
+	z[b/64] = 1 << (b % 64)
+	for ; b < 2*kernelBits+64; b++ {
+		top := z[7] >> 63
+		for i := len(z) - 1; i > 0; i-- {
+			z[i] = z[i]<<1 | z[i-1]>>63
+		}
+		z[0] <<= 1
+		reduce8(z, top, n)
+	}
+	for i := 0; i < 3; i++ {
+		montMul8(z, z, z, n, inv)
+	}
+}
+
+// expPub sets z = z^e mod n for odd n > 1, z < n and e ≥ 0, on the public
+// kernel: z·R from R² mod n, then left-to-right square-and-multiply over
+// the bits of e.
+func expPub(z, n *limbs8, e *big.Int) {
+	top := e.BitLen()
+	if top == 0 {
+		*z = limbs8{1}
+		return
+	}
+	inv := montInv(n[0])
+	var r2, x limbs8
+	rr8(&r2, n, inv)
+	montMul8(&x, z, &r2, n, inv)
+	acc, ew := x, e.Bits()
+	for i := top - 2; i >= 0; i-- {
+		montMul8(&acc, &acc, &acc, n, inv)
+		if ew[i/bits.UintSize]>>(i%bits.UintSize)&1 != 0 {
+			montMul8(&acc, &acc, &x, n, inv)
+		}
+	}
+	one := limbs8{1}
+	montMul8(z, &acc, &one, n, inv)
 }

@@ -9,6 +9,7 @@
 package rsakey
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -147,10 +148,10 @@ func (k *PrivateKey) SignNoCRT(msg []byte) ([]byte, error) {
 
 // SignCRT computes m^d mod n with the Chinese Remainder Theorem, the
 // fast path real OpenSSL uses (and the reason p and q sit in memory at all).
-// Primes of at most 256 bits (every key of at most 512 bits) run on the
-// fixed-width Montgomery kernel in mont.go, wider ones on math/big; both
-// give the same bytes. A key whose P or Q is not an odd number above 1 —
-// a zeroized key, for one — is refused with ErrBadKey.
+// A key of at most 512 bits (primes, CRT exponents and qinv of at most 256
+// bits) runs on the fixed-width Montgomery kernel in mont.go, a wider one
+// on math/big; both give the same bytes. A key whose P or Q is not an odd
+// number above 1 — a zeroized key, for one — is refused with ErrBadKey.
 func (k *PrivateKey) SignCRT(msg []byte) ([]byte, error) {
 	if !oddAboveOne(k.P) || !oddAboveOne(k.Q) {
 		return nil, ErrBadKey
@@ -159,11 +160,44 @@ func (k *PrivateKey) SignCRT(msg []byte) ([]byte, error) {
 	if m.Cmp(k.N) >= 0 {
 		return nil, ErrMsgTooLong
 	}
-	if k.P.BitLen() <= kernelBits && k.Q.BitLen() <= kernelBits {
+	if k.N.BitLen() <= 2*kernelBits && k.P.BitLen() <= kernelBits && k.Q.BitLen() <= kernelBits &&
+		k.Dp.BitLen() <= kernelBits && k.Dq.BitLen() <= kernelBits && k.Qinv.BitLen() <= kernelBits {
 		var ws workspace
 		return k.signCRT(m, &ws), nil
 	}
 	return k.signCRTBig(m), nil
+}
+
+// SignCRTParts is SignCRT for a caller that holds the private parts as
+// big-endian bytes, as ssl does once it has read them out of simulated
+// memory. When they fit the kernel, as every key of at most 512 bits
+// does, they go straight into its workspace limbs, which are wiped before
+// it returns, and no *big.Int ever holds them. A wider key is built into
+// a PrivateKey here and zeroized before SignCRTParts returns. The caller
+// still owns the byte slices, and scrubs them.
+func SignCRTParts(pub *PublicKey, msg, p, q, dp, dq, qinv []byte) ([]byte, error) {
+	var ws workspace
+	defer ws.wipe()
+	if pub.N.BitLen() > 2*kernelBits || !loadBytes(ws.p[:], p) || !loadBytes(ws.q[:], q) ||
+		!loadBytes(ws.dp[:], dp) || !loadBytes(ws.dq[:], dq) || !loadBytes(ws.qinv[:], qinv) {
+		k := &PrivateKey{
+			PublicKey: *pub,
+			P:         new(big.Int).SetBytes(p), Q: new(big.Int).SetBytes(q),
+			Dp: new(big.Int).SetBytes(dp), Dq: new(big.Int).SetBytes(dq),
+			Qinv: new(big.Int).SetBytes(qinv),
+		}
+		defer k.Zeroize()
+		return k.SignCRT(msg)
+	}
+	if !ws.p.oddAboveOne() || !ws.q.oddAboveOne() {
+		return nil, ErrBadKey
+	}
+	var n limbs8
+	loadWords(n[:], pub.N.Bits())
+	if !loadBytes(ws.m[:], msg) || !less8(&ws.m, &n) {
+		return nil, ErrMsgTooLong
+	}
+	return ws.crt((pub.N.BitLen() + 7) / 8), nil
 }
 
 // signCRTBig is SignCRT on math/big. Each key-equivalent intermediate is
@@ -200,14 +234,36 @@ func oddAboveOne(v *big.Int) bool {
 	return v != nil && v.Sign() > 0 && v.Bit(0) == 1 && v.BitLen() > 1
 }
 
+// PublicOp returns x^E mod N, big-endian and left-padded to the modulus
+// size: the raw public-key operation under Verify and RSA encryption. x,
+// read as a big-endian integer, must be below N; otherwise PublicOp
+// returns ErrMsgTooLong. E must not be negative, as no parsed or generated
+// key's is. An odd modulus of at most 512 bits runs on the 8-limb
+// Montgomery kernel in mont.go, which computes R² mod N on every call, so
+// the key caches nothing; any other modulus stays on big.Int.Exp. Both
+// give the same bytes.
+func (pub *PublicKey) PublicOp(x []byte) ([]byte, error) {
+	size := (pub.N.BitLen() + 7) / 8
+	if oddAboveOne(pub.N) && pub.N.BitLen() <= 2*kernelBits {
+		var n, z limbs8
+		loadWords(n[:], pub.N.Bits())
+		if !loadBytes(z[:], x) || !less8(&z, &n) {
+			return nil, ErrMsgTooLong
+		}
+		expPub(&z, &n, pub.E)
+		return sigBytes(&z, size), nil
+	}
+	s := new(big.Int).SetBytes(x)
+	if s.Cmp(pub.N) >= 0 {
+		return nil, ErrMsgTooLong
+	}
+	return padTo(s.Exp(s, pub.E, pub.N).Bytes(), size), nil
+}
+
 // Verify checks sig against msg with the public key: sig^e mod n == msg.
 func (pub *PublicKey) Verify(msg, sig []byte) error {
-	s := new(big.Int).SetBytes(sig)
-	if s.Cmp(pub.N) >= 0 {
-		return ErrBadSignature
-	}
-	m := new(big.Int).Exp(s, pub.E, pub.N)
-	if m.Cmp(new(big.Int).SetBytes(msg)) != 0 {
+	m, err := pub.PublicOp(sig)
+	if err != nil || !bytes.Equal(bytes.TrimLeft(m, "\x00"), bytes.TrimLeft(msg, "\x00")) {
 		return ErrBadSignature
 	}
 	return nil
@@ -298,8 +354,8 @@ func ParsePEM(data []byte) (*PrivateKey, error) {
 
 // Zeroize scrubs the six private components' limb buffers in place and
 // resets them to zero, leaving only the public half intact. Call it when a
-// materialized key's working window closes (ssl sealed operations); a key
-// with nil components is a no-op.
+// host-side copy of a key is done with (an HSM slot's destroy, the wide
+// path of SignCRTParts); a key with nil components is a no-op.
 func (k *PrivateKey) Zeroize() {
 	for _, v := range []*big.Int{k.D, k.P, k.Q, k.Dp, k.Dq, k.Qinv} {
 		scrub.Big(v)

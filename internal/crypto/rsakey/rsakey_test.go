@@ -172,6 +172,118 @@ func TestSignCRTRejectsBadPrimes(t *testing.T) {
 	}
 }
 
+// TestSignCRTPartsMatchesSignCRT checks that the byte entry gives exactly
+// SignCRT's bytes on a 512-bit key, whose parts go into the kernel, and
+// on a 1024-bit key, which takes the math/big path; and that it refuses
+// an oversized message as SignCRT does.
+func TestSignCRTPartsMatchesSignCRT(t *testing.T) {
+	for _, bits := range []int{512, 1024} {
+		t.Run(fmt.Sprint(bits), func(t *testing.T) {
+			key, err := Generate(stats.NewReader(int64(bits)), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nm1 := new(big.Int).Sub(key.N, big.NewInt(1))
+			msgs := [][]byte{nil, {1}, nm1.Bytes(), append(make([]byte, 3), nm1.Bytes()...)}
+			rng := stats.NewRand(int64(bits))
+			for i := 0; i < 10; i++ {
+				msg := make([]byte, 1+rng.Intn(key.Size()-1))
+				rng.Read(msg)
+				msgs = append(msgs, msg)
+			}
+			for i, msg := range msgs {
+				got, err := SignCRTParts(&key.PublicKey, msg, key.P.Bytes(), key.Q.Bytes(),
+					key.Dp.Bytes(), key.Dq.Bytes(), key.Qinv.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := key.SignCRT(msg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("msg %d (%x): SignCRTParts %x != SignCRT %x", i, msg, got, want)
+				}
+			}
+			_, err = SignCRTParts(&key.PublicKey, key.N.Bytes(), key.P.Bytes(), key.Q.Bytes(),
+				key.Dp.Bytes(), key.Dq.Bytes(), key.Qinv.Bytes())
+			if !errors.Is(err, ErrMsgTooLong) {
+				t.Fatalf("message n: SignCRTParts = %v, want ErrMsgTooLong", err)
+			}
+		})
+	}
+}
+
+// TestSignCRTPartsRejectsBadPrimes checks that the byte entry refuses
+// zeroed and even primes with ErrBadKey, on the kernel and on the math/big
+// path.
+func TestSignCRTPartsRejectsBadPrimes(t *testing.T) {
+	for _, bits := range []int{512, 1024} {
+		key, err := Generate(stats.NewReader(int64(bits)), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, q := key.P.Bytes(), key.Q.Bytes()
+		even := new(big.Int).Add(key.P, big.NewInt(1)).Bytes()
+		cases := map[string][2][]byte{
+			"zeroed p": {make([]byte, len(p)), q},
+			"zeroed q": {p, make([]byte, len(q))},
+			"empty p":  {nil, q},
+			"one q":    {p, {1}},
+			"even p":   {even, q},
+			"even q":   {p, append(q[:len(q):len(q)], 0)},
+		}
+		for name, pq := range cases {
+			_, err := SignCRTParts(&key.PublicKey, []byte{0x42}, pq[0], pq[1],
+				key.Dp.Bytes(), key.Dq.Bytes(), key.Qinv.Bytes())
+			if !errors.Is(err, ErrBadKey) {
+				t.Errorf("%d bits, %s: SignCRTParts = %v, want ErrBadKey", bits, name, err)
+			}
+		}
+	}
+}
+
+// TestPublicOpMatchesExp checks the public operation against big.Int.Exp
+// on moduli below, at and above the public kernel's 512 bits, for the
+// default exponent and a few others; and that a base of at least N is
+// refused.
+func TestPublicOpMatchesExp(t *testing.T) {
+	for _, bits := range []int{128, 256, 510, 512, 514, 1024} {
+		t.Run(fmt.Sprint(bits), func(t *testing.T) {
+			key, err := Generate(stats.NewReader(int64(bits)), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nm1 := new(big.Int).Sub(key.N, big.NewInt(1))
+			bases := [][]byte{nil, {1}, {2}, nm1.Bytes(), append([]byte{0, 0}, nm1.Bytes()...)}
+			rng := stats.NewRand(int64(bits))
+			for i := 0; i < 10; i++ {
+				b := make([]byte, 1+rng.Intn(key.Size()-1))
+				rng.Read(b)
+				bases = append(bases, b)
+			}
+			for _, e := range []int64{DefaultExponent, 0, 1, 3} {
+				pub := PublicKey{N: key.N, E: big.NewInt(e)}
+				for i, b := range bases {
+					got, err := pub.PublicOp(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := padTo(new(big.Int).Exp(new(big.Int).SetBytes(b), pub.E, pub.N).Bytes(), key.Size())
+					if !bytes.Equal(got, want) {
+						t.Fatalf("e=%d base %d (%x): PublicOp %x != Exp %x", e, i, b, got, want)
+					}
+				}
+			}
+			for _, b := range [][]byte{key.N.Bytes(), append(key.N.Bytes(), 0)} {
+				if _, err := key.PublicKey.PublicOp(b); !errors.Is(err, ErrMsgTooLong) {
+					t.Fatalf("base %x >= n: PublicOp = %v, want ErrMsgTooLong", b, err)
+				}
+			}
+		})
+	}
+}
+
 func TestSignRejectsOversizedMessage(t *testing.T) {
 	key := testKey(t)
 	big := make([]byte, key.Size()+1)

@@ -136,19 +136,16 @@ func (c *Cache) populate(fileID int, content []byte) error {
 
 // readPages reassembles the cached content.
 func (c *Cache) readPages(pages []mem.PageNum, size int) ([]byte, error) {
-	out := make([]byte, 0, size)
-	remaining := size
-	for _, pn := range pages {
-		take := mem.PageSize
-		if take > remaining {
-			take = remaining
+	out := make([]byte, size)
+	for i, pn := range pages {
+		lo := i * mem.PageSize
+		if lo >= size {
+			break
 		}
-		chunk, err := c.mem.Read(pn.Base(), take)
-		if err != nil {
+		if err := c.mem.ReadInto(out[lo:min(lo+mem.PageSize, size)], pn.Base()); err != nil {
+			clear(out)
 			return nil, err
 		}
-		out = append(out, chunk...)
-		remaining -= take
 	}
 	return out, nil
 }

@@ -473,28 +473,26 @@ func (mg *Manager) Read(pid int, addr VAddr, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, n)
-	for n > 0 {
+	out := make([]byte, n)
+	for done := 0; done < n; {
 		e := s.lookup(addr.Page())
 		if e == nil {
+			clear(out)
 			return nil, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 		}
 		if e.swapped {
 			if err := mg.swapIn(pid, e); err != nil {
+				clear(out)
 				return nil, err
 			}
 		}
-		take := mem.PageSize - addr.Offset()
-		if take > n {
-			take = n
-		}
-		chunk, err := mg.mem.Read(e.frame.Base()+mem.Addr(addr.Offset()), take)
-		if err != nil {
+		take := min(mem.PageSize-addr.Offset(), n-done)
+		if err := mg.mem.ReadInto(out[done:done+take], e.frame.Base()+mem.Addr(addr.Offset())); err != nil {
+			clear(out)
 			return nil, err
 		}
-		out = append(out, chunk...)
 		addr += VAddr(take)
-		n -= take
+		done += take
 	}
 	return out, nil
 }

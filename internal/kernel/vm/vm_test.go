@@ -108,6 +108,39 @@ func TestMapReadWrite(t *testing.T) {
 	}
 }
 
+// TestReadAllocatesOnlyResult checks that Read copies each byte once,
+// straight into the slice it returns: one allocation whether the read
+// stays in one page or spans two. A per-page intermediate copy would be
+// a host copy of the bytes (key parts, sealed plaintext) that no caller
+// can scrub.
+func TestReadAllocatesOnlyResult(t *testing.T) {
+	_, _, mg := newVM(t, 64, 0, alloc.PolicyRetain, false)
+	if _, err := mg.NewSpace(1); err != nil {
+		t.Fatal(err)
+	}
+	va, err := mg.MapAnon(1, 2, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		addr VAddr
+		n    int
+	}{
+		{"one page", va + 100, 64},
+		{"two pages", va + mem.PageSize - 32, 64},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := mg.Read(1, tc.addr, tc.n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: Read made %v allocations, want 1", tc.name, allocs)
+		}
+	}
+}
+
 func TestMapAnonErrors(t *testing.T) {
 	_, _, mg := newVM(t, 8, 0, alloc.PolicyRetain, false)
 	if _, err := mg.MapAnon(9, 1, "x"); !errors.Is(err, ErrNoSpace) {

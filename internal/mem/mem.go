@@ -199,6 +199,16 @@ func (m *Memory) Read(addr Addr, n int) ([]byte, error) {
 	return out, nil
 }
 
+// ReadInto copies len(dst) bytes starting at addr into dst, so a caller
+// assembling a read from several frames makes no copy of its own.
+func (m *Memory) ReadInto(dst []byte, addr Addr) error {
+	if !m.ValidRange(addr, len(dst)) {
+		return fmt.Errorf("mem: read [%d,+%d) outside %d-byte memory", addr, len(dst), len(m.data))
+	}
+	copy(dst, m.data[addr:])
+	return nil
+}
+
 // Write copies b into memory at addr.
 func (m *Memory) Write(addr Addr, b []byte) error {
 	if !m.ValidRange(addr, len(b)) {

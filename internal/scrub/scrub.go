@@ -31,9 +31,9 @@ func Bytes(b []byte) {
 // Big zeroizes the limbs of a big.Int in place and resets its value to 0.
 // The limb slice is the native-heap buffer a *big.Int actually keeps key
 // material in — garbage collection never clears it, so code that builds a
-// big.Int from key bytes (SetBytes on a DER integer, ssl.BigNum.Int) must
-// release it here on every path that does not hand the value on. A nil
-// pointer or zero value is a no-op, mirroring Bytes.
+// big.Int from key bytes (SetBytes on a DER integer, say) must release it
+// here on every path that does not hand the value on. A nil pointer or
+// zero value is a no-op, mirroring Bytes.
 //
 //memlint:sink param=0
 func Big(v *big.Int) {

@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 
 	"memshield/internal/crypto/rsakey"
@@ -433,9 +432,11 @@ func (s *Server) handshake(w *worker) error {
 	pub := w.key.pub
 	premaster := s.scratch.Fill(pub.N.BitLen()/8-1, s.nonce)
 	premaster[0] &= 0x7F
-	m := new(big.Int).SetBytes(premaster)
-	blob := new(big.Int).Exp(m, pub.E, pub.N)
-	plain, err := w.key.op(padTo(blob.Bytes(), (pub.N.BitLen()+7)/8))
+	blob, err := pub.PublicOp(premaster)
+	if err != nil {
+		return fmt.Errorf("httpd: handshake: %w", err)
+	}
+	plain, err := w.key.op(blob)
 	if err != nil {
 		return fmt.Errorf("httpd: handshake: %w", err)
 	}
@@ -557,14 +558,4 @@ func (s *Server) Stop() error {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
-}
-
-// padTo left-pads b with zeros to length n.
-func padTo(b []byte, n int) []byte {
-	if len(b) >= n {
-		return b
-	}
-	out := make([]byte, n)
-	copy(out[n-len(b):], b)
-	return out
 }

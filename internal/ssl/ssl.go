@@ -89,17 +89,6 @@ func (b *BigNum) Bytes() ([]byte, error) {
 	return b.heap.Read(b.ptr, b.size)
 }
 
-// Int reads the value as a big.Int. The transient native copy is
-// scrubbed; the big.Int itself is the documented math/big hole.
-func (b *BigNum) Int() (*big.Int, error) {
-	raw, err := b.Bytes()
-	defer scrub.Bytes(raw)
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetBytes(raw), nil
-}
-
 // Addr returns the virtual address of the digit buffer (for tests).
 func (b *BigNum) Addr() vm.VAddr { return b.ptr }
 
@@ -471,12 +460,22 @@ func (r *RSA) SealStats() seal.Stats {
 	return r.sealed.Stats()
 }
 
-// withKey runs fn on the materialized host-side key, inside the seal
-// window when the key is sealed at rest. On both paths the six
-// materialized big.Int copies are scrubbed once fn returns; in the sealed
-// path that happens before the window closes — the window is exactly
-// where a missed host-side copy would hide.
-func (r *RSA) withKey(fn func(*rsakey.PrivateKey) ([]byte, error)) ([]byte, error) {
+// bnCtx is the host side of one private operation, as OpenSSL's BN_CTX
+// holds an operation's temporaries: the six key parts, each read out of
+// simulated memory into a host buffer of its own. signCRT fills it and
+// scrubs every buffer before it returns, so a caller can check that
+// nothing of the key survives the operation.
+type bnCtx struct {
+	d, p, q, dp, dq, qinv []byte
+}
+
+// withKey runs the CRT private operation on em with the key read out of
+// simulated memory into ctx, inside the seal window when the key is
+// sealed at rest. The key parts' host buffers are scrubbed once the
+// operation is done; in the sealed path that happens before the window
+// closes, the window being exactly where a missed host-side copy would
+// hide.
+func (r *RSA) withKey(em []byte, ctx *bnCtx) ([]byte, error) {
 	if r.freed {
 		return nil, ErrFreed
 	}
@@ -487,22 +486,12 @@ func (r *RSA) withKey(fn func(*rsakey.PrivateKey) ([]byte, error)) ([]byte, erro
 		if err := r.ensureMontCache(); err != nil {
 			return nil, err
 		}
-		key, err := r.materialize()
-		if err != nil {
-			return nil, err
-		}
-		defer key.Zeroize()
-		return fn(key)
+		return r.signCRT(em, ctx)
 	}
 	var out []byte
 	err := r.sealed.WithOpen(func() error {
-		key, kerr := r.materialize()
-		if kerr != nil {
-			return kerr
-		}
-		defer key.Zeroize()
 		var ferr error
-		out, ferr = fn(key)
+		out, ferr = r.signCRT(em, ctx)
 		return ferr
 	})
 	if err != nil {
@@ -511,55 +500,64 @@ func (r *RSA) withKey(fn func(*rsakey.PrivateKey) ([]byte, error)) ([]byte, erro
 	return out, nil
 }
 
+// signCRT reads the six key parts into ctx, in PKCS#1 order, and passes
+// the five CRT parts to rsakey.SignCRTParts, which loads them straight
+// into its kernel's workspace. d takes no part in the CRT computation,
+// but it is read like the other five: a private operation's simulated
+// reads, and the swap-ins they fault, cover the whole key. Every buffer
+// is scrubbed on every path out.
+func (r *RSA) signCRT(em []byte, ctx *bnCtx) ([]byte, error) {
+	var err error
+	ctx.d, err = r.d.Bytes()
+	defer scrub.Bytes(ctx.d)
+	if err != nil {
+		return nil, err
+	}
+	ctx.p, err = r.p.Bytes()
+	defer scrub.Bytes(ctx.p)
+	if err != nil {
+		return nil, err
+	}
+	ctx.q, err = r.q.Bytes()
+	defer scrub.Bytes(ctx.q)
+	if err != nil {
+		return nil, err
+	}
+	ctx.dp, err = r.dp.Bytes()
+	defer scrub.Bytes(ctx.dp)
+	if err != nil {
+		return nil, err
+	}
+	ctx.dq, err = r.dq.Bytes()
+	defer scrub.Bytes(ctx.dq)
+	if err != nil {
+		return nil, err
+	}
+	ctx.qinv, err = r.qinv.Bytes()
+	defer scrub.Bytes(ctx.qinv)
+	if err != nil {
+		return nil, err
+	}
+	return rsakey.SignCRTParts(&r.pub, em, ctx.p, ctx.q, ctx.dp, ctx.dq, ctx.qinv)
+}
+
 // PrivateOp computes input^d mod n via CRT, reading every key part out of
 // simulated memory (so a corrupted or scrubbed key genuinely fails). It is
 // the primitive under both "decrypt the client's session-key blob" and
 // "sign".
 func (r *RSA) PrivateOp(input []byte) ([]byte, error) {
-	return r.withKey(func(key *rsakey.PrivateKey) ([]byte, error) {
-		return key.SignCRT(input)
-	})
+	return r.withKey(input, &bnCtx{})
 }
 
 // SignPKCS1v15 produces an RSASSA-PKCS1-v1_5/SHA-256 signature using the
-// key bytes in simulated memory (the host-key proof path), with the same
-// cache behaviour as PrivateOp.
+// key bytes in simulated memory (the host-key proof path): the encoded
+// digest goes through PrivateOp, with the same cache behaviour.
 func (r *RSA) SignPKCS1v15(msg []byte) ([]byte, error) {
-	return r.withKey(func(key *rsakey.PrivateKey) ([]byte, error) {
-		return key.SignPKCS1v15(msg)
-	})
-}
-
-// materialize reconstructs a host-side rsakey.PrivateKey from the bytes in
-// simulated memory. The big.Int limb buffers hold real key material: the
-// success path transfers all six to the caller inside the returned key;
-// the error path scrubs the partial set before returning, so a half-built
-// key never lingers on the native heap.
-func (r *RSA) materialize() (*rsakey.PrivateKey, error) {
-	ints := make([]*big.Int, 6)
-	var err error
-	for i, bn := range r.Parts() {
-		ints[i], err = bn.Int()
-		if err != nil {
-			// A failed read leaves a partial set (including whatever the
-			// failing conversion produced, stored above). Scrub each element
-			// with a direct indexed sink call — the idiom the must-release
-			// analysis credits (a range loop may run zero times, so it
-			// proves nothing); scrubbing nil entries is a no-op.
-			scrub.Big(ints[0])
-			scrub.Big(ints[1])
-			scrub.Big(ints[2])
-			scrub.Big(ints[3])
-			scrub.Big(ints[4])
-			scrub.Big(ints[5])
-			return nil, err
-		}
+	em, err := rsakey.EncodePKCS1v15(msg, (r.pub.N.BitLen()+7)/8)
+	if err != nil {
+		return nil, err
 	}
-	return &rsakey.PrivateKey{
-		PublicKey: rsakey.PublicKey{N: r.pub.N, E: r.pub.E},
-		D:         ints[0], P: ints[1], Q: ints[2],
-		Dp: ints[3], Dq: ints[4], Qinv: ints[5],
-	}, nil
+	return r.PrivateOp(em)
 }
 
 // DisableCaching clears RSA_FLAG_CACHE_PRIVATE and RSA_FLAG_CACHE_PUBLIC
@@ -587,7 +585,7 @@ func (r *RSA) DisableCaching() error {
 func (r *RSA) CloneFor(h *libc.Heap) *RSA {
 	c := &RSA{
 		heap:         h,
-		pub:          rsakey.PublicKey{N: new(big.Int).Set(r.pub.N), E: new(big.Int).Set(r.pub.E)},
+		pub:          r.pub, // immutable: every clone shares N and E
 		flags:        r.flags,
 		montP:        r.montP,
 		montQ:        r.montQ,

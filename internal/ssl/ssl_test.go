@@ -3,7 +3,6 @@ package ssl
 import (
 	"bytes"
 	"errors"
-	"math/big"
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
@@ -133,10 +132,11 @@ func TestPrivateOpComputesValidRSA(t *testing.T) {
 }
 
 func TestPrivateOpZeroizesHostKey(t *testing.T) {
-	// Every private op materializes d, p, q, dP, dQ and qInv as host-side
-	// big.Ints; their limb buffers must be scrubbed once the op returns,
-	// whether or not the key is sealed at rest. The op runs PrivateOp's
-	// own body through withKey so the test can hold on to the key.
+	// Every private op reads d, p, q, dP, dQ and qInv out of simulated
+	// memory into host buffers; each must hold its part during the op and
+	// be scrubbed once the op returns, whether or not the key is sealed at
+	// rest. The op runs PrivateOp's own body through withKey so the test
+	// can hold on to the buffers it used.
 	for _, tc := range []struct {
 		name string
 		seal bool
@@ -150,15 +150,8 @@ func TestPrivateOpZeroizesHostKey(t *testing.T) {
 				}
 			}
 			msg := []byte("session-key-blob")
-			var seen *rsakey.PrivateKey
-			var limbs [][]big.Word
-			sig, err := r.withKey(func(key *rsakey.PrivateKey) ([]byte, error) {
-				seen = key
-				for _, v := range []*big.Int{key.D, key.P, key.Q, key.Dp, key.Dq, key.Qinv} {
-					limbs = append(limbs, v.Bits())
-				}
-				return key.SignCRT(msg)
-			})
+			var ctx bnCtx
+			sig, err := r.withKey(msg, &ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,15 +160,12 @@ func TestPrivateOpZeroizesHostKey(t *testing.T) {
 				t.Fatalf("signature does not verify: %v", err)
 			}
 			names := []string{"d", "p", "q", "dP", "dQ", "qInv"}
-			for i, v := range []*big.Int{seen.D, seen.P, seen.Q, seen.Dp, seen.Dq, seen.Qinv} {
-				if v.Sign() != 0 {
-					t.Errorf("%s is nonzero after the op, want 0", names[i])
+			for i, buf := range [][]byte{ctx.d, ctx.p, ctx.q, ctx.dp, ctx.dq, ctx.qinv} {
+				if want := r.Parts()[i].Size(); len(buf) != want {
+					t.Errorf("%s: the op read %d bytes, want the part's %d", names[i], len(buf), want)
 				}
-				for _, w := range limbs[i] {
-					if w != 0 {
-						t.Errorf("%s limb buffer not scrubbed", names[i])
-						break
-					}
+				if !bytes.Equal(buf, make([]byte, len(buf))) {
+					t.Errorf("%s host buffer not scrubbed after the op", names[i])
 				}
 			}
 		})
@@ -451,9 +441,9 @@ func TestBigNumAccessors(t *testing.T) {
 	if bn.Size() != len(f.key.P.Bytes()) {
 		t.Fatalf("Size = %d", bn.Size())
 	}
-	v, err := bn.Int()
-	if err != nil || v.Cmp(f.key.P) != 0 {
-		t.Fatalf("Int mismatch: %v", err)
+	v, err := bn.Bytes()
+	if err != nil || !bytes.Equal(v, f.key.P.Bytes()) {
+		t.Fatalf("Bytes mismatch: %v", err)
 	}
 	if bn.Addr() == 0 {
 		t.Fatal("Addr should be nonzero")
