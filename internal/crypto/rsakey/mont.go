@@ -28,7 +28,7 @@ type limbs8 [8]uint64
 // workspace is the scratch of one CRT private operation. The key parts,
 // the message and every key-equivalent intermediate (m mod p and m mod q
 // in Montgomery form, the power table, s1, s2, h) live here and nowhere
-// else; crt wipes it before returning.
+// else; signCRT and SignCRTParts wipe it before returning.
 type workspace struct {
 	p, q   limbs     // the primes, zero-padded
 	dp, dq limbs     // the CRT exponents
@@ -310,7 +310,7 @@ func (ws *workspace) powMont(x, e []uint64, m *limbs, inv uint64) {
 		montMul(&ws.pow[i], &ws.pow[i-1], &ws.pow[0], m, inv)
 	}
 	started := false
-	for i := len(e)*16 - 1; i >= 0; i-- {
+	for i := len(e)*16 - 1; i >= 0; i-- { // 16 windows per 64-bit limb
 		if started {
 			montSqr(&ws.acc, &ws.acc, m, inv)
 			montSqr(&ws.acc, &ws.acc, m, inv)
@@ -333,7 +333,7 @@ func (ws *workspace) powMont(x, e []uint64, m *limbs, inv uint64) {
 }
 
 // signCRT is SignCRT on the kernel, for a key whose parts all fit it: it
-// loads them and m into ws and runs crt, which wipes ws.
+// loads them and m into ws, runs crt and wipes ws before returning.
 func (k *PrivateKey) signCRT(m *big.Int, ws *workspace) []byte {
 	defer ws.wipe()
 	ws.p.load(k.P)
