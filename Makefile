@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-cold lint-json lint-self test-faults soak soak-smoke bench-smoke fleet-smoke contract fuzz figures figures-smoke
+.PHONY: all build test race lint lint-cold lint-json lint-self test-faults soak soak-smoke bench-smoke fleet-smoke contract fuzz figures figures-check figures-smoke
 
 all: build lint test
 
@@ -122,9 +122,19 @@ fuzz:
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder
 	$(GO) test -fuzz=FuzzStorm -fuzztime=30s ./internal/supervise
 	$(GO) test -fuzz=FuzzAllocMatchesReference -fuzztime=30s ./internal/kernel/alloc
+	$(GO) test -fuzz=FuzzZeroedFrames -fuzztime=30s ./internal/mem
 
 figures:
 	$(GO) run ./cmd/figures -all
+
+# The full-scale figure suite at seed 2007 must match the committed output
+# byte for byte; `make contract` covers only the 0.1-scale run. The output
+# goes through a file so a failing run fails the target (make's /bin/sh
+# may lack pipefail). Regenerate docs/figures-full-output.txt only when a
+# change is meant to move a figure, and say so.
+figures-check:
+	$(GO) run ./cmd/figures -all -seed 2007 > figures-full.txt
+	cmp figures-full.txt docs/figures-full-output.txt
 
 # Scaled-down full-catalog run on 4 workers under the race detector: a fast
 # end-to-end check that the parallel trial scheduler is race-free and that

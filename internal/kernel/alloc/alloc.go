@@ -423,6 +423,8 @@ func (a *Allocator) ZeroPending(pn mem.PageNum) bool {
 //  2. Free-list entries agree with the per-frame free state and frame
 //     states.
 //  3. Under PolicyZeroOnFree, every free page is all-zero.
+//  4. Every frame mem marks all-zero holds only zero bytes (mem.FalseZero,
+//     a byte scan independent of the mark it audits).
 func (a *Allocator) CheckConsistency() error {
 	n := a.mem.NumPages()
 	covered := make([]int, n)
@@ -461,6 +463,9 @@ func (a *Allocator) CheckConsistency() error {
 				return fmt.Errorf("zero-on-free violated: free page %d is dirty", p)
 			}
 		}
+	}
+	if p, ok := a.mem.FalseZero(); ok {
+		return fmt.Errorf("page %d marked zero holds a non-zero byte", p)
 	}
 	return nil
 }

@@ -569,3 +569,27 @@ func TestCheckConsistencyIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// CheckConsistency audits mem's zero marks against the bytes: a written
+// page, allocated or freed under any policy, must not read as marked zero.
+func TestCheckConsistencyAuditsZeroMarks(t *testing.T) {
+	for _, p := range []Policy{PolicyRetain, PolicyZeroOnFree, PolicySecureDealloc} {
+		m, a := newAlloc(t, 16, p)
+		pn, err := a.AllocPage(mem.OwnerUser)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Write(pn.Base()+100, []byte("SECRET")); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatalf("%v, written page: %v", p, err)
+		}
+		if err := a.Free(pn); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.CheckConsistency(); err != nil {
+			t.Fatalf("%v, freed page: %v", p, err)
+		}
+	}
+}

@@ -7,12 +7,15 @@ import (
 	"memshield/internal/mem"
 )
 
-// BenchmarkAllocFree times one order-0 allocate and free per policy on a
-// scrambled 32 MiB allocator (free lists fragmented and shuffled the way
-// kernel.ScrambleFreeMemory leaves them) — the page cycle the repository
-// benchmark's alloc.page_cycle_ns probes time. Under secure-dealloc each
-// cycle also drains the deferred scrub with Tick.
+// BenchmarkAllocFree times one order-0 allocate, a one-byte write and a
+// free per policy on a scrambled 32 MiB allocator (free lists fragmented
+// and shuffled the way kernel.ScrambleFreeMemory leaves them) — the page
+// cycle the repository benchmark's alloc.page_cycle_ns probes time. The
+// write makes the page dirty, so zero_on_free and secure_dealloc time a
+// real clear: mem skips the clear of a page that holds only zeros. Under
+// secure-dealloc each cycle also drains the deferred scrub with Tick.
 func BenchmarkAllocFree(b *testing.B) {
+	one := []byte{1}
 	for _, p := range []Policy{PolicyRetain, PolicyZeroOnFree, PolicySecureDealloc} {
 		b.Run(p.String(), func(b *testing.B) {
 			m, err := mem.New(8192)
@@ -29,6 +32,9 @@ func BenchmarkAllocFree(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pn, err := a.AllocPage(mem.OwnerUser)
 				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Write(pn.Base(), one); err != nil {
 					b.Fatal(err)
 				}
 				if err := a.Free(pn); err != nil {

@@ -102,3 +102,30 @@ func TestCoreDumpSkipsSwappedPages(t *testing.T) {
 		t.Fatal("crash dumper must not fault in swapped pages")
 	}
 }
+
+// A dump is one allocation: each resident page is read straight into its
+// slot, with no per-page copy left behind.
+func TestCoreDumpAllocatesOnce(t *testing.T) {
+	k := boot(t, Config{MemPages: 128})
+	pid, _ := k.Spawn(0, "app")
+	va, err := k.VM().MapAnon(pid, 3, "heap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.VM().Write(pid, va+5000, []byte("DUMPED")); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.VM().Mlock(pid, va+4096, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, scrub := range []bool{false, true} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := k.CoreDump(pid, scrub); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("CoreDump(scrub=%v) of 3 pages: %v allocations, want 1", scrub, allocs)
+		}
+	}
+}

@@ -771,29 +771,35 @@ func (mg *Manager) FrameOf(pid int, addr VAddr) (mem.PageNum, error) {
 // without faulting, as a crash-time dumper would. With skipLocked, mlocked
 // pages are replaced by zeros: the Scrash-style policy of scrubbing
 // sensitive regions from crash dumps, with "sensitive" identified by the
-// same mlock annotation RSA_memory_align applies to key material.
+// same mlock annotation RSA_memory_align applies to key material. The dump
+// is allocated once and each page is read straight into its slot.
 func (mg *Manager) DumpSpace(pid int, skipLocked bool) ([]byte, error) {
 	s, err := mg.Space(pid)
 	if err != nil {
 		return nil, err
 	}
-	var out []byte
-	zeros := make([]byte, mem.PageSize)
+	n := 0
+	for _, v := range s.vmas {
+		for i := range v.ptes {
+			if v.ptes[i].present {
+				n++
+			}
+		}
+	}
+	out := make([]byte, n*mem.PageSize)
+	slot := out
 	for _, v := range s.vmas {
 		for i := range v.ptes {
 			e := &v.ptes[i]
 			if !e.present {
 				continue
 			}
-			if skipLocked && e.locked {
-				out = append(out, zeros...)
-				continue
+			if !skipLocked || !e.locked {
+				if err := mg.mem.ReadInto(slot[:mem.PageSize], e.frame.Base()); err != nil {
+					return nil, err
+				}
 			}
-			content, err := mg.mem.Read(e.frame.Base(), mem.PageSize)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, content...)
+			slot = slot[mem.PageSize:]
 		}
 	}
 	return out, nil

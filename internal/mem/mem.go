@@ -101,9 +101,20 @@ type Frame struct {
 	RefCount int
 	// Locked marks mlock'd frames which must never be swapped out.
 	Locked bool
+	// zeroed records that every byte of the frame is zero, so ZeroPage can
+	// skip the clear. New and ZeroPage set it; touch clears it on every
+	// Write, Zero and CopyPage. Write, Zero, ZeroPage and CopyPage are the
+	// only writers of the physical array (physaccess flags any write
+	// through a View alias, in every package), so the mark is exact. The
+	// zero value means "may hold non-zero bytes": a Frame built or reset
+	// outside this package is conservatively dirty. It sits in the padding
+	// after Locked, so Frame stays the size it was.
+	zeroed bool
 	// gen is the frame's write generation: the value of the memory-wide
 	// mutation counter at the last time any byte of the frame changed.
-	// Incremental scanners compare generations to skip untouched frames.
+	// Incremental scanners compare generations to skip untouched frames;
+	// a ZeroPage of a frame already all-zero changes no byte and does not
+	// stamp it.
 	gen uint64
 	// mappers is the reverse map: PIDs of processes that have this frame
 	// in their page tables. Sorted, no duplicates.
@@ -119,9 +130,9 @@ func (f *Frame) Gen() uint64 { return f.gen }
 type Memory struct {
 	data   []byte
 	frames []Frame
-	// muts counts content mutations (Write/Zero/ZeroPage/CopyPage calls
-	// that changed at least zero bytes of some frame). Each touched frame's
-	// gen is stamped with the post-increment value.
+	// muts counts content mutations (non-empty Write/Zero/CopyPage calls,
+	// and ZeroPage calls on a frame not already all-zero). Each touched
+	// frame's gen is stamped with the post-increment value.
 	muts uint64
 }
 
@@ -136,7 +147,7 @@ func New(numPages int) (*Memory, error) {
 		frames: make([]Frame, numPages),
 	}
 	for i := range m.frames {
-		m.frames[i] = Frame{State: FrameFree, Owner: OwnerNone}
+		m.frames[i] = Frame{State: FrameFree, Owner: OwnerNone, zeroed: true}
 	}
 	return m, nil
 }
@@ -173,11 +184,13 @@ func (m *Memory) Frame(pn PageNum) *Frame {
 // every content-changing operation, so an unchanged value between two
 // observations proves no byte of physical memory changed in between.
 // Frame-state changes (alloc/free, mappers, locking) do not count — they
-// alter metadata, not contents.
+// alter metadata, not contents — and neither does a ZeroPage of a frame
+// that already holds only zeros.
 func (m *Memory) Mutations() uint64 { return m.muts }
 
 // touch stamps the write generation of every frame overlapping
-// [addr, addr+n). Callers have already validated the range.
+// [addr, addr+n) and marks each as possibly non-zero. Callers have already
+// validated the range.
 func (m *Memory) touch(addr Addr, n int) {
 	if n <= 0 {
 		return
@@ -186,6 +199,7 @@ func (m *Memory) touch(addr Addr, n int) {
 	last := (addr + Addr(n) - 1).Page()
 	for pn := addr.Page(); pn <= last; pn++ {
 		m.frames[pn].gen = m.muts
+		m.frames[pn].zeroed = false
 	}
 }
 
@@ -229,13 +243,19 @@ func (m *Memory) Zero(addr Addr, n int) error {
 	return nil
 }
 
-// ZeroPage clears one whole frame (clear_highpage analog).
+// ZeroPage clears one whole frame (clear_highpage analog). A frame that
+// already holds only zeros is left alone: no byte changes, so neither the
+// mutation counter nor the frame's generation moves.
 func (m *Memory) ZeroPage(pn PageNum) error {
 	if !m.ValidPage(pn) {
 		return fmt.Errorf("mem: zero of invalid page %d", pn)
 	}
+	if m.frames[pn].zeroed {
+		return nil
+	}
 	clear(m.data[pn.Base() : pn.Base()+PageSize])
 	m.touch(pn.Base(), PageSize)
+	m.frames[pn].zeroed = true
 	return nil
 }
 
@@ -249,18 +269,28 @@ func (m *Memory) CopyPage(dst, src PageNum) error {
 	return nil
 }
 
-// PageIsZero reports whether every byte of the frame is zero.
+// zeroPage is the all-zero page PageIsZero compares frames against.
+var zeroPage [PageSize]byte
+
+// PageIsZero reports whether every byte of the frame is zero. It compares
+// the bytes, never the frame's zero mark, so it can audit that mark.
 func (m *Memory) PageIsZero(pn PageNum) bool {
 	if !m.ValidPage(pn) {
 		return false
 	}
-	page := m.data[pn.Base() : pn.Base()+PageSize]
-	for _, b := range page {
-		if b != 0 {
-			return false
+	return bytes.Equal(m.data[pn.Base():pn.Base()+PageSize], zeroPage[:])
+}
+
+// FalseZero returns the first frame marked all-zero that holds a non-zero
+// byte, checked with PageIsZero's byte scan; ok is false when every mark
+// is true. It exists for consistency audits.
+func (m *Memory) FalseZero() (pn PageNum, ok bool) {
+	for i := range m.frames {
+		if m.frames[i].zeroed && !m.PageIsZero(PageNum(i)) {
+			return PageNum(i), true
 		}
 	}
-	return true
+	return 0, false
 }
 
 // View returns a read-only window over [addr, addr+n). It aliases the live

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mustNew(t *testing.T, pages int) *Memory {
@@ -403,10 +404,11 @@ func TestWriteGenerations(t *testing.T) {
 	}
 
 	// Each mutation kind bumps the counter and stamps only its frames.
+	// The ZeroPage clears frame 2, which the Write above dirtied.
 	if err := m.Zero(PageNum(3).Base(), 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.ZeroPage(4); err != nil {
+	if err := m.ZeroPage(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.CopyPage(5, 3); err != nil {
@@ -415,7 +417,7 @@ func TestWriteGenerations(t *testing.T) {
 	if m.Mutations() != 4 {
 		t.Fatalf("mutations = %d, want 4", m.Mutations())
 	}
-	for pn, want := range map[PageNum]uint64{3: 2, 4: 3, 5: 4} {
+	for pn, want := range map[PageNum]uint64{1: 1, 2: 3, 3: 2, 5: 4} {
 		if g := m.Frame(pn).Gen(); g != want {
 			t.Fatalf("frame %d gen = %d, want %d", pn, g, want)
 		}
@@ -424,6 +426,22 @@ func TestWriteGenerations(t *testing.T) {
 	// change).
 	if g := m.Frame(3).Gen(); g != 2 {
 		t.Fatalf("copy source gen = %d, want 2 (unchanged)", g)
+	}
+
+	// A ZeroPage of a frame that holds only zeros changes no byte: frame 4
+	// was never written and frame 2 was just cleared, so neither the
+	// counter nor their generations move.
+	for _, pn := range []PageNum{4, 2} {
+		before := m.Frame(pn).Gen()
+		if err := m.ZeroPage(pn); err != nil {
+			t.Fatal(err)
+		}
+		if m.Mutations() != 4 {
+			t.Fatalf("ZeroPage(%d) of an all-zero frame: mutations = %d, want 4", pn, m.Mutations())
+		}
+		if g := m.Frame(pn).Gen(); g != before {
+			t.Fatalf("ZeroPage(%d) of an all-zero frame: gen %d -> %d, want unchanged", pn, before, g)
+		}
 	}
 
 	// Reads and views are not mutations.
@@ -476,4 +494,127 @@ func TestGenerationWindowMaxStrictlyIncreases(t *testing.T) {
 			prev = now
 		}
 	}
+}
+
+// The zero mark lives in Frame's padding: the struct is the size of the
+// same fields without it.
+func TestFrameSizeUnchangedByZeroMark(t *testing.T) {
+	type unmarked struct {
+		State    FrameState
+		Owner    Owner
+		RefCount int
+		Locked   bool
+		gen      uint64
+		mappers  []int
+	}
+	if got, want := unsafe.Sizeof(Frame{}), unsafe.Sizeof(unmarked{}); got != want {
+		t.Fatalf("Frame is %d bytes, want %d", got, want)
+	}
+}
+
+func TestZeroMark(t *testing.T) {
+	m := mustNew(t, 4)
+	for pn := range m.frames {
+		if !m.frames[pn].zeroed {
+			t.Fatalf("frame %d not marked zero at boot", pn)
+		}
+	}
+	// Writing zeros still marks the frame dirty: the mark tracks writes,
+	// not contents.
+	if err := m.Write(PageNum(1).Base(), make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Zero(PageNum(2).Base()+100, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CopyPage(3, 0); err != nil {
+		t.Fatal(err)
+	}
+	for pn, want := range []bool{true, false, false, false} {
+		if got := m.frames[pn].zeroed; got != want {
+			t.Fatalf("frame %d zeroed = %v, want %v", pn, got, want)
+		}
+	}
+	if err := m.ZeroPage(1); err != nil {
+		t.Fatal(err)
+	}
+	if !m.frames[1].zeroed {
+		t.Fatal("ZeroPage must mark the frame zero")
+	}
+	if _, ok := m.FalseZero(); ok {
+		t.Fatal("FalseZero reports a frame on a consistent memory")
+	}
+	// A Frame rebuilt outside the mark's writers reads as dirty.
+	*m.Frame(0) = Frame{State: FrameFree}
+	muts := m.Mutations()
+	if err := m.ZeroPage(0); err != nil {
+		t.Fatal(err)
+	}
+	if m.Mutations() != muts+1 {
+		t.Fatal("ZeroPage of an unmarked frame must clear it")
+	}
+	// The audit reads bytes, not the mark.
+	m.data[PageNum(2).Base()] = 1
+	m.frames[2].zeroed = true
+	if pn, ok := m.FalseZero(); !ok || pn != 2 {
+		t.Fatalf("FalseZero = %d, %v, want 2, true", pn, ok)
+	}
+}
+
+// FuzzZeroedFrames drives Write, Zero, ZeroPage and CopyPage over an
+// 8-frame memory, four input bytes per operation. After every step each
+// frame marked zero must hold only zero bytes, and a ZeroPage must leave
+// the mutation counter and the frame's generation alone exactly when the
+// frame was marked zero, and bump both otherwise.
+func FuzzZeroedFrames(f *testing.F) {
+	f.Add([]byte{0, 0, 7, 0x41})                            // write 0x01 bytes into frame 0
+	f.Add([]byte{0, 0x10, 0, 0x05, 2, 1, 0, 0, 2, 1, 0, 0}) // write zeros, ZeroPage twice
+	f.Add([]byte{0, 0x0f, 0xf0, 0xff, 3, 2, 0, 0, 2, 2, 0, 0, 1, 0x20, 0x10, 0x80, 2, 2, 0, 0})
+	f.Add([]byte{1, 0x1f, 0xf0, 0xff, 2, 7, 0, 0, 3, 6, 5, 0, 2, 6, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		m := mustNew(t, 8)
+		size := m.Size()
+		span := func(hi, lo byte, n int) (Addr, int) {
+			addr := (int(hi)<<8 | int(lo)) % size
+			return Addr(addr), min(n, size-addr)
+		}
+		for step := 0; len(ops) >= 4; step, ops = step+1, ops[4:] {
+			op, hi, lo, v := ops[0]%4, ops[1], ops[2], ops[3]
+			switch op {
+			case 0: // v&63+1 bytes of value v>>6 (zeros included)
+				addr, n := span(hi, lo, int(v&63)+1)
+				if err := m.Write(addr, bytes.Repeat([]byte{v >> 6}, n)); err != nil {
+					t.Fatal(err)
+				}
+			case 1: // up to a page and a bit, so it can straddle frames
+				addr, n := span(hi, lo, int(v)*17+1)
+				if err := m.Zero(addr, n); err != nil {
+					t.Fatal(err)
+				}
+			case 2:
+				pn := PageNum(hi % 8)
+				marked, muts, gen := m.frames[pn].zeroed, m.Mutations(), m.Frame(pn).Gen()
+				if err := m.ZeroPage(pn); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case marked && (m.Mutations() != muts || m.Frame(pn).Gen() != gen):
+					t.Fatalf("step %d: ZeroPage(%d) of a marked frame moved mutations %d -> %d, gen %d -> %d",
+						step, pn, muts, m.Mutations(), gen, m.Frame(pn).Gen())
+				case !marked && (m.Mutations() != muts+1 || m.Frame(pn).Gen() != m.Mutations()):
+					t.Fatalf("step %d: ZeroPage(%d) of an unmarked frame: mutations %d -> %d, gen %d -> %d, want both bumped",
+						step, pn, muts, m.Mutations(), gen, m.Frame(pn).Gen())
+				}
+			case 3:
+				if err := m.CopyPage(PageNum(hi%8), PageNum(lo%8)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for pn := range m.frames {
+				if m.frames[pn].zeroed && !m.PageIsZero(PageNum(pn)) {
+					t.Fatalf("step %d (op %d): frame %d marked zero holds a non-zero byte", step, op, pn)
+				}
+			}
+		}
+	})
 }

@@ -146,7 +146,8 @@ func WithAutoAlign() LoadOption {
 // The load is fail-closed: on any error — a malloc that fails mid-way, a
 // refused mlock under WithAutoAlign — every buffer built so far (PEM text,
 // DER bytes, finished BIGNUMs) is cleansed before the error returns, so a
-// failed load never strands scannable key material on the heap.
+// failed load never strands scannable key material on the heap, and the
+// parsed host-side key's private parts are zeroized on every path.
 func D2iPrivateKey(h *libc.Heap, pemData []byte, opts ...LoadOption) (*RSA, error) {
 	var cfg loadConfig
 	for _, o := range opts {
@@ -166,6 +167,14 @@ func D2iPrivateKey(h *libc.Heap, pemData []byte, opts ...LoadOption) (*RSA, erro
 		// surface it alongside the parse error rather than dropping it.
 		return nil, errors.Join(fmt.Errorf("ssl: d2i: %w", err), h.FreeZero(pemBuf))
 	}
+	return loadKey(h, pemBuf, key, cfg)
+}
+
+// loadKey is D2iPrivateKey after a successful parse: it plants the DER and
+// the six BIGNUMs for key on h, frees the PEM buffer at pemBuf and
+// zeroizes key's private parts (N and E, which the RSA shares, stay).
+func loadKey(h *libc.Heap, pemBuf vm.VAddr, key *rsakey.PrivateKey, cfg loadConfig) (*RSA, error) {
+	defer key.Zeroize()
 	// The base64-decoded DER buffer (d2i input) — contains d, p, q raw.
 	// The host-side copy is scrubbed once it has been planted in simulated
 	// memory; derBuf is the copy the experiments scan for.

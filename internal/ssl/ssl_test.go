@@ -3,6 +3,7 @@ package ssl
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
@@ -95,6 +96,53 @@ func TestD2iCreatesBigNumCopies(t *testing.T) {
 	gotD, err := r.Parts()[0].Bytes()
 	if err != nil || !bytes.Equal(gotD, f.key.D.Bytes()) {
 		t.Fatalf("d readback mismatch: %v", err)
+	}
+}
+
+// loadKey zeroizes the parsed host-side key's six private parts on every
+// path, and leaves N and E, which the loaded RSA shares.
+func TestLoadKeyZeroizesParsedKey(t *testing.T) {
+	parts := func(k *rsakey.PrivateKey) map[string]*big.Int {
+		return map[string]*big.Int{"d": k.D, "p": k.P, "q": k.Q, "dp": k.Dp, "dq": k.Dq, "qinv": k.Qinv}
+	}
+	for _, tc := range []struct {
+		name    string
+		failNth []uint64 // SiteMalloc calls to fail: 1 is the PEM buffer
+	}{
+		{"ok", nil},
+		{"der malloc fails", []uint64{2}},
+		{"bignum malloc fails", []uint64{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixtureConfig(t, kernel.Config{
+				MemPages: 2048, DeallocPolicy: alloc.PolicyRetain,
+				FaultPlan: &fault.Plan{Rules: map[fault.Site]fault.Rule{fault.SiteMalloc: {Nth: tc.failNth}}},
+			})
+			key, err := rsakey.ParsePEM(f.pem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pemBuf, err := f.heap.Malloc(len(f.pem))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := loadKey(f.heap, pemBuf, key, loadConfig{})
+			if tc.failNth == nil {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.pub.N.Cmp(f.key.N) != 0 || r.pub.E.Cmp(f.key.E) != 0 {
+					t.Fatal("the loaded RSA lost N or E")
+				}
+			} else if !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("loadKey = %v, want the injected malloc failure", err)
+			}
+			for name, v := range parts(key) {
+				if v.Sign() != 0 {
+					t.Errorf("parsed key's %s is not zeroized", name)
+				}
+			}
+		})
 	}
 }
 
