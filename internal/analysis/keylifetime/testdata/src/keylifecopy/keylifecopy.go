@@ -89,6 +89,6 @@ func LeakParsed(data []byte) error {
 	if err != nil {
 		return err
 	}
-	use(new(big.Int).Set(key.D)) // want `result of big\.Set carries key material \(pemfile\.Decode via rsakey\.ParseDER → rsakey\.ParsePEM via big\.Set\) but is consumed anonymously`
+	use(new(big.Int).Set(key.D)) // want `result of big\.Set carries key material \(pemfile\.Decode via rsakey\.ParseParts → rsakey\.DecodePEM via rsakey\.key → rsakey\.ParsePEM via big\.Set\) but is consumed anonymously`
 	return nil
 }

@@ -128,7 +128,9 @@ func (d *Decoder) ReadTLV() (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	if d.off+n > len(d.data) {
+	// Compared as unsigned so that a four-octet length past the top of a
+	// 32-bit int, which reads as negative there, is truncation too.
+	if uint(n) > uint(len(d.data)-d.off) {
 		return 0, nil, ErrTruncated
 	}
 	val := d.data[d.off : d.off+n]
@@ -137,8 +139,9 @@ func (d *Decoder) ReadTLV() (byte, []byte, error) {
 }
 
 // ReadInteger consumes an INTEGER and returns its unsigned big-endian value
-// with the sign octet stripped. Negative integers are rejected (PKCS#1 keys
-// never contain them).
+// with the sign octet stripped, as a view into the decoder's input: the
+// caller copies it if it must outlive or be changed apart from that input.
+// Negative integers are rejected (PKCS#1 keys never contain them).
 func (d *Decoder) ReadInteger() ([]byte, error) {
 	tag, val, err := d.ReadTLV()
 	if err != nil {
@@ -159,9 +162,7 @@ func (d *Decoder) ReadInteger() ([]byte, error) {
 	if val[0] == 0 {
 		val = val[1:]
 	}
-	out := make([]byte, len(val))
-	copy(out, val)
-	return out, nil
+	return val, nil
 }
 
 // ReadSequence consumes a SEQUENCE and returns a sub-decoder over its body.

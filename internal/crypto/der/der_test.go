@@ -98,6 +98,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"redundant pad", []byte{0x02, 0x02, 0x00, 0x05}, ErrNonMinimal},
 		{"nonminimal length", []byte{0x02, 0x81, 0x01, 0x05}, ErrNonMinimal},
 		{"absurd length octets", []byte{0x02, 0x85, 1, 1, 1, 1, 1}, ErrBadLength},
+		{"length past a 32-bit int", []byte{0x02, 0x84, 0x80, 0, 0, 0, 1}, ErrTruncated},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -106,6 +107,19 @@ func TestDecodeErrors(t *testing.T) {
 				t.Fatalf("got %v, want %v", err, tt.want)
 			}
 		})
+	}
+}
+
+// ReadInteger returns a view into the decoder's input, sign octet stripped,
+// not a copy.
+func TestReadIntegerReturnsView(t *testing.T) {
+	enc := AppendInteger(nil, []byte{0x80, 0x01})
+	got, err := NewDecoder(enc).ReadInteger()
+	if err != nil || !bytes.Equal(got, []byte{0x80, 0x01}) {
+		t.Fatalf("ReadInteger = %x, %v", got, err)
+	}
+	if &got[0] != &enc[len(enc)-2] {
+		t.Fatal("ReadInteger copied its value instead of returning a view")
 	}
 }
 

@@ -8,6 +8,7 @@ func FuzzReadInteger(f *testing.F) {
 	f.Add([]byte{0x02, 0x01, 0x05})
 	f.Add([]byte{0x02, 0x81, 0x80})
 	f.Add([]byte{0x02, 0x82, 0xff, 0xff})
+	f.Add([]byte{0x02, 0x84, 0x80, 0x00, 0x00, 0x00, 0x01})
 	f.Add([]byte{0x30, 0x03, 0x02, 0x01, 0x00})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

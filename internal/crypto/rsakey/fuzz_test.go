@@ -6,17 +6,30 @@ import (
 	"testing"
 )
 
-// FuzzParseDER ensures arbitrary input never panics the key parser, and
-// that anything it accepts is a genuinely valid key.
+// FuzzParseDER ensures arbitrary input never panics the key parser; that
+// anything it accepts is a genuinely valid key whose MarshalDER is the
+// input itself, since the decoder accepts only canonical DER; and that
+// wherever the kernel validation gives a verdict, it is Validate's.
 func FuzzParseDER(f *testing.F) {
-	key, err := Generate(seedReader(3), 256)
-	if err != nil {
-		f.Fatal(err)
+	for _, bits := range []int{128, 256, 512, 514, 1024} {
+		key, err := Generate(seedReader(int64(bits)), bits)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(key.MarshalDER())
 	}
-	f.Add(key.MarshalDER())
+	for _, key := range tinyKeys {
+		f.Add(key.MarshalDER())
+	}
 	f.Add([]byte{0x30, 0x00})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if v, err := parseParts(data); err == nil {
+			fits, kerr := v.checkKernel()
+			if berr := v.key().Validate(); fits && kerr != berr {
+				t.Fatalf("kernel validation: %v; Validate: %v", kerr, berr)
+			}
+		}
 		parsed, err := ParseDER(data)
 		if err != nil {
 			return
@@ -24,7 +37,32 @@ func FuzzParseDER(f *testing.F) {
 		if verr := parsed.Validate(); verr != nil {
 			t.Fatalf("ParseDER accepted an invalid key: %v", verr)
 		}
+		if !bytes.Equal(parsed.MarshalDER(), data) {
+			t.Fatal("ParseDER accepted an encoding MarshalDER does not give")
+		}
 	})
+}
+
+// tinyKeys are hand-made keys of shapes Generate never makes: P or Q of 0,
+// 1 or an even value, which Validate must reject or may accept, and
+// primes whose p−1 and q−1 are powers of two.
+var tinyKeys = map[string]*PrivateKey{
+	"p=1":         smallKey(7, 3, 3, 1, 7, 0, 3, 1),
+	"q=1":         smallKey(7, 3, 3, 7, 1, 3, 0, 1),
+	"p=0":         smallKey(0, 3, 3, 0, 7, 0, 3, 1),
+	"even p":      smallKey(20, 5, 5, 4, 5, 2, 1, 1),
+	"even q":      smallKey(20, 5, 5, 5, 4, 1, 2, 4),
+	"p=7 q=5":     smallKey(35, 5, 5, 7, 5, 5, 1, 3),
+	"p-1 q-1 2^k": smallKey(15, 3, 3, 3, 5, 1, 3, 2),
+}
+
+// smallKey builds a key from word-sized parts, in PKCS#1 order.
+func smallKey(n, e, d, p, q, dp, dq, qinv int64) *PrivateKey {
+	return &PrivateKey{
+		PublicKey: PublicKey{N: big.NewInt(n), E: big.NewInt(e)},
+		D:         big.NewInt(d), P: big.NewInt(p), Q: big.NewInt(q),
+		Dp: big.NewInt(dp), Dq: big.NewInt(dq), Qinv: big.NewInt(qinv),
+	}
 }
 
 // FuzzMontExp checks the Montgomery kernel against big.Int.Exp: any odd

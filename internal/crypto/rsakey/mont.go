@@ -1,6 +1,7 @@
 package rsakey
 
 import (
+	"encoding/binary"
 	"math/big"
 	"math/bits"
 )
@@ -238,24 +239,31 @@ func (z *limbs) load(v *big.Int) { loadWords(z[:], v.Bits()) }
 // in len(z) limbs. Leading zero bytes past that width are allowed.
 func loadBytes(z []uint64, b []byte) bool {
 	clear(z)
-	for i, v := range b {
-		j := len(b) - 1 - i // the byte's place, counted from the low end
-		if j >= 8*len(z) {
-			if v != 0 {
-				return false
+	for i := 0; len(b) > 0; i++ { // limb i is b's last 8 bytes, or what is left
+		var w uint64
+		if n := len(b) - 8; n >= 0 {
+			w, b = binary.BigEndian.Uint64(b[n:]), b[:n]
+		} else {
+			for _, v := range b {
+				w = w<<8 | uint64(v)
 			}
-			continue
+			b = nil
 		}
-		z[j/8] |= uint64(v) << (8 * (j % 8))
+		if i < len(z) {
+			z[i] = w
+		} else if w != 0 {
+			return false
+		}
 	}
 	return true
 }
 
 // oddAboveOne reports whether z is an odd value above 1, as the package's
 // oddAboveOne does for a *big.Int.
-func (z *limbs) oddAboveOne() bool {
-	return z[0]&1 == 1 && (z[0] > 1 || z[1]|z[2]|z[3] != 0)
-}
+func (z *limbs) oddAboveOne() bool { return z[0]&1 == 1 && z.aboveOne() }
+
+// aboveOne reports whether z is above 1.
+func (z *limbs) aboveOne() bool { return z[0] > 1 || z[1]|z[2]|z[3] != 0 }
 
 // rr sets ws.r2 = R² mod m for odd m > 1. Doubling 2^(len(m)−1), which is
 // below m, up to 2^264 = R·2^8 mod m takes at most 263 shift-and-subtract
@@ -379,6 +387,169 @@ func (ws *workspace) crt(size int) []byte {
 		}
 	}
 	return sigBytes(s, size)
+}
+
+// checkSpace is the working state of one kernel validation: the parts as
+// limbs, the product p·q, and the modulus and residues of the check under
+// way, beside the workspace whose rr and toMont give them. checkKernel
+// wipes it before returning.
+type checkSpace struct {
+	workspace
+	n, e, d, dp, dq, qinv limbs8
+	pq                    [8]uint64
+	mod, odd              limbs
+	one, ed, dr, xr       limbs
+}
+
+// wipe zeroes every word of cs.
+func (cs *checkSpace) wipe() { *cs = checkSpace{} }
+
+// checkKernel is Validate on the kernels, for a key whose primes are odd
+// and at most 256 bits and whose other parts are at most 512 bits: fits
+// reports that the key has that shape, and err is then Validate's verdict
+// on it, checked in Validate's order. A key of any other shape gets no
+// verdict here.
+func (v *Parts) checkKernel() (fits bool, err error) {
+	var cs checkSpace
+	defer cs.wipe()
+	if !loadBytes(cs.p[:], v.P) || !loadBytes(cs.q[:], v.Q) || !loadBytes(cs.n[:], v.N) ||
+		!loadBytes(cs.e[:], v.E) || !loadBytes(cs.d[:], v.D) || !loadBytes(cs.dp[:], v.Dp) ||
+		!loadBytes(cs.dq[:], v.Dq) || !loadBytes(cs.qinv[:], v.Qinv) {
+		return false, nil
+	}
+	if !cs.p.aboveOne() || !cs.q.aboveOne() {
+		return true, errSmallPrime
+	}
+	if cs.p[0]&1 == 0 || cs.q[0]&1 == 0 {
+		return false, nil
+	}
+	mulInto(cs.pq[:], cs.p[:], cs.q[:])
+	if limbs8(cs.pq) != cs.n {
+		return true, errModulus
+	}
+	edP, dpOK := cs.crtConditions(&cs.p, &cs.dp)
+	edQ, dqOK := cs.crtConditions(&cs.q, &cs.dq)
+	switch {
+	case !edP:
+		return true, errEDModP
+	case !edQ:
+		return true, errEDModQ
+	case !dpOK:
+		return true, errDp
+	case !dqOK:
+		return true, errDq
+	}
+	// q·qinv ≡ 1 (mod p): q·R times qinv·R is q·qinv·R, against R.
+	inv := montInv(cs.p[0])
+	cs.montOne(&cs.p, inv)
+	cs.toMont(&cs.xr, trim(cs.q[:]), &cs.p, inv)
+	cs.toMont(&cs.dr, trim(cs.qinv[:]), &cs.p, inv)
+	montMul(&cs.xr, &cs.xr, &cs.dr, &cs.p, inv)
+	if cs.xr != cs.one {
+		return true, errQinv
+	}
+	return true, nil
+}
+
+// crtConditions reports Validate's two conditions modulo r−1 for an odd
+// prime r > 1 of the key in cs: e·d ≡ 1 (mod r−1), and dx = d mod r−1,
+// that is dx < r−1 and d ≡ dx. With r−1 = 2^s·o and o odd, a congruence
+// holds exactly when it holds modulo 2^s, where the low s bits agree, and
+// modulo o, where the residues agree in Montgomery form (x·R mod o, which
+// toMont gives fully reduced, R = 2^256 being invertible modulo an odd o).
+func (cs *checkSpace) crtConditions(r *limbs, dx *limbs8) (ed, dOK bool) {
+	cs.mod = *r
+	cs.mod[0]-- // r is odd: no borrow
+	s := 0
+	for i := 0; cs.mod[i] == 0; i++ {
+		s += 64
+	}
+	s += bits.TrailingZeros64(cs.mod[s/64])
+	mulInto(cs.pq[:], cs.e[:4], cs.d[:4]) // its low 256 bits are e·d's
+	ed = lowEqual(cs.pq[:4], []uint64{1}, s)
+	dOK = below(dx[:], &cs.mod) && lowEqual(cs.d[:], dx[:], s)
+	for i := range cs.odd { // o = (r−1) >> s
+		j, b := i+s/64, s%64
+		cs.odd[i] = word(cs.mod[:], j) >> b
+		if b != 0 {
+			cs.odd[i] |= word(cs.mod[:], j+1) << (64 - b)
+		}
+	}
+	if cs.odd == (limbs{1}) {
+		return ed, dOK
+	}
+	inv := montInv(cs.odd[0])
+	cs.montOne(&cs.odd, inv)
+	cs.toMont(&cs.ed, trim(cs.e[:]), &cs.odd, inv)
+	cs.toMont(&cs.dr, trim(cs.d[:]), &cs.odd, inv)
+	montMul(&cs.ed, &cs.ed, &cs.dr, &cs.odd, inv) // e·d·R
+	cs.toMont(&cs.xr, trim(dx[:]), &cs.odd, inv)
+	return ed && cs.ed == cs.one, dOK && cs.dr == cs.xr
+}
+
+// montOne sets cs.r2 = R² mod m and cs.one = R mod m, the Montgomery form
+// of 1, for odd m > 1.
+func (cs *checkSpace) montOne(m *limbs, inv uint64) {
+	cs.rr(m, inv)
+	fromMont(&cs.one, &cs.r2, m, inv)
+}
+
+// lowEqual reports whether the low s bits of x and y agree.
+func lowEqual(x, y []uint64, s int) bool {
+	for i := 0; 64*i < s; i++ {
+		mask := ^uint64(0)
+		if r := s - 64*i; r < 64 {
+			mask = 1<<r - 1
+		}
+		if (word(x, i)^word(y, i))&mask != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// trim returns x without its high zero limbs, so toMont folds in only the
+// chunks that hold bits.
+func trim(x []uint64) []uint64 {
+	for len(x) > 0 && x[len(x)-1] == 0 {
+		x = x[:len(x)-1]
+	}
+	return x
+}
+
+// word returns x[i], or 0 past the end of x.
+func word(x []uint64, i int) uint64 {
+	if i < len(x) {
+		return x[i]
+	}
+	return 0
+}
+
+// below reports whether the little-endian x is less than m.
+func below(x []uint64, m *limbs) bool {
+	for _, w := range x[len(m):] {
+		if w != 0 {
+			return false
+		}
+	}
+	var b uint64
+	for i, w := range m {
+		_, b = bits.Sub64(x[i], w, b)
+	}
+	return b != 0
+}
+
+// mulInto sets z = x·y by schoolbook multiplication; z must hold
+// len(x)+len(y) limbs.
+func mulInto(z, x, y []uint64) {
+	clear(z)
+	for i, yi := range y {
+		var c uint64
+		for j, xj := range x {
+			c, z[i+j] = madd(xj, yi, z[i+j], c)
+		}
+		z[i+len(x)] = c
+	}
 }
 
 // sigBytes returns s big-endian in its minimal length, left-padded with

@@ -33,6 +33,18 @@ var (
 	ErrBadSignature = errors.New("rsakey: signature does not verify")
 )
 
+// The ways a key fails validation, in the order Validate and the kernel
+// validation in mont.go check them.
+var (
+	errSmallPrime = fmt.Errorf("%w: p or q not above 1", ErrBadKey)
+	errModulus    = fmt.Errorf("%w: p*q != n", ErrBadKey)
+	errEDModP     = fmt.Errorf("%w: e*d != 1 mod p-1", ErrBadKey)
+	errEDModQ     = fmt.Errorf("%w: e*d != 1 mod q-1", ErrBadKey)
+	errDp         = fmt.Errorf("%w: dp != d mod p-1", ErrBadKey)
+	errDq         = fmt.Errorf("%w: dq != d mod q-1", ErrBadKey)
+	errQinv       = fmt.Errorf("%w: q*qinv != 1 mod p", ErrBadKey)
+)
+
 // PublicKey is the (e, N) pair.
 type PublicKey struct {
 	N *big.Int
@@ -102,36 +114,42 @@ func Generate(r io.Reader, bits int) (*PrivateKey, error) {
 	}
 }
 
-// Validate checks the internal consistency of the key.
+// Validate checks the internal consistency of the key on math/big. P and
+// Q must be above 1 before any arithmetic: p−1 and q−1 are moduli below.
+// Parsing validates keys of at most 512 bits on the kernels in mont.go
+// instead, with the same verdicts.
 func (k *PrivateKey) Validate() error {
 	if k.N == nil || k.E == nil || k.D == nil || k.P == nil || k.Q == nil ||
 		k.Dp == nil || k.Dq == nil || k.Qinv == nil {
 		return fmt.Errorf("%w: missing component", ErrBadKey)
 	}
+	one := big.NewInt(1)
+	if k.P.Cmp(one) <= 0 || k.Q.Cmp(one) <= 0 {
+		return errSmallPrime
+	}
 	n := new(big.Int).Mul(k.P, k.Q)
 	if n.Cmp(k.N) != 0 {
-		return fmt.Errorf("%w: p*q != n", ErrBadKey)
+		return errModulus
 	}
-	one := big.NewInt(1)
 	pm1 := new(big.Int).Sub(k.P, one)
 	qm1 := new(big.Int).Sub(k.Q, one)
 	// e*d ≡ 1 mod lcm(p-1, q-1) is implied by e*d ≡ 1 mod (p-1) and (q-1).
 	ed := new(big.Int).Mul(k.E, k.D)
 	if new(big.Int).Mod(ed, pm1).Cmp(one) != 0 {
-		return fmt.Errorf("%w: e*d != 1 mod p-1", ErrBadKey)
+		return errEDModP
 	}
 	if new(big.Int).Mod(ed, qm1).Cmp(one) != 0 {
-		return fmt.Errorf("%w: e*d != 1 mod q-1", ErrBadKey)
+		return errEDModQ
 	}
 	if new(big.Int).Mod(k.D, pm1).Cmp(k.Dp) != 0 {
-		return fmt.Errorf("%w: dp != d mod p-1", ErrBadKey)
+		return errDp
 	}
 	if new(big.Int).Mod(k.D, qm1).Cmp(k.Dq) != 0 {
-		return fmt.Errorf("%w: dq != d mod q-1", ErrBadKey)
+		return errDq
 	}
 	qqinv := new(big.Int).Mul(k.Q, k.Qinv)
 	if new(big.Int).Mod(qqinv, k.P).Cmp(one) != 0 {
-		return fmt.Errorf("%w: q*qinv != 1 mod p", ErrBadKey)
+		return errQinv
 	}
 	return nil
 }
@@ -296,60 +314,127 @@ func (k *PrivateKey) MarshalPEM() []byte {
 	return pemfile.Encode(PEMType, derBytes)
 }
 
-// ParseDER decodes a PKCS#1 RSAPrivateKey.
-func ParseDER(data []byte) (*PrivateKey, error) {
+// Parts is a PKCS#1 RSAPrivateKey's eight INTEGERs in file order, each
+// big-endian without its sign octet and a view into the DER it was parsed
+// from: whoever owns that buffer owns the parts, and scrubbing it scrubs
+// them.
+type Parts struct {
+	N, E, D, P, Q, Dp, Dq, Qinv []byte
+}
+
+// partNames names the eight INTEGERs after the version, in file order.
+var partNames = [...]string{"n", "e", "d", "p", "q", "dp", "dq", "qinv"}
+
+// ParseParts parses a PKCS#1 RSAPrivateKey into views of its INTEGERs and
+// validates the key they form: on the kernels in mont.go when it fits
+// them, as every key of at most 512 bits with odd primes does, and with
+// Validate otherwise. It copies nothing out of data.
+func ParseParts(data []byte) (Parts, error) {
+	v, err := parseParts(data)
+	if err != nil {
+		return Parts{}, err
+	}
+	if err := v.validate(); err != nil {
+		return Parts{}, err
+	}
+	return v, nil
+}
+
+// parseParts is ParseParts without the validation: the byte-level parse.
+// The decoder accepts only DER's one encoding of each value, so the input
+// of any parse that succeeds is exactly what MarshalDER gives for the key.
+func parseParts(data []byte) (Parts, error) {
 	d := der.NewDecoder(data)
 	seq, err := d.ReadSequence()
 	if err != nil {
-		return nil, fmt.Errorf("rsakey: %w", err)
+		return Parts{}, fmt.Errorf("rsakey: %w", err)
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("rsakey: %w", err)
+		return Parts{}, fmt.Errorf("rsakey: %w", err)
 	}
 	version, err := seq.ReadInteger()
 	if err != nil {
-		return nil, fmt.Errorf("rsakey: version: %w", err)
+		return Parts{}, fmt.Errorf("rsakey: version: %w", err)
 	}
 	if len(version) != 0 {
-		return nil, fmt.Errorf("%w: unsupported version", ErrBadKey)
+		return Parts{}, fmt.Errorf("%w: unsupported version", ErrBadKey)
 	}
-	parts := make([]*big.Int, 8)
-	names := []string{"n", "e", "d", "p", "q", "dp", "dq", "qinv"}
-	for i := range parts {
-		raw, err := seq.ReadInteger()
-		if err != nil {
-			return nil, fmt.Errorf("rsakey: %s: %w", names[i], err)
+	var ints [len(partNames)][]byte
+	for i := range ints {
+		if ints[i], err = seq.ReadInteger(); err != nil {
+			return Parts{}, fmt.Errorf("rsakey: %s: %w", partNames[i], err)
 		}
-		parts[i] = new(big.Int).SetBytes(raw)
 	}
 	if err := seq.Finish(); err != nil {
-		return nil, fmt.Errorf("rsakey: %w", err)
+		return Parts{}, fmt.Errorf("rsakey: %w", err)
 	}
-	key := &PrivateKey{
-		PublicKey: PublicKey{N: parts[0], E: parts[1]},
-		D:         parts[2], P: parts[3], Q: parts[4],
-		Dp: parts[5], Dq: parts[6], Qinv: parts[7],
+	return Parts{
+		N: ints[0], E: ints[1], D: ints[2], P: ints[3],
+		Q: ints[4], Dp: ints[5], Dq: ints[6], Qinv: ints[7],
+	}, nil
+}
+
+// validate is ParseParts' check of the key v forms.
+func (v *Parts) validate() error {
+	if fits, err := v.checkKernel(); fits {
+		return err
 	}
-	if err := key.Validate(); err != nil {
+	k := v.key()
+	defer k.Zeroize()
+	return k.Validate()
+}
+
+// key builds the PrivateKey the parts hold. Each part is converted in
+// place, not through a helper closure, so memlint's taint follows it.
+func (v *Parts) key() *PrivateKey {
+	return &PrivateKey{
+		PublicKey: PublicKey{N: new(big.Int).SetBytes(v.N), E: new(big.Int).SetBytes(v.E)},
+		D:         new(big.Int).SetBytes(v.D),
+		P:         new(big.Int).SetBytes(v.P),
+		Q:         new(big.Int).SetBytes(v.Q),
+		Dp:        new(big.Int).SetBytes(v.Dp),
+		Dq:        new(big.Int).SetBytes(v.Dq),
+		Qinv:      new(big.Int).SetBytes(v.Qinv),
+	}
+}
+
+// ParseDER decodes a PKCS#1 RSAPrivateKey.
+func ParseDER(data []byte) (*PrivateKey, error) {
+	v, err := ParseParts(data)
+	if err != nil {
 		return nil, err
 	}
-	return key, nil
+	return v.key(), nil
+}
+
+// DecodePEM de-armors a PEM-encoded PKCS#1 private key file into one fresh
+// DER buffer and parses and validates the key in it: the parts are views
+// into der. The caller owns der on every path, an error included, and
+// scrubs it when done with both (scrubbing a nil slice is a no-op).
+//
+//memlint:source result=0
+func DecodePEM(data []byte) (der []byte, parts Parts, err error) {
+	blockType, der, err := pemfile.Decode(data)
+	if err != nil {
+		return der, Parts{}, fmt.Errorf("rsakey: %w", err)
+	}
+	if blockType != PEMType {
+		return der, Parts{}, fmt.Errorf("%w: PEM type %q", ErrBadKey, blockType)
+	}
+	parts, err = ParseParts(der)
+	return der, parts, err
 }
 
 // ParsePEM decodes a PEM-armored PKCS#1 private key file.
 func ParsePEM(data []byte) (*PrivateKey, error) {
-	blockType, body, err := pemfile.Decode(data)
-	// body is the de-armored DER — key material in a fresh native buffer;
-	// scrub it on every path out, decode and parse errors included
-	// (scrubbing a nil slice is a no-op).
-	defer scrub.Bytes(body)
+	der, v, err := DecodePEM(data)
+	// der is the de-armored DER, key material in a fresh native buffer;
+	// the key copies the parts out of it.
+	defer scrub.Bytes(der)
 	if err != nil {
-		return nil, fmt.Errorf("rsakey: %w", err)
+		return nil, err
 	}
-	if blockType != PEMType {
-		return nil, fmt.Errorf("%w: PEM type %q", ErrBadKey, blockType)
-	}
-	return ParseDER(body)
+	return v.key(), nil
 }
 
 // Zeroize scrubs the six private components' limb buffers in place and

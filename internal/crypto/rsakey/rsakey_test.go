@@ -357,6 +357,64 @@ func TestParseDERRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A P or Q of at most 1 is refused before any arithmetic: P = 1 with
+// N = Q made Validate reduce modulo p−1 = 0 and panic.
+func TestParseDERRejectsUnitPrime(t *testing.T) {
+	for _, name := range []string{"p=1", "q=1", "p=0"} {
+		key := tinyKeys[name]
+		if err := key.Validate(); !errors.Is(err, ErrBadKey) {
+			t.Errorf("%s: Validate = %v, want ErrBadKey", name, err)
+		}
+		if _, err := ParseDER(key.MarshalDER()); !errors.Is(err, ErrBadKey) {
+			t.Errorf("%s: ParseDER = %v, want ErrBadKey", name, err)
+		}
+	}
+}
+
+// The kernel validation gives Validate's verdict on every key it takes,
+// and declines the shapes it does not: even primes and wide parts.
+func TestKernelValidationMatchesValidate(t *testing.T) {
+	keys := map[string]*PrivateKey{}
+	for name, key := range tinyKeys {
+		keys[name] = key
+	}
+	one := big.NewInt(1)
+	changes := map[string]func(k *PrivateKey){
+		"":               func(*PrivateKey) {},
+		"e+2":            func(k *PrivateKey) { k.E.Add(k.E, big.NewInt(2)) },
+		"dp not reduced": func(k *PrivateKey) { k.Dp.Add(k.Dp, new(big.Int).Sub(k.P, one)) },
+		"dq+1":           func(k *PrivateKey) { k.Dq.Add(k.Dq, one) },
+		"qinv+p":         func(k *PrivateKey) { k.Qinv.Add(k.Qinv, k.P) }, // still valid
+		"qinv+1":         func(k *PrivateKey) { k.Qinv.Add(k.Qinv, one) },
+	}
+	declined := map[string]bool{"even p": true, "even q": true}
+	for _, bits := range []int{128, 512, 514} {
+		key, err := Generate(stats.NewReader(int64(bits)), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for change, apply := range changes {
+			name := fmt.Sprintf("%d bits %s", bits, change)
+			keys[name] = key.Clone()
+			apply(keys[name])
+			declined[name] = bits > 2*kernelBits
+		}
+	}
+	for name, key := range keys {
+		v, err := parseParts(key.MarshalDER())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fits, kerr := v.checkKernel()
+		if fits == declined[name] {
+			t.Errorf("%s: kernel takes the key = %v, want %v", name, fits, !declined[name])
+		}
+		if berr := key.Validate(); fits && kerr != berr {
+			t.Errorf("%s: kernel validation %v, Validate %v", name, kerr, berr)
+		}
+	}
+}
+
 func TestValidateCatchesCorruption(t *testing.T) {
 	key := testKey(t)
 	cases := map[string]func(k *PrivateKey){

@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 
 	"memshield/internal/fault"
@@ -86,6 +87,19 @@ type Region struct {
 	epoch  uint64
 	tag    [32]byte
 
+	// Window state, host-side too, cleared after every pass by
+	// wipeWindow: the region's bytes as read, the epoch's derived keys
+	// and IV, the HMAC key pad and result, and the one SHA-256 state every
+	// HMAC runs on. A window allocates none of it.
+	buf    []byte
+	encKey [32]byte
+	iv     [aes.BlockSize]byte
+	tagKey [32]byte
+	epochB [8]byte
+	pad    [sha256.BlockSize]byte
+	sum    [sha256.Size]byte
+	sha    hash.Hash
+
 	open      bool
 	destroyed bool
 	cause     error
@@ -113,7 +127,7 @@ func New(heap *libc.Heap, inj *fault.Injector, base vm.VAddr, n int, prekeyRand 
 	if heap == nil || n <= 0 {
 		return nil, fmt.Errorf("seal: bad region (%d bytes)", n)
 	}
-	r := &Region{heap: heap, inj: inj, base: base, n: n}
+	r := &Region{heap: heap, inj: inj, base: base, n: n, buf: make([]byte, n), sha: sha256.New()}
 	for _, opt := range opts {
 		opt(r)
 	}
@@ -126,62 +140,98 @@ func New(heap *libc.Heap, inj *fault.Injector, base vm.VAddr, n int, prekeyRand 
 	return r, nil
 }
 
-// derive computes the epoch's sealing-key material: HMAC(prekey, label ||
-// epoch), truncated to size. The caller owns (and must scrub) the result.
-func (r *Region) derive(label string, size int) []byte {
-	var e [8]byte
-	binary.BigEndian.PutUint64(e[:], r.epoch)
-	m := hmac.New(sha256.New, r.prekey[:])
-	m.Write([]byte(label))
-	m.Write(e[:])
-	sum := m.Sum(nil)
-	return sum[:size]
+// The derivation labels: HMAC(prekey, label || epoch) gives each of the
+// epoch's sealing keys.
+var (
+	labelEnc = []byte("memshield-seal-enc")
+	labelIV  = []byte("memshield-seal-iv")
+	labelTag = []byte("memshield-seal-tag")
+)
+
+// hmacSum sets r.sum = HMAC-SHA256(key, msg...) (RFC 2104), that is
+// H(key⊕opad || H(key⊕ipad || msg...)), on the region's own digest and
+// pad, so it allocates nothing; key is at most one block. wipeWindow
+// clears what it leaves.
+func (r *Region) hmacSum(key []byte, msg ...[]byte) {
+	for i := range r.pad {
+		r.pad[i] = 0x36
+	}
+	for i, b := range key {
+		r.pad[i] ^= b
+	}
+	r.sha.Reset()
+	r.sha.Write(r.pad[:])
+	for _, m := range msg {
+		r.sha.Write(m)
+	}
+	r.sha.Sum(r.sum[:0])
+	for i := range r.pad {
+		r.pad[i] ^= 0x36 ^ 0x5c
+	}
+	r.sha.Reset()
+	r.sha.Write(r.pad[:])
+	r.sha.Write(r.sum[:])
+	r.sha.Sum(r.sum[:0])
 }
 
-// xorKeystream applies the epoch's AES-CTR keystream to buf in place —
-// one call encrypts, the next decrypts.
-func (r *Region) xorKeystream(buf []byte) error {
-	key := r.derive("memshield-seal-enc", 32)
-	defer scrub.Bytes(key)
-	iv := r.derive("memshield-seal-iv", aes.BlockSize)
-	defer scrub.Bytes(iv)
-	block, err := aes.NewCipher(key)
+// derive fills dst with the epoch's sealing-key material for label:
+// HMAC(prekey, label || epoch), truncated to len(dst).
+func (r *Region) derive(dst, label []byte) {
+	binary.BigEndian.PutUint64(r.epochB[:], r.epoch)
+	r.hmacSum(r.prekey[:], label, r.epochB[:])
+	copy(dst, r.sum[:])
+}
+
+// xorKeystream applies the epoch's AES-CTR keystream to r.buf in place —
+// one call encrypts, the next decrypts. The AES key schedule that
+// aes.NewCipher builds is the one copy of the epoch key this package
+// cannot scrub.
+func (r *Region) xorKeystream() error {
+	r.derive(r.encKey[:], labelEnc)
+	r.derive(r.iv[:], labelIV)
+	block, err := aes.NewCipher(r.encKey[:])
 	if err != nil {
 		return fmt.Errorf("seal: %w", err)
 	}
-	cipher.NewCTR(block, iv).XORKeyStream(buf, buf)
+	cipher.NewCTR(block, r.iv[:]).XORKeyStream(r.buf, r.buf)
 	return nil
 }
 
-// mac computes the epoch's ciphertext tag.
-func (r *Region) mac(ciphertext []byte) [32]byte {
-	key := r.derive("memshield-seal-tag", 32)
-	defer scrub.Bytes(key)
-	m := hmac.New(sha256.New, key)
-	m.Write(ciphertext)
-	var tag [32]byte
-	m.Sum(tag[:0])
-	return tag
+// mac sets r.sum to the epoch's tag of the ciphertext in r.buf.
+func (r *Region) mac() {
+	r.derive(r.tagKey[:], labelTag)
+	r.hmacSum(r.tagKey[:], r.buf)
 }
 
-// encryptInPlace reads the region's plaintext, overwrites it with the
-// current epoch's ciphertext, and records the tag.
+// wipeWindow clears the window state: the region's bytes, the derived
+// keys and IV, the pad and HMAC result, and the digest's chaining state.
+func (r *Region) wipeWindow() {
+	scrub.Bytes(r.buf)
+	scrub.Bytes(r.encKey[:])
+	scrub.Bytes(r.iv[:])
+	scrub.Bytes(r.tagKey[:])
+	scrub.Bytes(r.pad[:])
+	scrub.Bytes(r.sum[:])
+	r.sha.Reset()
+}
+
+// encryptInPlace reads the region's plaintext into r.buf, overwrites the
+// region with the current epoch's ciphertext, and records the tag. r.buf
+// holds the plaintext, then the ciphertext, and is scrubbed on every exit
+// path.
 func (r *Region) encryptInPlace() error {
-	buf, err := r.heap.Read(r.base, r.n)
-	if err != nil {
+	defer r.wipeWindow()
+	if err := r.heap.ReadInto(r.base, r.buf); err != nil {
 		return fmt.Errorf("seal: %w", err)
 	}
-	// buf transiently holds the plaintext; the in-place XOR turns it into
-	// ciphertext, and the deferred scrub clears whichever it holds on
-	// every exit path.
-	defer scrub.Bytes(buf)
-	if err := r.xorKeystream(buf); err != nil {
+	if err := r.xorKeystream(); err != nil {
 		return err
 	}
-	if err := r.heap.Write(r.base, buf); err != nil {
+	if err := r.heap.Write(r.base, r.buf); err != nil {
 		return fmt.Errorf("seal: %w", err)
 	}
-	r.tag = r.mac(buf)
+	r.mac()
+	r.tag = r.sum
 	return nil
 }
 
@@ -197,18 +247,17 @@ func (r *Region) unseal() error {
 	if err := r.inj.Fail(fault.SiteUnseal); err != nil {
 		return fmt.Errorf("%w: %w", ErrUnseal, err)
 	}
-	buf, err := r.heap.Read(r.base, r.n)
-	if err != nil {
+	defer r.wipeWindow()
+	if err := r.heap.ReadInto(r.base, r.buf); err != nil {
 		return fmt.Errorf("%w: %w", ErrUnseal, err)
 	}
-	defer scrub.Bytes(buf)
-	if got := r.mac(buf); !hmac.Equal(got[:], r.tag[:]) {
+	if r.mac(); !hmac.Equal(r.sum[:], r.tag[:]) {
 		return fmt.Errorf("%w: %w", ErrUnseal, ErrTag)
 	}
-	if err := r.xorKeystream(buf); err != nil {
+	if err := r.xorKeystream(); err != nil {
 		return fmt.Errorf("%w: %w", ErrUnseal, err)
 	}
-	if err := r.heap.Write(r.base, buf); err != nil {
+	if err := r.heap.Write(r.base, r.buf); err != nil {
 		return fmt.Errorf("%w: %w", ErrUnseal, err)
 	}
 	r.open = true

@@ -469,32 +469,42 @@ func (mg *Manager) Translate(pid int, addr VAddr) (mem.Addr, error) {
 
 // Read copies n bytes from pid's virtual memory, faulting in swapped pages.
 func (mg *Manager) Read(pid int, addr VAddr, n int) ([]byte, error) {
-	s, err := mg.Space(pid)
-	if err != nil {
+	out := make([]byte, n)
+	if err := mg.ReadInto(pid, addr, out); err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
-	for done := 0; done < n; {
+	return out, nil
+}
+
+// ReadInto is Read into the caller's buffer: it fills dst from pid's
+// virtual memory at addr, faulting in swapped pages. On error dst is
+// cleared, so no partial read is left behind.
+func (mg *Manager) ReadInto(pid int, addr VAddr, dst []byte) error {
+	s, err := mg.Space(pid)
+	if err != nil {
+		return err
+	}
+	for done := 0; done < len(dst); {
 		e := s.lookup(addr.Page())
 		if e == nil {
-			clear(out)
-			return nil, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
+			clear(dst)
+			return fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 		}
 		if e.swapped {
 			if err := mg.swapIn(pid, e); err != nil {
-				clear(out)
-				return nil, err
+				clear(dst)
+				return err
 			}
 		}
-		take := min(mem.PageSize-addr.Offset(), n-done)
-		if err := mg.mem.ReadInto(out[done:done+take], e.frame.Base()+mem.Addr(addr.Offset())); err != nil {
-			clear(out)
-			return nil, err
+		take := min(mem.PageSize-addr.Offset(), len(dst)-done)
+		if err := mg.mem.ReadInto(dst[done:done+take], e.frame.Base()+mem.Addr(addr.Offset())); err != nil {
+			clear(dst)
+			return err
 		}
 		addr += VAddr(take)
 		done += take
 	}
-	return out, nil
+	return nil
 }
 
 // Write copies b into pid's virtual memory. Writing a COW-shared page breaks

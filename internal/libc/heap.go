@@ -369,9 +369,29 @@ func (h *Heap) Read(p vm.VAddr, n int) ([]byte, error) {
 	return h.k.VM().Read(h.pid, p, n)
 }
 
-// Zero clears n bytes at a heap address.
+// ReadInto loads len(dst) bytes from a heap address into dst; on error dst
+// is cleared.
+func (h *Heap) ReadInto(p vm.VAddr, dst []byte) error {
+	return h.k.VM().ReadInto(h.pid, p, dst)
+}
+
+// zeroPage is the source of every Zero: it is never written.
+var zeroPage [mem.PageSize]byte
+
+// Zero clears n bytes at a heap address, one vm.Write per page the span
+// touches, so each frame gets the one write a single n-byte Write would
+// give it.
 func (h *Heap) Zero(p vm.VAddr, n int) error {
-	return h.k.VM().Write(h.pid, p, make([]byte, n))
+	for {
+		take := min(n, mem.PageSize-p.Offset())
+		if err := h.k.VM().Write(h.pid, p, zeroPage[:take]); err != nil {
+			return err
+		}
+		if n -= take; n <= 0 {
+			return nil
+		}
+		p += vm.VAddr(take)
+	}
 }
 
 // LiveBytes returns the total bytes currently allocated (excluding aligned

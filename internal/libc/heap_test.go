@@ -126,6 +126,56 @@ func TestFreeZeroClears(t *testing.T) {
 	}
 }
 
+// FreeZero on an arena that stays mapped makes no Go allocation: Zero
+// writes from one shared zero page, not a fresh buffer per call.
+func TestFreeZeroAllocs(t *testing.T) {
+	_, _, h := newHeap(t, 256, alloc.PolicyRetain)
+	if _, err := h.Malloc(64); err != nil { // keeps the arena mapped
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		p, err := h.Malloc(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.FreeZero(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Malloc+FreeZero = %v allocations, want 0", allocs)
+	}
+}
+
+// Zero clears exactly its span, across page boundaries.
+func TestZeroSpansPages(t *testing.T) {
+	_, _, h := newHeap(t, 256, alloc.PolicyRetain)
+	base, err := h.Memalign(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Write(base, bytes.Repeat([]byte{0xAB}, 3*mem.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	const off, n = 100, mem.PageSize + 300
+	if err := h.Zero(base+off, n); err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.Read(base, 3*mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		want := byte(0xAB)
+		if i >= off && i < off+n {
+			want = 0
+		}
+		if b != want {
+			t.Fatalf("byte %d = %#x, want %#x", i, b, want)
+		}
+	}
+}
+
 func TestArenaReleaseMovesDataToUnallocated(t *testing.T) {
 	k, _, h := newHeap(t, 256, alloc.PolicyRetain)
 	p, _ := h.Malloc(64)

@@ -28,6 +28,7 @@ import (
 	"memshield/internal/kernel/vm"
 	"memshield/internal/libc"
 	"memshield/internal/protect"
+	"memshield/internal/scrub"
 	"memshield/internal/ssl"
 	"memshield/internal/stats"
 )
@@ -205,6 +206,9 @@ func loadHostKey(k *kernel.Kernel, heap *libc.Heap, cfg Config) (*ssl.RSA, error
 	if err != nil {
 		return nil, fmt.Errorf("sshd: host key: %w", err)
 	}
+	// ReadFile hands back a fresh native copy of the whole key file; d2i
+	// puts what the process keeps into simulated memory.
+	defer scrub.Bytes(pem)
 	var opts []ssl.LoadOption
 	if cfg.Level.AlignAtLoad() {
 		opts = append(opts, ssl.WithAutoAlign())

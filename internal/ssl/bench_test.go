@@ -11,6 +11,20 @@ import (
 // opSink keeps the compiler from discarding benchmarked results.
 var opSink []byte
 
+// BenchmarkD2iPrivateKey times one load of a 512-bit key into a process
+// and its release, as the re-exec levels do on every connection: the
+// repository benchmark's ssl.d2i_us probe.
+func BenchmarkD2iPrivateKey(b *testing.B) {
+	f := newFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.load(b).Free(true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPrivateOp times one private operation on an aligned 512-bit key
 // read out of simulated memory, plain and sealed at rest (where each
 // operation is one unseal→reseal window) — the two operations the

@@ -123,8 +123,10 @@ type RSA struct {
 	freed bool
 }
 
-// LoadOption configures D2iPrivateKey.
-type LoadOption func(*loadConfig)
+// LoadOption configures D2iPrivateKey. It takes and returns the
+// configuration by value, so a load's configuration never leaves its
+// stack.
+type LoadOption func(loadConfig) loadConfig
 
 type loadConfig struct {
 	autoAlign bool
@@ -133,7 +135,10 @@ type loadConfig struct {
 // WithAutoAlign applies the paper's library-level patch: d2i_PrivateKey
 // calls RSA_memory_align as soon as the RSA structure is filled in.
 func WithAutoAlign() LoadOption {
-	return func(c *loadConfig) { c.autoAlign = true }
+	return func(c loadConfig) loadConfig {
+		c.autoAlign = true
+		return c
+	}
 }
 
 // D2iPrivateKey loads a PEM-encoded private key into a process: the PEM
@@ -143,15 +148,21 @@ func WithAutoAlign() LoadOption {
 // the PEM layer; the BIGNUMs themselves are the durable copies the paper
 // tracks.
 //
+// On the host side the PEM is decoded once, into one DER buffer that is
+// both the bytes planted as the simulated DER copy and the source of every
+// part: the BIGNUMs are filled from views into it, and only N and E, which
+// the RSA keeps, become big.Ints. A key of at most 512 bits is validated
+// on the fixed-width kernels (rsakey.ParseParts).
+//
 // The load is fail-closed: on any error — a malloc that fails mid-way, a
 // refused mlock under WithAutoAlign — every buffer built so far (PEM text,
 // DER bytes, finished BIGNUMs) is cleansed before the error returns, so a
 // failed load never strands scannable key material on the heap, and the
-// parsed host-side key's private parts are zeroized on every path.
+// host-side DER buffer is scrubbed on every path.
 func D2iPrivateKey(h *libc.Heap, pemData []byte, opts ...LoadOption) (*RSA, error) {
 	var cfg loadConfig
 	for _, o := range opts {
-		o(&cfg)
+		cfg = o(cfg)
 	}
 	// The file-read buffer: PEM text on the heap.
 	pemBuf, err := h.Malloc(len(pemData))
@@ -161,24 +172,24 @@ func D2iPrivateKey(h *libc.Heap, pemData []byte, opts ...LoadOption) (*RSA, erro
 	if err := h.Write(pemBuf, pemData); err != nil {
 		return nil, errors.Join(fmt.Errorf("ssl: d2i: %w", err), h.FreeZero(pemBuf))
 	}
-	key, err := rsakey.ParsePEM(pemData)
+	der, parts, err := rsakey.DecodePEM(pemData)
 	if err != nil {
+		scrub.Bytes(der)
 		// A failed scrub would leave PEM text live in simulated memory:
 		// surface it alongside the parse error rather than dropping it.
 		return nil, errors.Join(fmt.Errorf("ssl: d2i: %w", err), h.FreeZero(pemBuf))
 	}
-	return loadKey(h, pemBuf, key, cfg)
+	return loadKey(h, pemBuf, der, &parts, cfg)
 }
 
-// loadKey is D2iPrivateKey after a successful parse: it plants the DER and
-// the six BIGNUMs for key on h, frees the PEM buffer at pemBuf and
-// zeroizes key's private parts (N and E, which the RSA shares, stay).
-func loadKey(h *libc.Heap, pemBuf vm.VAddr, key *rsakey.PrivateKey, cfg loadConfig) (*RSA, error) {
-	defer key.Zeroize()
+// loadKey is D2iPrivateKey after a successful parse: it plants der, the
+// decoded DER whose views parts holds, and the six BIGNUMs on h, frees the
+// PEM buffer at pemBuf and scrubs der on every path.
+func loadKey(h *libc.Heap, pemBuf vm.VAddr, der []byte, parts *rsakey.Parts, cfg loadConfig) (*RSA, error) {
 	// The base64-decoded DER buffer (d2i input) — contains d, p, q raw.
-	// The host-side copy is scrubbed once it has been planted in simulated
-	// memory; derBuf is the copy the experiments scan for.
-	der := key.MarshalDER()
+	// The decoder accepts only canonical DER, so these are the bytes
+	// MarshalDER would give for the key; derBuf is the copy the
+	// experiments scan for.
 	defer scrub.Bytes(der)
 	derBuf, err := h.Malloc(len(der))
 	if err != nil {
@@ -189,25 +200,26 @@ func loadKey(h *libc.Heap, pemBuf vm.VAddr, key *rsakey.PrivateKey, cfg loadConf
 			h.FreeZero(derBuf), h.FreeZero(pemBuf))
 	}
 	r := &RSA{
-		heap:  h,
-		pub:   key.PublicKey,
+		heap: h,
+		pub: rsakey.PublicKey{
+			N: new(big.Int).SetBytes(parts.N),
+			E: new(big.Int).SetBytes(parts.E),
+		},
 		flags: FlagCachePrivate | FlagCachePublic,
 	}
-	parts := []struct {
+	built := [...]struct {
 		dst **BigNum
-		val *big.Int
+		val []byte
 	}{
-		{&r.d, key.D}, {&r.p, key.P}, {&r.q, key.Q},
-		{&r.dp, key.Dp}, {&r.dq, key.Dq}, {&r.qinv, key.Qinv},
+		{&r.d, parts.D}, {&r.p, parts.P}, {&r.q, parts.Q},
+		{&r.dp, parts.Dp}, {&r.dq, parts.Dq}, {&r.qinv, parts.Qinv},
 	}
-	for i, part := range parts {
-		raw := part.val.Bytes()
-		bn, err := newBigNum(h, raw)
-		scrub.Bytes(raw)
+	for i, part := range built {
+		bn, err := newBigNum(h, part.val)
 		if err != nil {
 			errs := []error{fmt.Errorf("ssl: d2i: %w", err)}
-			for _, built := range parts[:i] {
-				errs = append(errs, h.FreeZero((*built.dst).ptr))
+			for _, done := range built[:i] {
+				errs = append(errs, h.FreeZero((*done.dst).ptr))
 			}
 			errs = append(errs, h.FreeZero(derBuf), h.FreeZero(pemBuf))
 			return nil, errors.Join(errs...)

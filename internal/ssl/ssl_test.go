@@ -3,7 +3,6 @@ package ssl
 import (
 	"bytes"
 	"errors"
-	"math/big"
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
@@ -99,12 +98,10 @@ func TestD2iCreatesBigNumCopies(t *testing.T) {
 	}
 }
 
-// loadKey zeroizes the parsed host-side key's six private parts on every
-// path, and leaves N and E, which the loaded RSA shares.
+// loadKey scrubs the decoded DER buffer, the one host-side copy of the
+// key a load makes, on every path: after success and after each injected
+// malloc failure. N and E, which the loaded RSA keeps, are its own.
 func TestLoadKeyZeroizesParsedKey(t *testing.T) {
-	parts := func(k *rsakey.PrivateKey) map[string]*big.Int {
-		return map[string]*big.Int{"d": k.D, "p": k.P, "q": k.Q, "dp": k.Dp, "dq": k.Dq, "qinv": k.Qinv}
-	}
 	for _, tc := range []struct {
 		name    string
 		failNth []uint64 // SiteMalloc calls to fail: 1 is the PEM buffer
@@ -118,15 +115,18 @@ func TestLoadKeyZeroizesParsedKey(t *testing.T) {
 				MemPages: 2048, DeallocPolicy: alloc.PolicyRetain,
 				FaultPlan: &fault.Plan{Rules: map[fault.Site]fault.Rule{fault.SiteMalloc: {Nth: tc.failNth}}},
 			})
-			key, err := rsakey.ParsePEM(f.pem)
+			der, parts, err := rsakey.DecodePEM(f.pem)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(der, f.key.MarshalDER()) {
+				t.Fatal("the decoded DER is not MarshalDER's encoding of the key")
 			}
 			pemBuf, err := f.heap.Malloc(len(f.pem))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := loadKey(f.heap, pemBuf, key, loadConfig{})
+			r, err := loadKey(f.heap, pemBuf, der, &parts, loadConfig{})
 			if tc.failNth == nil {
 				if err != nil {
 					t.Fatal(err)
@@ -137,12 +137,55 @@ func TestLoadKeyZeroizesParsedKey(t *testing.T) {
 			} else if !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("loadKey = %v, want the injected malloc failure", err)
 			}
-			for name, v := range parts(key) {
-				if v.Sign() != 0 {
-					t.Errorf("parsed key's %s is not zeroized", name)
-				}
+			if !bytes.Equal(der, make([]byte, len(der))) {
+				t.Error("the decoded DER buffer is not scrubbed")
 			}
 		})
+	}
+}
+
+// A 512-bit load makes a bounded number of Go allocations: the one DER
+// buffer, N and E, the RSA and its BIGNUM handles, and what the simulated
+// heap and kernel need; the parse and validation make none of their own.
+func TestD2iAllocs(t *testing.T) {
+	f := newFixture(t)
+	allocs := testing.AllocsPerRun(50, func() {
+		r := f.load(t)
+		if err := r.Free(true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 35 {
+		t.Fatalf("D2iPrivateKey + Free = %v allocations, want at most 35", allocs)
+	}
+}
+
+// A sealed private op costs at most 10 Go allocations more than a plain
+// one: the seal window's HMACs, derived keys and region read use buffers
+// the region owns, leaving the AES key schedule and CTR stream of each
+// pass.
+func TestSealWindowAllocs(t *testing.T) {
+	f := newFixture(t)
+	em, err := rsakey.EncodePKCS1v15([]byte("memshield handshake digest"), f.key.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(sealed bool) float64 {
+		r := f.load(t, WithAutoAlign())
+		if sealed {
+			if err := r.SealAtRest(stats.NewReader(7), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := r.PrivateOp(em); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, sealed := allocs(false), allocs(true)
+	if sealed > plain+10 {
+		t.Fatalf("sealed private op = %v allocations, plain = %v; want at most 10 more", sealed, plain)
 	}
 }
 
