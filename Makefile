@@ -72,12 +72,13 @@ soak-smoke:
 # layer benchmarks under the race detector: exercises the sharded scan, the
 # incremental rescan, the one-dirty-frame rescan (internal/scan), the
 # chunked factor scan concurrency, the RSA-CRT private op, plain and sealed,
-# the key load and the public op (internal/crypto/rsakey, internal/ssl), the
+# the key load, the public op and keygen (internal/crypto/rsakey,
+# internal/ssl), the
 # buddy page cycle per policy (internal/kernel/alloc) and fork + COW break + exit
 # (internal/kernel), without any timing sensitivity, so it catches bit-rot
 # in CI (DESIGN.md §4, §9). CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPublicOp|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkForkExit' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPublicOp|BenchmarkGenerate|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkForkExit' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
 
 # Fleet engine smoke for CI: the shard/worker-invariance contract under
 # the race detector, then a small fleet storm (shared re-provision
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseDER -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzMontExp -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzPublicExp -fuzztime=30s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzProbablePrime -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder

@@ -151,3 +151,87 @@ func FuzzPublicExp(f *testing.F) {
 		}
 	})
 }
+
+// FuzzProbablePrime checks genPrime's test of a candidate of at most 256
+// bits, the kernel's rounds and then the Lucas test, against
+// ProbablyPrime(20) on odd inputs.
+func FuzzProbablePrime(f *testing.F) {
+	for _, x := range primeSeeds(f) {
+		f.Add(x.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > kernelBits/8 {
+			return
+		}
+		x := new(big.Int).SetBytes(b)
+		x.SetBit(x, 0, 1)
+		var ps primeSpace
+		if got, want := ps.isPrime(x.Bytes(), new(big.Int)), x.ProbablyPrime(20); got != want {
+			t.Fatalf("%d: kernel test %v, ProbablyPrime(20) %v", x, got, want)
+		}
+	})
+}
+
+// primeSeeds are odd inputs that stress a primality test: Carmichael
+// numbers, strong pseudoprimes to the smallest prime bases, prime squares,
+// products of two close primes, the primes nearest 2^256 and 2^255, and
+// values around the trial division's bounds.
+func primeSeeds(tb testing.TB) []*big.Int {
+	var seeds []*big.Int
+	for _, s := range []string{
+		"561", "1105", "1729", "2465", "2821", "6601", "8911", "3215031751",
+		"2047", "3277", // strong pseudoprimes to base 2
+		"3825123056546413051",       // ... to the first 11 prime bases
+		"318665857834031151167461",  // ... to the first 12
+		"3317044064679887385961981", // ... to the first 13
+		"1", "3", "1021", "1023", "1031", "1042441", "1048575", "1048577", "1062961",
+	} {
+		x, ok := new(big.Int).SetString(s, 10)
+		if !ok {
+			tb.Fatalf("bad seed %q", s)
+		}
+		seeds = append(seeds, x)
+	}
+	// Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), whose three
+	// factors are prime for these k: 71, 131 and 236 bits.
+	for _, k := range []string{"1048665", "1099511628756", "37778931862957161712206"} {
+		kk, _ := new(big.Int).SetString(k, 10)
+		n := big.NewInt(1)
+		for _, m := range []int64{6, 12, 18} {
+			factor := new(big.Int).Mul(kk, big.NewInt(m))
+			factor.Add(factor, big.NewInt(1))
+			if !factor.ProbablyPrime(20) {
+				tb.Fatalf("Chernick factor %d·%s+1 is not prime", m, k)
+			}
+			n.Mul(n, factor)
+		}
+		seeds = append(seeds, n)
+	}
+	// Prime squares and products of two consecutive primes.
+	for _, bits := range []uint{11, 32, 64, 100, 128} {
+		p := nextPrime(new(big.Int).Lsh(big.NewInt(1), bits-1), 2)
+		q := nextPrime(p, 2)
+		seeds = append(seeds, new(big.Int).Mul(p, p), new(big.Int).Mul(p, q))
+	}
+	top := new(big.Int).Lsh(big.NewInt(1), kernelBits)
+	half := new(big.Int).Rsh(top, 1)
+	return append(seeds,
+		nextPrime(top, -2), nextPrime(half, 2), // 2^256 − 189 and 2^255 + 95
+		new(big.Int).Sub(top, big.NewInt(1)), new(big.Int).Add(half, big.NewInt(1)))
+}
+
+// nextPrime returns the first prime beyond x, not x itself, going up for
+// step 2 and down for step −2.
+func nextPrime(x *big.Int, step int64) *big.Int {
+	p := new(big.Int).Set(x)
+	p.SetBit(p, 0, 1)
+	if p.Cmp(x) == 0 {
+		p.Add(p, big.NewInt(step))
+	} else if step < 0 {
+		p.Sub(p, big.NewInt(2))
+	}
+	for !p.ProbablyPrime(20) {
+		p.Add(p, big.NewInt(step))
+	}
+	return p
+}

@@ -232,6 +232,18 @@ func loadWords(z []uint64, w []big.Word) {
 	}
 }
 
+// storeWords sets w to the little-endian limbs l, for either width of
+// big.Word: loadWords' inverse. w must hold them.
+func storeWords(w []big.Word, l []uint64) {
+	for i, v := range l {
+		if bits.UintSize == 64 {
+			w[i] = big.Word(v)
+		} else {
+			w[2*i], w[2*i+1] = big.Word(v), big.Word(v>>32)
+		}
+	}
+}
+
 // load sets z to v, which must be non-negative and at most 256 bits.
 func (z *limbs) load(v *big.Int) { loadWords(z[:], v.Bits()) }
 
@@ -308,11 +320,17 @@ func fromMont(z, x, m *limbs, inv uint64) {
 }
 
 // powMont sets ws.acc = x^e·R mod m (and ws.r2 = R² mod m) for odd m > 1
-// and little-endian x, e ≥ 0 of any length. The exponent runs through a
-// fixed 4-bit window: the table holds x^1 … x^15, leading zero windows are
-// skipped, and a zero window costs its four squarings and no multiply.
+// and little-endian x, e ≥ 0 of any length.
 func (ws *workspace) powMont(x, e []uint64, m *limbs, inv uint64) {
 	ws.rr(m, inv)
+	ws.powR2(x, e, m, inv)
+}
+
+// powR2 is powMont for a caller that has set ws.r2 = R² mod m already, as
+// one raising several bases modulo one m does. The exponent runs through a
+// fixed 4-bit window: the table holds x^1 … x^15, leading zero windows are
+// skipped, and a zero window costs its four squarings and no multiply.
+func (ws *workspace) powR2(x, e []uint64, m *limbs, inv uint64) {
 	ws.toMont(&ws.pow[0], x, m, inv)
 	for i := 1; i < len(ws.pow); i++ {
 		montMul(&ws.pow[i], &ws.pow[i-1], &ws.pow[0], m, inv)
@@ -623,10 +641,11 @@ func montMul8(z, x, y, m *limbs8, inv uint64) {
 	reduce8(z, t8, m)
 }
 
-// rr8 sets z = R² mod n for odd n > 1, with R = 2^512. Doubling
-// 2^(len(n)−1), which is below n, up to 2^576 = R·2^64 mod n takes at most
-// 575 shift-and-subtract steps (65 for a 512-bit modulus); three Montgomery
-// squarings then take R·2^64 through R·2^128 and R·2^256 to R·2^512 = R².
+// rr8 sets z = R² mod n for odd n > 1, with R = 2^512, as rr does for the
+// private kernel. Doubling 2^(len(n)−1), which is below n, up to
+// 2^520 = R·2^8 mod n takes at most 519 shift-and-subtract steps (9 for a
+// 512-bit modulus); six Montgomery squarings then take R·2^8 through
+// R·2^16, …, R·2^256 to R·2^512 = R².
 func rr8(z, n *limbs8, inv uint64) {
 	b := 2*kernelBits - 1
 	for n[b/64]>>(b%64) == 0 {
@@ -634,7 +653,7 @@ func rr8(z, n *limbs8, inv uint64) {
 	}
 	*z = limbs8{}
 	z[b/64] = 1 << (b % 64)
-	for ; b < 2*kernelBits+64; b++ {
+	for ; b < 2*kernelBits+8; b++ {
 		top := z[7] >> 63
 		for i := len(z) - 1; i > 0; i-- {
 			z[i] = z[i]<<1 | z[i-1]>>63
@@ -642,24 +661,31 @@ func rr8(z, n *limbs8, inv uint64) {
 		z[0] <<= 1
 		reduce8(z, top, n)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 6; i++ {
 		montMul8(z, z, z, n, inv)
 	}
 }
 
+// pubPre is what NewPublicKey keeps for a modulus the public kernel
+// takes: N as a big.Int over its own words, E, and R² mod N.
+type pubPre struct {
+	n, e big.Int
+	w    [2 * kernelBits / bits.UintSize]big.Word
+	r2   limbs8
+}
+
 // expPub sets z = z^e mod n for odd n > 1, z < n and e ≥ 0, on the public
-// kernel: z·R from R² mod n, then left-to-right square-and-multiply over
-// the bits of e.
-func expPub(z, n *limbs8, e *big.Int) {
+// kernel, with r2 = R² mod n: z·R from r2, then left-to-right
+// square-and-multiply over the bits of e.
+func expPub(z, n, r2 *limbs8, e *big.Int) {
 	top := e.BitLen()
 	if top == 0 {
 		*z = limbs8{1}
 		return
 	}
 	inv := montInv(n[0])
-	var r2, x limbs8
-	rr8(&r2, n, inv)
-	montMul8(&x, z, &r2, n, inv)
+	var x limbs8
+	montMul8(&x, z, r2, n, inv)
 	acc, ew := x, e.Bits()
 	for i := top - 2; i >= 0; i-- {
 		montMul8(&acc, &acc, &acc, n, inv)

@@ -1,0 +1,107 @@
+package rsakey
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/big"
+	"testing"
+
+	"memshield/internal/stats"
+)
+
+// genPrimeReference is the prime search genPrime replaced, kept as the
+// reference its keys must match: every candidate on ProbablyPrime(20).
+func genPrimeReference(r io.Reader, bits int) (*big.Int, error) {
+	if bits < 16 {
+		return nil, fmt.Errorf("rsakey: prime size %d too small", bits)
+	}
+	buf := make([]byte, (bits+7)/8)
+	mask := new(big.Int).Lsh(big.NewInt(1), uint(bits))
+	mask.Sub(mask, big.NewInt(1))
+	p := new(big.Int)
+	for {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("rsakey: entropy: %w", err)
+		}
+		p.SetBytes(buf)
+		p.And(p, mask)
+		p.SetBit(p, bits-1, 1)
+		p.SetBit(p, bits-2, 1)
+		p.SetBit(p, 0, 1)
+		if p.ProbablyPrime(20) {
+			return new(big.Int).Set(p), nil
+		}
+	}
+}
+
+// TestGenerateMatchesReference checks that Generate gives byte-identical
+// keys to the reference search: 200 seeds at 512 bits, whose primes are
+// all tested on the kernel, and a few at 256 bits and at 768 and 1024,
+// whose primes are too wide for it.
+func TestGenerateMatchesReference(t *testing.T) {
+	for _, c := range []struct{ bits, seeds int }{{512, 200}, {256, 5}, {768, 3}, {1024, 3}} {
+		t.Run(fmt.Sprint(c.bits), func(t *testing.T) {
+			for seed := int64(0); seed < int64(c.seeds); seed++ {
+				got, err := Generate(stats.NewReader(seed), c.bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := generate(stats.NewReader(seed), c.bits, genPrimeReference)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got.MarshalDER()) != string(want.MarshalDER()) {
+					t.Fatalf("seed %d: Generate and the reference search give different keys", seed)
+				}
+			}
+		})
+	}
+}
+
+// TestKernelRoundsDecideSeeds checks the kernel's trial division and
+// Miller–Rabin rounds alone, without the Lucas test, on every seed of
+// FuzzProbablePrime: they reject each composite there, Carmichael numbers
+// and the strong pseudoprimes to the first 13 prime bases among them, and
+// accept each prime.
+func TestKernelRoundsDecideSeeds(t *testing.T) {
+	for _, x := range primeSeeds(t) {
+		var ps primeSpace
+		loadBytes(ps.x[:], x.Bytes())
+		if got, want := ps.probablyPrime(), x.ProbablyPrime(20); got != want {
+			t.Errorf("%d: kernel rounds %v, ProbablyPrime(20) %v", x, got, want)
+		}
+	}
+}
+
+// keepReader reads from r and keeps every buffer it was handed.
+type keepReader struct {
+	r    io.Reader
+	bufs [][]byte
+}
+
+func (k *keepReader) Read(b []byte) (int, error) {
+	k.bufs = append(k.bufs, b)
+	return k.r.Read(b)
+}
+
+// TestGenPrimeScrubsCandidates checks that the buffer genPrime reads its
+// candidates into, the last of which is the prime it returns, is all zero
+// once it returns, on the kernel's width and above it.
+func TestGenPrimeScrubsCandidates(t *testing.T) {
+	for _, bits := range []int{256, 384} {
+		r := &keepReader{r: stats.NewReader(int64(bits))}
+		p, err := genPrime(r, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.BitLen() != bits || !p.ProbablyPrime(20) {
+			t.Fatalf("%d bits: genPrime returned %d", bits, p)
+		}
+		for _, b := range r.bufs {
+			if !bytes.Equal(b, make([]byte, len(b))) {
+				t.Fatalf("%d bits: candidate buffer not scrubbed: %x", bits, b)
+			}
+		}
+	}
+}

@@ -45,10 +45,32 @@ var (
 	errQinv       = fmt.Errorf("%w: q*qinv != 1 mod p", ErrBadKey)
 )
 
-// PublicKey is the (e, N) pair.
+// PublicKey is the (e, N) pair. NewPublicKey, which builds the public half
+// of every generated, parsed and loaded key, also stores R² mod N for
+// PublicOp's kernel beside N. N and E are not changed in place once a key
+// is built.
 type PublicKey struct {
 	N *big.Int
 	E *big.Int
+	// pre holds N and R² mod N when NewPublicKey built the key and N fits
+	// the public kernel; nil otherwise.
+	pre *pubPre
+}
+
+// NewPublicKey returns the public key with the big-endian modulus n and
+// exponent e. When N is odd, above 1 and at most 512 bits, R² mod N is
+// computed here, once per key, so PublicOp need not compute it on every
+// call; N is public, so the value needs no scrubbing. N, its words and
+// that value then share one allocation.
+func NewPublicKey(n, e []byte) PublicKey {
+	var nl limbs8
+	if !loadBytes(nl[:], n) || nl[0]&1 == 0 || nl == (limbs8{1}) {
+		return PublicKey{N: new(big.Int).SetBytes(n), E: new(big.Int).SetBytes(e)}
+	}
+	pre := new(pubPre)
+	storeWords(pre.w[:], nl[:])
+	rr8(&pre.r2, &nl, montInv(nl[0]))
+	return PublicKey{N: pre.n.SetBits(pre.w[:]), E: pre.e.SetBytes(e), pre: pre}
 }
 
 // PrivateKey carries the full CRT private key.
@@ -66,17 +88,23 @@ type PrivateKey struct {
 // randomness from r (pass a deterministic reader for reproducible
 // experiments). Bits must be at least 128 and even.
 func Generate(r io.Reader, bits int) (*PrivateKey, error) {
+	return generate(r, bits, genPrime)
+}
+
+// generate is Generate with the prime search as a parameter, so a test can
+// run it on a reference search.
+func generate(r io.Reader, bits int, prime func(io.Reader, int) (*big.Int, error)) (*PrivateKey, error) {
 	if bits < 128 || bits%2 != 0 {
 		return nil, fmt.Errorf("rsakey: bad modulus size %d", bits)
 	}
 	e := big.NewInt(DefaultExponent)
 	one := big.NewInt(1)
 	for {
-		p, err := genPrime(r, bits/2)
+		p, err := prime(r, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("rsakey: prime generation: %w", err)
 		}
-		q, err := genPrime(r, bits/2)
+		q, err := prime(r, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("rsakey: prime generation: %w", err)
 		}
@@ -99,7 +127,7 @@ func Generate(r io.Reader, bits int) (*PrivateKey, error) {
 			continue // e not invertible mod phi; rare, retry
 		}
 		key := &PrivateKey{
-			PublicKey: PublicKey{N: n, E: new(big.Int).Set(e)},
+			PublicKey: NewPublicKey(n.Bytes(), e.Bytes()),
 			D:         d,
 			P:         p,
 			Q:         q,
@@ -257,18 +285,23 @@ func oddAboveOne(v *big.Int) bool {
 // read as a big-endian integer, must be below N; otherwise PublicOp
 // returns ErrMsgTooLong. E must not be negative, as no parsed or generated
 // key's is. An odd modulus of at most 512 bits runs on the 8-limb
-// Montgomery kernel in mont.go, which computes R² mod N on every call, so
-// the key caches nothing; any other modulus stays on big.Int.Exp. Both
-// give the same bytes.
+// Montgomery kernel in mont.go, from the R² mod N that NewPublicKey
+// stored, or, for a key built another way, from one computed on the call;
+// any other modulus stays on big.Int.Exp. All three give the same bytes.
 func (pub *PublicKey) PublicOp(x []byte) ([]byte, error) {
 	size := (pub.N.BitLen() + 7) / 8
 	if oddAboveOne(pub.N) && pub.N.BitLen() <= 2*kernelBits {
-		var n, z limbs8
+		var n, z, r2 limbs8
 		loadWords(n[:], pub.N.Bits())
 		if !loadBytes(z[:], x) || !less8(&z, &n) {
 			return nil, ErrMsgTooLong
 		}
-		expPub(&z, &n, pub.E)
+		if pre := pub.pre; pre != nil && pub.N == &pre.n {
+			r2 = pre.r2
+		} else {
+			rr8(&r2, &n, montInv(n[0]))
+		}
+		expPub(&z, &n, &r2, pub.E)
 		return sigBytes(&z, size), nil
 	}
 	s := new(big.Int).SetBytes(x)
@@ -388,7 +421,7 @@ func (v *Parts) validate() error {
 // place, not through a helper closure, so memlint's taint follows it.
 func (v *Parts) key() *PrivateKey {
 	return &PrivateKey{
-		PublicKey: PublicKey{N: new(big.Int).SetBytes(v.N), E: new(big.Int).SetBytes(v.E)},
+		PublicKey: NewPublicKey(v.N, v.E),
 		D:         new(big.Int).SetBytes(v.D),
 		P:         new(big.Int).SetBytes(v.P),
 		Q:         new(big.Int).SetBytes(v.Q),
@@ -452,7 +485,7 @@ func (k *PrivateKey) Zeroize() {
 func (k *PrivateKey) Clone() *PrivateKey {
 	c := func(v *big.Int) *big.Int { return new(big.Int).Set(v) }
 	return &PrivateKey{
-		PublicKey: PublicKey{N: c(k.N), E: c(k.E)},
+		PublicKey: NewPublicKey(k.N.Bytes(), k.E.Bytes()),
 		D:         c(k.D), P: c(k.P), Q: c(k.Q),
 		Dp: c(k.Dp), Dq: c(k.Dq), Qinv: c(k.Qinv),
 	}
@@ -466,35 +499,6 @@ func (k *PrivateKey) Equal(o *PrivateKey) bool {
 	return k.N.Cmp(o.N) == 0 && k.E.Cmp(o.E) == 0 && k.D.Cmp(o.D) == 0 &&
 		k.P.Cmp(o.P) == 0 && k.Q.Cmp(o.Q) == 0 && k.Dp.Cmp(o.Dp) == 0 &&
 		k.Dq.Cmp(o.Dq) == 0 && k.Qinv.Cmp(o.Qinv) == 0
-}
-
-// genPrime draws random candidates of exactly `bits` bits from r until one
-// is probably prime. Unlike crypto/rand.Prime, it consumes a deterministic
-// amount of entropy per candidate, so the same reader always yields the same
-// prime — the reproducibility every experiment in this repository depends on.
-func genPrime(r io.Reader, bits int) (*big.Int, error) {
-	if bits < 16 {
-		return nil, fmt.Errorf("rsakey: prime size %d too small", bits)
-	}
-	buf := make([]byte, (bits+7)/8)
-	mask := new(big.Int).Lsh(big.NewInt(1), uint(bits))
-	mask.Sub(mask, big.NewInt(1))
-	p := new(big.Int)
-	for {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("rsakey: entropy: %w", err)
-		}
-		p.SetBytes(buf)
-		p.And(p, mask)
-		// Force exactly `bits` bits, with the top two set so products of
-		// two such primes keep full modulus length, and make it odd.
-		p.SetBit(p, bits-1, 1)
-		p.SetBit(p, bits-2, 1)
-		p.SetBit(p, 0, 1)
-		if p.ProbablyPrime(20) {
-			return new(big.Int).Set(p), nil
-		}
-	}
 }
 
 // padTo left-pads b with zeros to length n.

@@ -275,12 +275,61 @@ func TestPublicOpMatchesExp(t *testing.T) {
 					}
 				}
 			}
+			// The generated key carries R² mod N; the literals above do not.
+			for i, b := range bases {
+				got, err := key.PublicKey.PublicOp(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := padTo(new(big.Int).Exp(new(big.Int).SetBytes(b), key.E, key.N).Bytes(), key.Size())
+				if !bytes.Equal(got, want) {
+					t.Fatalf("key's own public key, base %d (%x): PublicOp %x != Exp %x", i, b, got, want)
+				}
+			}
 			for _, b := range [][]byte{key.N.Bytes(), append(key.N.Bytes(), 0)} {
 				if _, err := key.PublicKey.PublicOp(b); !errors.Is(err, ErrMsgTooLong) {
 					t.Fatalf("base %x >= n: PublicOp = %v, want ErrMsgTooLong", b, err)
 				}
 			}
 		})
+	}
+}
+
+// TestNewPublicKeyPrecomputes checks that NewPublicKey stores R² mod N
+// beside N exactly for an odd N above 1 of at most 512 bits, and that
+// PublicOp uses it only while the key's N is that N.
+func TestNewPublicKeyPrecomputes(t *testing.T) {
+	key := testKey(t)
+	pub := NewPublicKey(key.N.Bytes(), key.E.Bytes())
+	if pub.pre == nil || pub.N != &pub.pre.n || pub.N.Cmp(key.N) != 0 || pub.E.Cmp(key.E) != 0 {
+		t.Fatal("512-bit odd modulus: want N and R² mod N stored together")
+	}
+	var n, r2 limbs8
+	loadWords(n[:], key.N.Bits())
+	rr8(&r2, &n, montInv(n[0]))
+	if pub.pre.r2 != r2 {
+		t.Fatal("stored R² mod N differs from rr8's")
+	}
+	wide := new(big.Int).Lsh(key.N, 2)
+	wide.SetBit(wide, 0, 1)
+	for _, v := range []*big.Int{wide, new(big.Int).Sub(key.N, big.NewInt(1)), big.NewInt(1), new(big.Int)} {
+		if p := NewPublicKey(v.Bytes(), key.E.Bytes()); p.pre != nil || p.N.Cmp(v) != 0 {
+			t.Fatalf("N = %x: want no stored R² and N kept", v)
+		}
+	}
+	// A copy given another modulus must not use the stored value.
+	other, err := Generate(stats.NewReader(43), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := pub
+	swapped.N = other.N
+	sig, err := other.SignCRT([]byte{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := swapped.Verify([]byte{1, 2, 3}, sig); err != nil {
+		t.Fatalf("copy with another N: %v", err)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"memshield/internal/kernel/proc"
 	"memshield/internal/kernel/vm"
 	"memshield/internal/mem"
+	"memshield/internal/scrub"
 	"memshield/internal/trace"
 )
 
@@ -282,7 +283,11 @@ func (k *Kernel) ReadFile(path string, flags fs.OpenFlag) ([]byte, error) {
 // no matter how many processes map the file. Returns the mapping's base
 // address and page count.
 func (k *Kernel) MmapFile(pid int, path string) (vm.VAddr, int, error) {
-	if _, err := k.fs.ReadFile(path, 0); err != nil {
+	// The read only fills the cache; the native copy it returns, of a
+	// key file as of any other, is scrubbed at once.
+	data, err := k.fs.ReadFile(path, 0)
+	scrub.Bytes(data)
+	if err != nil {
 		return 0, 0, err
 	}
 	fileID, err := k.fs.FileID(path)

@@ -333,7 +333,7 @@ func reconstructFromFactor(pub rsakey.PublicKey, factor *big.Int) (*rsakey.Priva
 		return nil, rsakey.ErrBadKey
 	}
 	key := &rsakey.PrivateKey{
-		PublicKey: rsakey.PublicKey{N: new(big.Int).Set(pub.N), E: new(big.Int).Set(pub.E)},
+		PublicKey: rsakey.NewPublicKey(pub.N.Bytes(), pub.E.Bytes()),
 		D:         d,
 		P:         p,
 		Q:         q,

@@ -19,6 +19,7 @@ import (
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
+	"memshield/internal/scrub"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
@@ -196,8 +197,12 @@ func Run(cfg Config) (*Result, error) {
 	// PEM file is already in the page cache at t=0 — the filesystem
 	// touched it before the experiment (the Reiser FS effect). The
 	// protected experiments deliberately avoided that pre-caching.
+	// ReadFile returns a fresh native copy of the key file; only the
+	// cache fill is wanted, so the copy is scrubbed at once.
 	if cfg.Level == protect.LevelNone {
-		if _, err := k.ReadFile(KeyPath, 0); err != nil {
+		pem, err := k.ReadFile(KeyPath, 0)
+		scrub.Bytes(pem)
+		if err != nil {
 			return nil, fmt.Errorf("sim: pre-cache: %w", err)
 		}
 	}

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"memshield/internal/crypto/rsakey"
 	"memshield/internal/crypto/seal"
@@ -106,7 +105,10 @@ type RSA struct {
 
 	d, p, q, dp, dq, qinv *BigNum
 
+	// flags and freed share one word, which keeps an RSA, allocated on
+	// every fork and reload, in the 128-byte size class.
 	flags Flags
+	freed bool
 
 	// Montgomery cache buffers (copies of P and Q), 0 when absent.
 	montP, montQ vm.VAddr
@@ -119,8 +121,6 @@ type RSA struct {
 	// (protect.LevelSealed); every private operation runs inside its
 	// unseal→use→reseal window.
 	sealed *seal.Region
-
-	freed bool
 }
 
 // LoadOption configures D2iPrivateKey. It takes and returns the
@@ -151,8 +151,9 @@ func WithAutoAlign() LoadOption {
 // On the host side the PEM is decoded once, into one DER buffer that is
 // both the bytes planted as the simulated DER copy and the source of every
 // part: the BIGNUMs are filled from views into it, and only N and E, which
-// the RSA keeps, become big.Ints. A key of at most 512 bits is validated
-// on the fixed-width kernels (rsakey.ParseParts).
+// the RSA keeps, become big.Ints, with R² mod N beside them
+// (rsakey.NewPublicKey). A key of at most 512 bits is validated on the
+// fixed-width kernels (rsakey.ParseParts).
 //
 // The load is fail-closed: on any error — a malloc that fails mid-way, a
 // refused mlock under WithAutoAlign — every buffer built so far (PEM text,
@@ -200,11 +201,8 @@ func loadKey(h *libc.Heap, pemBuf vm.VAddr, der []byte, parts *rsakey.Parts, cfg
 			h.FreeZero(derBuf), h.FreeZero(pemBuf))
 	}
 	r := &RSA{
-		heap: h,
-		pub: rsakey.PublicKey{
-			N: new(big.Int).SetBytes(parts.N),
-			E: new(big.Int).SetBytes(parts.E),
-		},
+		heap:  h,
+		pub:   rsakey.NewPublicKey(parts.N, parts.E),
 		flags: FlagCachePrivate | FlagCachePublic,
 	}
 	built := [...]struct {
