@@ -74,17 +74,20 @@ soak-smoke:
 # chunked factor scan concurrency, the RSA-CRT private op, plain and sealed,
 # the key load, the public op and keygen (internal/crypto/rsakey,
 # internal/ssl), the
-# buddy page cycle per policy (internal/kernel/alloc) and fork + COW break + exit
-# (internal/kernel), without any timing sensitivity, so it catches bit-rot
-# in CI (DESIGN.md §4, §9). CI runs this on each PR.
+# buddy page cycle per policy (internal/kernel/alloc), fork + COW break + exit
+# and a machine's boot on released memory (internal/kernel), without any
+# timing sensitivity, so it catches bit-rot in CI (DESIGN.md §4, §9). CI
+# runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPublicOp|BenchmarkGenerate|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkForkExit' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPublicOp|BenchmarkGenerate|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkForkExit|BenchmarkBoot' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
 
-# Fleet engine smoke for CI: the shard/worker-invariance contract under
-# the race detector, then a small fleet storm (shared re-provision
-# budget, serial grant order) with the serial replay verified.
+# Fleet engine smoke for CI: the shard/worker-invariance contract and the
+# concurrent hand-off of released machine memory under the race detector,
+# then a small fleet storm (shared re-provision budget, serial grant
+# order) with the serial replay verified.
 fleet-smoke:
 	$(GO) test -race -run 'TestShardWorkerInvariance|TestFleetStorm' ./internal/fleet
+	$(GO) test -race -count=10 -run TestReleaseConcurrent ./internal/mem
 	$(GO) run ./cmd/soak -fleet 4 -rounds 6 -steps 40 -budget 2 -workers 4 -verify -log fleet-events.log
 
 # The output-identical contract for refactors: builds the CLIs once into

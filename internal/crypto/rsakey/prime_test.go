@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"testing"
 
 	"memshield/internal/stats"
@@ -102,6 +103,43 @@ func TestGenPrimeScrubsCandidates(t *testing.T) {
 			if !bytes.Equal(b, make([]byte, len(b))) {
 				t.Fatalf("%d bits: candidate buffer not scrubbed: %x", bits, b)
 			}
+		}
+	}
+}
+
+// TestGenerateScrubsRejectedPrimes checks that generate scrubs a pair of
+// primes it refuses: the prime search hands it an equal pair first, and
+// both primes' limbs must read zero once generate has returned the key it
+// built on the next pair.
+func TestGenerateScrubsRejectedPrimes(t *testing.T) {
+	var first *big.Int
+	var limbs [][]big.Word
+	equalFirst := func(r io.Reader, bits int) (*big.Int, error) {
+		if len(limbs) == 1 {
+			q := new(big.Int).Set(first)
+			limbs = append(limbs, q.Bits())
+			return q, nil
+		}
+		p, err := genPrime(r, bits)
+		if err == nil && first == nil {
+			first = p
+			limbs = append(limbs, p.Bits())
+		}
+		return p, err
+	}
+	key, err := generate(stats.NewReader(1), 512, equalFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(limbs) != 2 || key.P == first || key.Q == first {
+		t.Fatal("generate did not refuse the equal pair")
+	}
+	if err := key.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range limbs {
+		if slices.ContainsFunc(w, func(x big.Word) bool { return x != 0 }) {
+			t.Fatalf("prime %d of the refused pair not scrubbed: %x", i, w)
 		}
 	}
 }

@@ -97,8 +97,6 @@ func generate(r io.Reader, bits int, prime func(io.Reader, int) (*big.Int, error
 	if bits < 128 || bits%2 != 0 {
 		return nil, fmt.Errorf("rsakey: bad modulus size %d", bits)
 	}
-	e := big.NewInt(DefaultExponent)
-	one := big.NewInt(1)
 	for {
 		p, err := prime(r, bits/2)
 		if err != nil {
@@ -106,40 +104,59 @@ func generate(r io.Reader, bits int, prime func(io.Reader, int) (*big.Int, error
 		}
 		q, err := prime(r, bits/2)
 		if err != nil {
+			scrub.Big(p)
 			return nil, fmt.Errorf("rsakey: prime generation: %w", err)
 		}
-		if p.Cmp(q) == 0 {
-			continue
+		if key := keyFromPrimes(p, q, bits); key != nil {
+			return key, nil
 		}
-		// Keep p > q so qinv = q^-1 mod p is well-formed conventionally.
-		if p.Cmp(q) < 0 {
-			p, q = q, p
-		}
-		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != bits {
-			continue
-		}
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		phi := new(big.Int).Mul(pm1, qm1)
-		d := new(big.Int)
-		if d.ModInverse(e, phi) == nil {
-			continue // e not invertible mod phi; rare, retry
-		}
-		key := &PrivateKey{
-			PublicKey: NewPublicKey(n.Bytes(), e.Bytes()),
-			D:         d,
-			P:         p,
-			Q:         q,
-			Dp:        new(big.Int).Mod(d, pm1),
-			Dq:        new(big.Int).Mod(d, qm1),
-			Qinv:      new(big.Int).ModInverse(q, p),
-		}
-		if err := key.Validate(); err != nil {
-			continue
-		}
-		return key, nil
+		scrub.Big(p)
+		scrub.Big(q)
 	}
+}
+
+// keyFromPrimes builds the key of the given modulus size on the primes p
+// and q, or returns nil when they make none: p = q, a short modulus, e not
+// invertible mod φ, or a key that fails Validate. The key takes p and q
+// as its parts. p−1, q−1 and φ each factor N, so they are scrubbed on
+// every path, and so is a built key that is refused.
+func keyFromPrimes(p, q *big.Int, bits int) *PrivateKey {
+	if p.Cmp(q) == 0 {
+		return nil
+	}
+	// Keep p > q so qinv = q^-1 mod p is well-formed conventionally.
+	if p.Cmp(q) < 0 {
+		p, q = q, p
+	}
+	n := new(big.Int).Mul(p, q)
+	if n.BitLen() != bits {
+		return nil
+	}
+	one := big.NewInt(1)
+	var pm1, qm1, phi big.Int
+	defer scrubBig(&pm1, &qm1, &phi)
+	pm1.Sub(p, one)
+	qm1.Sub(q, one)
+	phi.Mul(&pm1, &qm1)
+	e := big.NewInt(DefaultExponent)
+	d := new(big.Int)
+	if d.ModInverse(e, &phi) == nil {
+		return nil // e not invertible mod phi; rare, retry
+	}
+	key := &PrivateKey{
+		PublicKey: NewPublicKey(n.Bytes(), e.Bytes()),
+		D:         d,
+		P:         p,
+		Q:         q,
+		Dp:        new(big.Int).Mod(d, &pm1),
+		Dq:        new(big.Int).Mod(d, &qm1),
+		Qinv:      new(big.Int).ModInverse(q, p),
+	}
+	if err := key.Validate(); err != nil {
+		key.Zeroize()
+		return nil
+	}
+	return key
 }
 
 // Validate checks the internal consistency of the key on math/big. P and
@@ -159,24 +176,28 @@ func (k *PrivateKey) Validate() error {
 	if n.Cmp(k.N) != 0 {
 		return errModulus
 	}
-	pm1 := new(big.Int).Sub(k.P, one)
-	qm1 := new(big.Int).Sub(k.Q, one)
+	// p−1, q−1, e·d and q·qinv each factor N, and D mod (p−1) and
+	// D mod (q−1) are the CRT exponents: all are scrubbed on every path.
+	var pm1, qm1, ed, dp, dq, qqinv big.Int
+	defer scrubBig(&pm1, &qm1, &ed, &dp, &dq, &qqinv)
+	pm1.Sub(k.P, one)
+	qm1.Sub(k.Q, one)
 	// e*d ≡ 1 mod lcm(p-1, q-1) is implied by e*d ≡ 1 mod (p-1) and (q-1).
-	ed := new(big.Int).Mul(k.E, k.D)
-	if new(big.Int).Mod(ed, pm1).Cmp(one) != 0 {
+	ed.Mul(k.E, k.D)
+	if new(big.Int).Mod(&ed, &pm1).Cmp(one) != 0 {
 		return errEDModP
 	}
-	if new(big.Int).Mod(ed, qm1).Cmp(one) != 0 {
+	if new(big.Int).Mod(&ed, &qm1).Cmp(one) != 0 {
 		return errEDModQ
 	}
-	if new(big.Int).Mod(k.D, pm1).Cmp(k.Dp) != 0 {
+	if dp.Mod(k.D, &pm1).Cmp(k.Dp) != 0 {
 		return errDp
 	}
-	if new(big.Int).Mod(k.D, qm1).Cmp(k.Dq) != 0 {
+	if dq.Mod(k.D, &qm1).Cmp(k.Dq) != 0 {
 		return errDq
 	}
-	qqinv := new(big.Int).Mul(k.Q, k.Qinv)
-	if new(big.Int).Mod(qqinv, k.P).Cmp(one) != 0 {
+	qqinv.Mul(k.Q, k.Qinv)
+	if new(big.Int).Mod(&qqinv, k.P).Cmp(one) != 0 {
 		return errQinv
 	}
 	return nil
@@ -475,7 +496,12 @@ func ParsePEM(data []byte) (*PrivateKey, error) {
 // host-side copy of a key is done with (an HSM slot's destroy, the wide
 // path of SignCRTParts); a key with nil components is a no-op.
 func (k *PrivateKey) Zeroize() {
-	for _, v := range []*big.Int{k.D, k.P, k.Q, k.Dp, k.Dq, k.Qinv} {
+	scrubBig(k.D, k.P, k.Q, k.Dp, k.Dq, k.Qinv)
+}
+
+// scrubBig scrubs each of vs with scrub.Big.
+func scrubBig(vs ...*big.Int) {
+	for _, v := range vs {
 		scrub.Big(v)
 	}
 }

@@ -272,6 +272,9 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			r, err := m.run()
+			// The next machine of this shard, or of another, boots on
+			// this one's memory instead of clearing a fresh array.
+			m.k.Mem().Release()
 			if err != nil {
 				return nil, err
 			}

@@ -6,8 +6,12 @@ import (
 	"runtime"
 	"testing"
 
+	"memshield/internal/crypto/rsakey"
 	"memshield/internal/host"
+	"memshield/internal/mem"
 	"memshield/internal/protect"
+	"memshield/internal/scan"
+	"memshield/internal/stats"
 )
 
 // testConfig is a small, fast fleet: ~2k connections over 400 ticks on 4
@@ -184,6 +188,70 @@ func TestFailedChurnDisconnects(t *testing.T) {
 		if res.Errors != want {
 			t.Errorf("failDisconnect=%v: errors = %d, want %d", failDisconnect, res.Errors, want)
 		}
+	}
+}
+
+// TestReleasedMemoryCarriesNoKeys: a machine booted on the memory its
+// predecessor released holds none of the predecessor's key bytes. The
+// predecessor runs unprotected, so its frees leave key copies in
+// unallocated frames; the goldens cannot see such a leak, because each
+// machine scans only for its own tenants' keys.
+func TestReleasedMemoryCarriesNoKeys(t *testing.T) {
+	cfg := Sized(200, 1, 100, protect.LevelNone, 2007)
+	cfg.Tenants, cfg.SampleEvery = 2, 10
+	first, err := newMachine(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := first.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CopiesUnalloc.StreamMax() == 0 {
+		t.Fatal("no window counted a key copy in unallocated memory")
+	}
+	var patterns []scan.Pattern
+	for tenant := range cfg.Tenants {
+		key, err := rsakey.Generate(stats.NewReader(stats.DeriveSeed(first.base, 3, int64(tenant))), cfg.KeyBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patterns = append(patterns, scan.PatternsFor(key)...)
+	}
+	if got := scan.Summarize(scan.NewWith(first.k, patterns, scan.Options{Workers: 1}).Scan()); got.Unallocated == 0 {
+		t.Fatalf("the first machine's keys are not in its unallocated memory: %+v", got)
+	}
+	frame0 := first.k.Mem().Frame(0)
+	first.k.Mem().Release()
+	next, err := newMachine(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.k.Mem().Frame(0) != frame0 {
+		t.Fatal("the next machine of the same size did not boot on the released memory")
+	}
+	if got := scan.Summarize(scan.NewWith(next.k, patterns, scan.Options{Workers: 1}).Scan()); got.Total != 0 {
+		t.Fatalf("the next machine boots with %d of the first machine's key copies: %+v", got.Total, got)
+	}
+}
+
+// TestRunReusesMachineMemory: Run releases each machine's memory once the
+// machine has run, so a second run of the same fleet boots every machine
+// on released memory and allocates less than one machine's RAM in all.
+func TestRunReusesMachineMemory(t *testing.T) {
+	cfg := Sized(400, 4, 100, protect.LevelIntegrated, 2007)
+	cfg.Workers = 1
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, ram := after.TotalAlloc-before.TotalAlloc, uint64(cfg.MemPages)*mem.PageSize; got >= ram {
+		t.Fatalf("a rerun of %d machines allocated %d bytes, not below one machine's %d", cfg.Machines, got, ram)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // PageSize is the size of one simulated page frame in bytes. It matches the
@@ -102,8 +103,9 @@ type Frame struct {
 	// Locked marks mlock'd frames which must never be swapped out.
 	Locked bool
 	// zeroed records that every byte of the frame is zero, so ZeroPage can
-	// skip the clear. New and ZeroPage set it; touch clears it on every
-	// Write, Zero and CopyPage. Write, Zero, ZeroPage and CopyPage are the
+	// skip the clear and Release clears only the frames without it. New,
+	// ZeroPage and Release set it; touch clears it on every Write, Zero
+	// and CopyPage. Write, Zero, ZeroPage, CopyPage and Release are the
 	// only writers of the physical array (physaccess flags any write
 	// through a View alias, in every package), so the mark is exact. The
 	// zero value means "may hold non-zero bytes": a Frame built or reset
@@ -137,19 +139,87 @@ type Memory struct {
 }
 
 // New creates a machine with the given number of page frames, all free and
-// zeroed. It returns an error for a non-positive size.
+// zeroed. It reuses the arrays of a released memory of the same size when
+// there is one, and allocates them otherwise. It returns an error for a
+// non-positive size.
 func New(numPages int) (*Memory, error) {
 	if numPages <= 0 {
 		return nil, fmt.Errorf("mem: numPages must be positive, got %d", numPages)
+	}
+	if m := released.pop(numPages); m != nil {
+		return m, nil
 	}
 	m := &Memory{
 		data:   make([]byte, numPages*PageSize),
 		frames: make([]Frame, numPages),
 	}
 	for i := range m.frames {
-		m.frames[i] = Frame{State: FrameFree, Owner: OwnerNone, zeroed: true}
+		m.frames[i] = bootFrame
 	}
 	return m, nil
+}
+
+// bootFrame is every frame of a new machine: free, unowned and all-zero.
+var bootFrame = Frame{State: FrameFree, Owner: OwnerNone, zeroed: true}
+
+// Release hands the memory's arrays to a later New of the same page
+// count, reset to exactly what New returns: every frame not marked zero is
+// cleared, every frame becomes free, unowned, unmapped, unlocked and
+// marked zero at generation 0, and the reuser's mutation counter starts at
+// 0. The zero mark is exact (DESIGN.md §5, invariant 10), so no frame
+// left uncleared can carry a byte of this machine into the next. The
+// handle is left empty: later reads and writes fail, ValidPage is false,
+// and Frame panics. Releasing an empty handle does nothing.
+func (m *Memory) Release() {
+	if m.frames == nil {
+		return
+	}
+	for i := range m.frames {
+		if !m.frames[i].zeroed {
+			pn := PageNum(i)
+			clear(m.data[pn.Base() : pn.Base()+PageSize])
+		}
+		m.frames[i] = bootFrame
+	}
+	released.push(Memory{data: m.data, frames: m.frames})
+	*m = Memory{}
+}
+
+// released is the free list behind Release and New. It holds memories of
+// one page count; releasing another size drops them first, so it never
+// keeps more arrays than were live at once. A mutex, not a sync.Pool: a
+// pool's per-P slot can hide a released memory from a New on another P,
+// which then allocates afresh.
+var released freeList
+
+type freeList struct {
+	mu    sync.Mutex
+	pages int
+	mems  []Memory
+}
+
+func (l *freeList) push(m Memory) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.pages != len(m.frames) {
+		clear(l.mems)
+		l.pages, l.mems = len(m.frames), l.mems[:0]
+	}
+	l.mems = append(l.mems, m)
+}
+
+// pop returns the last released memory of numPages frames, or nil.
+func (l *freeList) pop(numPages int) *Memory {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.mems)
+	if n == 0 || l.pages != numPages {
+		return nil
+	}
+	m := l.mems[n-1]
+	l.mems[n-1] = Memory{}
+	l.mems = l.mems[:n-1]
+	return &m
 }
 
 // NewMB creates a machine with the given amount of memory in mebibytes.

@@ -2,7 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -561,11 +564,108 @@ func TestZeroMark(t *testing.T) {
 	}
 }
 
+// notFresh reports how m differs from what New returns, or nil: every
+// frame must hold only zero bytes and equal a fresh frame, and the
+// mutation counter must be 0.
+func notFresh(m *Memory) error {
+	fresh := Frame{State: FrameFree, Owner: OwnerNone, zeroed: true}
+	for pn := range m.frames {
+		if !m.PageIsZero(PageNum(pn)) {
+			return fmt.Errorf("frame %d holds a non-zero byte", pn)
+		}
+		if !reflect.DeepEqual(m.frames[pn], fresh) {
+			return fmt.Errorf("frame %d = %+v, want %+v", pn, m.frames[pn], fresh)
+		}
+	}
+	if m.Mutations() != 0 {
+		return fmt.Errorf("mutations = %d, want 0", m.Mutations())
+	}
+	return nil
+}
+
+// A released memory is reset for its next New and its handle refuses use;
+// a New of another size allocates its own arrays.
+func TestRelease(t *testing.T) {
+	m := mustNew(t, 4)
+	if err := m.Write(PageNum(1).Base()+7, []byte("stale key")); err != nil {
+		t.Fatal(err)
+	}
+	f := m.Frame(1)
+	f.State, f.Owner, f.RefCount, f.Locked = FrameAllocated, OwnerUser, 2, true
+	f.AddMapper(9)
+	first := m.Frame(0)
+	m.Release()
+	m.Release() // an empty handle: pushes nothing twice
+	if err := m.Write(0, []byte{1}); err == nil {
+		t.Error("Write on a released handle: want error")
+	}
+	if m.ValidPage(0) {
+		t.Error("ValidPage(0) on a released handle: want false")
+	}
+	other := mustNew(t, 5)
+	if other.Frame(0) == first {
+		t.Fatal("New(5) reused a 4-page memory")
+	}
+	reused := mustNew(t, 4)
+	if reused.Frame(0) != first {
+		t.Fatal("New(4) did not reuse the released memory")
+	}
+	if err := notFresh(reused); err != nil {
+		t.Fatal(err)
+	}
+	if again := mustNew(t, 4); again.Frame(0) == first {
+		t.Fatal("one released memory handed out twice")
+	}
+}
+
+// TestReleaseConcurrent runs New, Write and Release in a loop on several
+// goroutines, so the race detector sees the free list's hand-offs, and a
+// memory handed to two owners at once shows as a used memory or a torn
+// read-back.
+func TestReleaseConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 4) // one per goroutine
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tag := bytes.Repeat([]byte{byte(g + 1)}, 64)
+			for i := range 200 {
+				m, err := New(16)
+				if err == nil {
+					err = notFresh(m)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d: %w", g, err)
+					return
+				}
+				addr := PageNum(i % 16).Base()
+				if err := m.Write(addr, tag); err != nil {
+					errs <- err
+					return
+				}
+				if got, _ := m.Read(addr, len(tag)); !bytes.Equal(got, tag) {
+					errs <- fmt.Errorf("goroutine %d: read back another owner's bytes", g)
+					return
+				}
+				m.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // FuzzZeroedFrames drives Write, Zero, ZeroPage and CopyPage over an
 // 8-frame memory, four input bytes per operation. After every step each
 // frame marked zero must hold only zero bytes, and a ZeroPage must leave
 // the mutation counter and the frame's generation alone exactly when the
-// frame was marked zero, and bump both otherwise.
+// frame was marked zero, and bump both otherwise. Every input ends with a
+// Release and a New(8), which must reuse the released arrays and return
+// them exactly as a fresh New would.
 func FuzzZeroedFrames(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 0x41})                            // write 0x01 bytes into frame 0
 	f.Add([]byte{0, 0x10, 0, 0x05, 2, 1, 0, 0, 2, 1, 0, 0}) // write zeros, ZeroPage twice
@@ -615,6 +715,15 @@ func FuzzZeroedFrames(f *testing.F) {
 					t.Fatalf("step %d (op %d): frame %d marked zero holds a non-zero byte", step, op, pn)
 				}
 			}
+		}
+		first := m.Frame(0)
+		m.Release()
+		reused := mustNew(t, 8)
+		if reused.Frame(0) != first {
+			t.Fatal("New(8) did not reuse the released memory")
+		}
+		if err := notFresh(reused); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
