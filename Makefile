@@ -72,14 +72,14 @@ soak-smoke:
 # layer benchmarks under the race detector: exercises the sharded scan, the
 # incremental rescan, the one-dirty-frame rescan (internal/scan), the
 # chunked factor scan concurrency, the RSA-CRT private op, plain and sealed,
-# the key load, the public op and keygen (internal/crypto/rsakey,
-# internal/ssl), the
+# the Montgomery product and square, the key load, the public op and keygen
+# (internal/crypto/rsakey, internal/ssl), the
 # buddy page cycle per policy (internal/kernel/alloc), fork + COW break + exit
 # and a machine's boot on released memory (internal/kernel), without any
 # timing sensitivity, so it catches bit-rot in CI (DESIGN.md §4, §9). CI
 # runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkPublicOp|BenchmarkGenerate|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkForkExit|BenchmarkBoot' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkMontMul|BenchmarkMontSqr|BenchmarkPublicOp|BenchmarkGenerate|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkForkExit|BenchmarkBoot' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
 
 # Fleet engine smoke for CI: the shard/worker-invariance contract and the
 # concurrent hand-off of released machine memory under the race detector,
@@ -122,6 +122,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzMontExp -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzPublicExp -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzProbablePrime -fuzztime=30s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzLucas -fuzztime=30s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzMontMul -fuzztime=30s ./internal/crypto/rsakey
 	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s ./internal/scan
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder

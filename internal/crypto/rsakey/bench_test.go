@@ -67,6 +67,55 @@ func BenchmarkPublicOp(b *testing.B) {
 	})
 }
 
+// limbSink keeps the compiler from discarding benchmarked products.
+var limbSink limbs
+
+// montOperands returns a 256-bit prime m, the first prime of a benchmark
+// key, and two values below it drawn from a fixed seed.
+func montOperands(b *testing.B) (m, x, y limbs) {
+	key, err := Generate(stats.NewReader(42), 512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.load(key.P)
+	r := stats.NewReader(7)
+	for _, v := range []*limbs{&x, &y} {
+		var buf [kernelBits / 8]byte
+		if _, err := r.Read(buf[:]); err != nil {
+			b.Fatal(err)
+		}
+		buf[0] &= 0x3f // below 2^254, and m has its top two bits set
+		loadBytes(v[:], buf[:])
+	}
+	return m, x, y
+}
+
+// BenchmarkMontMul times one Montgomery product modulo a 256-bit prime,
+// the multiply of every fixed window in a CRT half and a Miller–Rabin
+// round. Each product feeds the next, as in an exponentiation.
+func BenchmarkMontMul(b *testing.B) {
+	m, x, y := montOperands(b)
+	inv := montInv(m[0])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		montMul(&x, &x, &y, &m, inv)
+	}
+	limbSink = x
+}
+
+// BenchmarkMontSqr times one Montgomery squaring modulo a 256-bit prime,
+// four of which run per exponent window of every CRT half and Miller–Rabin
+// round. Each square feeds the next.
+func BenchmarkMontSqr(b *testing.B) {
+	m, x, _ := montOperands(b)
+	inv := montInv(m[0])
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		montSqr(&x, &x, &m, inv)
+	}
+	limbSink = x
+}
+
 // BenchmarkGenerate times one 512-bit key generation, which every
 // simulated machine runs for each tenant at boot. Iteration i draws from
 // seed i, so the candidates tested vary from key to key as they do across

@@ -166,8 +166,133 @@ func FuzzProbablePrime(f *testing.F) {
 		x := new(big.Int).SetBytes(b)
 		x.SetBit(x, 0, 1)
 		var ps primeSpace
-		if got, want := ps.isPrime(x.Bytes(), new(big.Int)), x.ProbablyPrime(20); got != want {
+		if got, want := ps.isPrime(x.Bytes()), x.ProbablyPrime(20); got != want {
 			t.Fatalf("%d: kernel test %v, ProbablyPrime(20) %v", x, got, want)
+		}
+	})
+}
+
+// FuzzLucas checks the kernel's strong Lucas test on its own, since
+// isPrime runs it only on candidates that pass 21 Miller–Rabin rounds and
+// FuzzProbablePrime therefore never sees it reject. It compares lucas with
+// lucasReference on every odd x from 3 to 2^256 − 1; and, on every x that
+// passes the kernel's trial division, the kernel's base-2 round followed
+// by lucas with ProbablyPrime(0), which runs that round and that test.
+func FuzzLucas(f *testing.F) {
+	for _, x := range lucasSeeds(f) {
+		f.Add(x.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > kernelBits/8 {
+			return
+		}
+		x := new(big.Int).SetBytes(b)
+		x.SetBit(x, 0, 1)
+		if x.BitLen() < 2 {
+			x.SetInt64(3)
+		}
+		var ps primeSpace
+		loadBytes(ps.x[:], x.Bytes())
+		ps.setup()
+		if got, want := ps.lucas(), lucasReference(x); got != want {
+			t.Fatalf("%d: kernel Lucas %v, reference %v", x, got, want)
+		}
+		if !ps.sieve() {
+			return
+		}
+		if got, want := ps.strongProbablePrime(2) && ps.lucas(), x.ProbablyPrime(0); got != want {
+			t.Fatalf("%d: kernel base 2 and Lucas %v, ProbablyPrime(0) %v", x, got, want)
+		}
+	})
+}
+
+// lucasSeeds are odd inputs that reach each exit of the Lucas test: the
+// 42 composites below 10⁶ that pass it (OEIS A217719, the extra strong
+// Lucas pseudoprimes), the 6 below 10⁶ with V_e ≡ ±2 that only the U
+// check refuses, the squares of the Wieferich primes 1093 and 3511
+// (strong pseudoprimes to base 2 that reach the square check at P = 40),
+// x = P + 2 and multiples of it (the Jacobi = 0 exit), and the primes
+// nearest 2^255 and 2^256.
+func lucasSeeds(tb testing.TB) []*big.Int {
+	var seeds []*big.Int
+	for _, x := range []int64{
+		989, 3239, 5777, 10877, 27971, 29681, 30739, 31631, 39059, 72389,
+		73919, 75077, 100127, 113573, 125249, 137549, 137801, 153931, 155819, 161027,
+		162133, 189419, 218321, 231703, 249331, 370229, 429479, 430127, 459191, 473891,
+		480689, 600059, 621781, 632249, 635627, 645209, 719399, 851927, 878249, 920831,
+		966779, 972311,
+	} {
+		n := big.NewInt(x)
+		if n.ProbablyPrime(20) || !lucasReference(n) {
+			tb.Fatalf("%d is not a Lucas pseudoprime", x)
+		}
+		seeds = append(seeds, n)
+	}
+	for _, x := range []int64{10469, 154697, 233659, 472453, 629693, 852389} {
+		n := big.NewInt(x)
+		if n.ProbablyPrime(20) || lucasReference(n) {
+			tb.Fatalf("%d is prime or passes the Lucas test", x)
+		}
+		seeds = append(seeds, n)
+	}
+	for _, x := range []int64{1093 * 1093, 3511 * 3511, 3, 5, 15, 25, 35, 45} {
+		seeds = append(seeds, big.NewInt(x))
+	}
+	top := new(big.Int).Lsh(big.NewInt(1), kernelBits)
+	half := new(big.Int).Rsh(top, 1)
+	return append(seeds, nextPrime(top, -2), nextPrime(half, -2), nextPrime(half, 2))
+}
+
+// FuzzMontMul checks montMul and montSqr against math/big over their
+// contracts, for odd m from 3 to 2^256 − 1: montMul(x, y) = x·y·R⁻¹ mod m
+// for x < R and y < m (toMont and crt's s2·R pass an x ≥ m), and
+// montSqr(y) = y²·R⁻¹ mod m for y < m, each also with z aliasing an
+// operand.
+func FuzzMontMul(f *testing.F) {
+	full := bytes.Repeat([]byte{0xff}, kernelBits/8) // R − 1, or m = 2^256 − 1
+	oneLimb := bytes.Repeat([]byte{0xa7}, 8)
+	mMinus1 := func(m []byte) []byte {
+		return new(big.Int).Sub(new(big.Int).SetBytes(m), big.NewInt(1)).Bytes()
+	}
+	for _, m := range [][]byte{{3}, oneLimb, full} {
+		f.Add(m, full, mMinus1(m))
+		f.Add(m, mMinus1(m), mMinus1(m))
+		f.Add(m, []byte{1}, []byte{1})
+	}
+	f.Fuzz(func(t *testing.T, mod, a, b []byte) {
+		if len(mod) > kernelBits/8 || len(a) > kernelBits/8 || len(b) > kernelBits/8 {
+			return
+		}
+		m := new(big.Int).SetBytes(mod)
+		m.SetBit(m, 0, 1)
+		if m.BitLen() < 2 {
+			m.SetInt64(3)
+		}
+		x := new(big.Int).SetBytes(a)
+		y := new(big.Int).SetBytes(b)
+		y.Mod(y, m)
+		rInv := new(big.Int).Lsh(big.NewInt(1), kernelBits)
+		rInv.ModInverse(rInv, m)
+
+		var ml, xl, yl, want limbs
+		ml.load(m)
+		xl.load(x)
+		yl.load(y)
+		inv := montInv(ml[0])
+		want.load(new(big.Int).Mod(new(big.Int).Mul(new(big.Int).Mul(x, y), rInv), m))
+		z, zx, zy := limbs{}, xl, yl
+		montMul(&z, &xl, &yl, &ml, inv)
+		montMul(&zx, &zx, &yl, &ml, inv)
+		montMul(&zy, &xl, &zy, &ml, inv)
+		if z != want || zx != want || zy != want {
+			t.Fatalf("montMul(%x, %x) mod %x: %x, aliased %x and %x, math/big %x", x, y, m, z, zx, zy, want)
+		}
+		want.load(new(big.Int).Mod(new(big.Int).Mul(new(big.Int).Mul(y, y), rInv), m))
+		zy = yl
+		montSqr(&z, &yl, &ml, inv)
+		montSqr(&zy, &zy, &ml, inv)
+		if z != want || zy != want {
+			t.Fatalf("montSqr(%x) mod %x: %x, aliased %x, math/big %x", y, m, z, zy, want)
 		}
 	})
 }

@@ -86,23 +86,46 @@ func reduceOnce(z *limbs, top, t0, t1, t2, t3 uint64, m *limbs) {
 // (CIOS): each round adds x·y[i], then the multiple of m that clears the
 // low limb, and shifts one limb down. It requires x·y < m·R (x < R and
 // y < m suffice); z may alias x or y.
+//
+// Each product row is summed in two carry chains: the first joins the
+// high half of each bits.Mul64 product to the low half of the next, and
+// the second adds the row to the accumulator. Each chain is written out
+// whole before the next, so the compiler keeps it in the carry flag.
 func montMul(z, x, y, m *limbs, inv uint64) {
-	var t0, t1, t2, t3, t4, t5, c, cc, k uint64
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+	var t0, t1, t2, t3, t4, t5, c, h0, h1, h2, p0, p1, p2, p3, p4 uint64
 	for _, yi := range y {
-		c, t0 = madd(x0, yi, t0, 0)
-		c, t1 = madd(x1, yi, t1, c)
-		c, t2 = madd(x2, yi, t2, c)
-		c, t3 = madd(x3, yi, t3, c)
-		t4, t5 = bits.Add64(t4, c, 0)
+		// t += x·yi, with the carry out of t4 in t5.
+		h0, p0 = bits.Mul64(x[0], yi)
+		h1, p1 = bits.Mul64(x[1], yi)
+		h2, p2 = bits.Mul64(x[2], yi)
+		p4, p3 = bits.Mul64(x[3], yi)
+		p1, c = bits.Add64(p1, h0, 0)
+		p2, c = bits.Add64(p2, h1, c)
+		p3, c = bits.Add64(p3, h2, c)
+		p4 += c // x·yi < 2^320: no carry out
+		t0, c = bits.Add64(t0, p0, 0)
+		t1, c = bits.Add64(t1, p1, c)
+		t2, c = bits.Add64(t2, p2, c)
+		t3, c = bits.Add64(t3, p3, c)
+		t4, t5 = bits.Add64(t4, p4, c)
 
-		k = t0 * inv
-		c, _ = madd(k, m[0], t0, 0)
-		c, t0 = madd(k, m[1], t1, c)
-		c, t1 = madd(k, m[2], t2, c)
-		c, t2 = madd(k, m[3], t3, c)
-		t3, cc = bits.Add64(t4, c, 0)
-		t4, _ = bits.Add64(t5, 0, cc)
+		// t += k·m clears the low limb; shift down one limb. t stays
+		// below 2R, so t4 ends at most 1.
+		k := t0 * inv
+		h0, p0 = bits.Mul64(k, m[0])
+		h1, p1 = bits.Mul64(k, m[1])
+		h2, p2 = bits.Mul64(k, m[2])
+		p4, p3 = bits.Mul64(k, m[3])
+		p1, c = bits.Add64(p1, h0, 0)
+		p2, c = bits.Add64(p2, h1, c)
+		p3, c = bits.Add64(p3, h2, c)
+		p4 += c
+		_, c = bits.Add64(t0, p0, 0)
+		t0, c = bits.Add64(t1, p1, c)
+		t1, c = bits.Add64(t2, p2, c)
+		t2, c = bits.Add64(t3, p3, c)
+		t3, c = bits.Add64(t4, p4, c)
+		t4 = t5 + c
 	}
 	reduceOnce(z, t4, t0, t1, t2, t3, m)
 }
@@ -112,17 +135,30 @@ func montMul(z, x, y, m *limbs, inv uint64) {
 // instead of 16), then reduces it limb by limb. z may alias x.
 func montSqr(z, x, m *limbs, inv uint64) {
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	var r0, r1, r2, r3, r4, r5, r6, r7, c, cc, hi, lo uint64
+	var r0, r1, r2, r3, r4, r5, r6, r7, c, hi, lo, mid uint64
 
-	// Cross products x_i·x_j, i < j, at limb i+j.
-	r2, r1 = bits.Mul64(x0, x1)
-	c, r2 = madd(x0, x2, r2, 0)
-	r4, r3 = madd(x0, x3, c, 0)
-	c, r3 = madd(x1, x2, r3, 0)
-	c, lo = madd(x1, x3, c, 0)
-	r4, cc = bits.Add64(r4, lo, 0)
-	r5, _ = bits.Add64(c, 0, cc)
-	r6, r5 = madd(x2, x3, r5, 0)
+	// Cross products x_i·x_j, i < j, at limb i+j, row by row: x0·(x1, x2,
+	// x3) at limbs 1–4, x1·(x2, x3) at limbs 3–5 and x2·x3 at limbs 5–6,
+	// each summed in one carry chain and added in another. Their sum is
+	// below 2^447, so nothing carries out of limb 6.
+	hi, r1 = bits.Mul64(x0, x1)
+	mid, r2 = bits.Mul64(x0, x2)
+	r4, r3 = bits.Mul64(x0, x3)
+	r2, c = bits.Add64(r2, hi, 0)
+	r3, c = bits.Add64(r3, mid, c)
+	r4 += c
+
+	hi, lo = bits.Mul64(x1, x2)
+	r5, mid = bits.Mul64(x1, x3)
+	mid, c = bits.Add64(mid, hi, 0)
+	r5 += c
+	r3, c = bits.Add64(r3, lo, 0)
+	r4, c = bits.Add64(r4, mid, c)
+	r5 += c
+
+	r6, lo = bits.Mul64(x2, x3)
+	r5, c = bits.Add64(r5, lo, 0)
+	r6 += c
 
 	// Double them.
 	r7 = r6 >> 63
@@ -135,47 +171,82 @@ func montSqr(z, x, m *limbs, inv uint64) {
 
 	// Add the squares x_i² at limb 2i.
 	hi, r0 = bits.Mul64(x0, x0)
-	r1, cc = bits.Add64(r1, hi, 0)
+	r1, c = bits.Add64(r1, hi, 0)
 	hi, lo = bits.Mul64(x1, x1)
-	r2, cc = bits.Add64(r2, lo, cc)
-	r3, cc = bits.Add64(r3, hi, cc)
+	r2, c = bits.Add64(r2, lo, c)
+	r3, c = bits.Add64(r3, hi, c)
 	hi, lo = bits.Mul64(x2, x2)
-	r4, cc = bits.Add64(r4, lo, cc)
-	r5, cc = bits.Add64(r5, hi, cc)
+	r4, c = bits.Add64(r4, lo, c)
+	r5, c = bits.Add64(r5, hi, c)
 	hi, lo = bits.Mul64(x3, x3)
-	r6, cc = bits.Add64(r6, lo, cc)
-	r7, _ = bits.Add64(r7, hi, cc)
+	r6, c = bits.Add64(r6, lo, c)
+	r7, _ = bits.Add64(r7, hi, c)
 
-	// Reduce: round i adds the multiple of m that clears limb i; the carry
-	// out of limb i+4 waits in cc for the next round's limb i+5.
+	// Reduce: round i adds k·m at limb i, which clears it, with k·m summed
+	// as in montMul. The carry out of limb i+4 waits in cc and joins the
+	// next round's top product limb, which is at most 2^64 − 2 because
+	// k·m < (2^64 − 1)·R.
 	m0, m1, m2, m3 := m[0], m[1], m[2], m[3]
-	k := r0 * inv
-	c, _ = madd(k, m0, r0, 0)
-	c, r1 = madd(k, m1, r1, c)
-	c, r2 = madd(k, m2, r2, c)
-	c, r3 = madd(k, m3, r3, c)
-	r4, cc = bits.Add64(r4, c, 0)
+	var k, h0, h1, h2, p0, p1, p2, p3, p4, cc uint64
+	k = r0 * inv
+	h0, p0 = bits.Mul64(k, m0)
+	h1, p1 = bits.Mul64(k, m1)
+	h2, p2 = bits.Mul64(k, m2)
+	p4, p3 = bits.Mul64(k, m3)
+	p1, c = bits.Add64(p1, h0, 0)
+	p2, c = bits.Add64(p2, h1, c)
+	p3, c = bits.Add64(p3, h2, c)
+	p4 += c
+	_, c = bits.Add64(r0, p0, 0)
+	r1, c = bits.Add64(r1, p1, c)
+	r2, c = bits.Add64(r2, p2, c)
+	r3, c = bits.Add64(r3, p3, c)
+	r4, cc = bits.Add64(r4, p4, c)
 
 	k = r1 * inv
-	c, _ = madd(k, m0, r1, 0)
-	c, r2 = madd(k, m1, r2, c)
-	c, r3 = madd(k, m2, r3, c)
-	c, r4 = madd(k, m3, r4, c)
-	r5, cc = bits.Add64(r5, c, cc)
+	h0, p0 = bits.Mul64(k, m0)
+	h1, p1 = bits.Mul64(k, m1)
+	h2, p2 = bits.Mul64(k, m2)
+	p4, p3 = bits.Mul64(k, m3)
+	p1, c = bits.Add64(p1, h0, 0)
+	p2, c = bits.Add64(p2, h1, c)
+	p3, c = bits.Add64(p3, h2, c)
+	p4 += c + cc
+	_, c = bits.Add64(r1, p0, 0)
+	r2, c = bits.Add64(r2, p1, c)
+	r3, c = bits.Add64(r3, p2, c)
+	r4, c = bits.Add64(r4, p3, c)
+	r5, cc = bits.Add64(r5, p4, c)
 
 	k = r2 * inv
-	c, _ = madd(k, m0, r2, 0)
-	c, r3 = madd(k, m1, r3, c)
-	c, r4 = madd(k, m2, r4, c)
-	c, r5 = madd(k, m3, r5, c)
-	r6, cc = bits.Add64(r6, c, cc)
+	h0, p0 = bits.Mul64(k, m0)
+	h1, p1 = bits.Mul64(k, m1)
+	h2, p2 = bits.Mul64(k, m2)
+	p4, p3 = bits.Mul64(k, m3)
+	p1, c = bits.Add64(p1, h0, 0)
+	p2, c = bits.Add64(p2, h1, c)
+	p3, c = bits.Add64(p3, h2, c)
+	p4 += c + cc
+	_, c = bits.Add64(r2, p0, 0)
+	r3, c = bits.Add64(r3, p1, c)
+	r4, c = bits.Add64(r4, p2, c)
+	r5, c = bits.Add64(r5, p3, c)
+	r6, cc = bits.Add64(r6, p4, c)
 
 	k = r3 * inv
-	c, _ = madd(k, m0, r3, 0)
-	c, r4 = madd(k, m1, r4, c)
-	c, r5 = madd(k, m2, r5, c)
-	c, r6 = madd(k, m3, r6, c)
-	r7, cc = bits.Add64(r7, c, cc)
+	h0, p0 = bits.Mul64(k, m0)
+	h1, p1 = bits.Mul64(k, m1)
+	h2, p2 = bits.Mul64(k, m2)
+	p4, p3 = bits.Mul64(k, m3)
+	p1, c = bits.Add64(p1, h0, 0)
+	p2, c = bits.Add64(p2, h1, c)
+	p3, c = bits.Add64(p3, h2, c)
+	p4 += c + cc
+	_, c = bits.Add64(r3, p0, 0)
+	r4, c = bits.Add64(r4, p1, c)
+	r5, c = bits.Add64(r5, p2, c)
+	r6, c = bits.Add64(r6, p3, c)
+	r7, cc = bits.Add64(r7, p4, c)
 
 	reduceOnce(z, cc, r4, r5, r6, r7, m)
 }
@@ -478,21 +549,11 @@ func (v *Parts) checkKernel() (fits bool, err error) {
 func (cs *checkSpace) crtConditions(r *limbs, dx *limbs8) (ed, dOK bool) {
 	cs.mod = *r
 	cs.mod[0]-- // r is odd: no borrow
-	s := 0
-	for i := 0; cs.mod[i] == 0; i++ {
-		s += 64
-	}
-	s += bits.TrailingZeros64(cs.mod[s/64])
+	s := trailingZeros(&cs.mod)
 	mulInto(cs.pq[:], cs.e[:4], cs.d[:4]) // its low 256 bits are e·d's
 	ed = lowEqual(cs.pq[:4], []uint64{1}, s)
 	dOK = below(dx[:], &cs.mod) && lowEqual(cs.d[:], dx[:], s)
-	for i := range cs.odd { // o = (r−1) >> s
-		j, b := i+s/64, s%64
-		cs.odd[i] = word(cs.mod[:], j) >> b
-		if b != 0 {
-			cs.odd[i] |= word(cs.mod[:], j+1) << (64 - b)
-		}
-	}
+	shr(&cs.odd, &cs.mod, s) // o = (r−1) >> s
 	if cs.odd == (limbs{1}) {
 		return ed, dOK
 	}
@@ -539,6 +600,38 @@ func trim(x []uint64) []uint64 {
 func word(x []uint64, i int) uint64 {
 	if i < len(x) {
 		return x[i]
+	}
+	return 0
+}
+
+// shr sets z = x >> n for n ≤ 256. z may alias x: limb i reads only limbs
+// i and up.
+func shr(z, x *limbs, n int) {
+	for i := range z {
+		j, b := i+n/64, n%64
+		z[i] = word(x[:], j) >> b
+		if b != 0 {
+			z[i] |= word(x[:], j+1) << (64 - b)
+		}
+	}
+}
+
+// trailingZeros returns the number of trailing zero bits of x ≠ 0.
+func trailingZeros(x *limbs) int {
+	for i, w := range x {
+		if w != 0 {
+			return 64*i + bits.TrailingZeros64(w)
+		}
+	}
+	return kernelBits
+}
+
+// bitLen returns the length of x in bits, 0 for x = 0.
+func bitLen(x *limbs) int {
+	for i := len(x) - 1; i >= 0; i-- {
+		if x[i] != 0 {
+			return 64*i + bits.Len64(x[i])
+		}
 	}
 	return 0
 }

@@ -75,6 +75,20 @@ func TestKernelRoundsDecideSeeds(t *testing.T) {
 	}
 }
 
+// TestIsPrimeAllocs checks that isPrime accepts a 256-bit prime without a
+// Go allocation, so no math/big scratch, pooled or not, ever holds the
+// prime.
+func TestIsPrimeAllocs(t *testing.T) {
+	b := nextPrime(new(big.Int).Lsh(big.NewInt(1), kernelBits), -2).Bytes()
+	var ps primeSpace
+	if !ps.isPrime(b) {
+		t.Fatalf("isPrime rejects the prime %x", b)
+	}
+	if n := testing.AllocsPerRun(20, func() { ps.isPrime(b) }); n != 0 {
+		t.Fatalf("isPrime made %v allocations per call, want 0", n)
+	}
+}
+
 // keepReader reads from r and keeps every buffer it was handed.
 type keepReader struct {
 	r    io.Reader
@@ -142,4 +156,72 @@ func TestGenerateScrubsRejectedPrimes(t *testing.T) {
 			t.Fatalf("prime %d of the refused pair not scrubbed: %x", i, w)
 		}
 	}
+}
+
+// lucasReference is math/big's probablyPrimeLucas (go1.24) transcribed
+// onto big.Int: the extra strong Lucas test with Baillie–OEIS method C
+// parameters (math/big's comment says almost extra strong, but it checks
+// U_e too), the reference the kernel's lucas must match. Where
+// math/big's nat subtraction V² − 2 would underflow (V = 1 in the last
+// loop), it takes the residue, as the kernel does.
+func lucasReference(n *big.Int) bool {
+	one, two := big.NewInt(1), big.NewInt(2)
+	if n.Sign() <= 0 || n.Cmp(one) == 0 {
+		return false
+	}
+	if n.Bit(0) == 0 {
+		return n.Cmp(two) == 0
+	}
+	p := int64(3)
+	d := new(big.Int)
+	for ; ; p++ {
+		if p > 10000 {
+			panic("lucasReference: no P with Jacobi(P² − 4, n) = −1 for " + n.String())
+		}
+		d.SetInt64(p*p - 4)
+		j := big.Jacobi(d, n)
+		if j == -1 {
+			break
+		}
+		if j == 0 {
+			return n.Cmp(big.NewInt(p+2)) == 0
+		}
+		if p == 40 {
+			r := new(big.Int).Sqrt(n)
+			if r.Mul(r, r).Cmp(n) == 0 {
+				return false
+			}
+		}
+	}
+	s := new(big.Int).Add(n, one)
+	r := int(s.TrailingZeroBits())
+	s.Rsh(s, uint(r))
+	nm2 := new(big.Int).Sub(n, two)
+	bp := big.NewInt(p)
+	vk, vk1, t := big.NewInt(2), big.NewInt(p), new(big.Int)
+	for i := s.BitLen(); i >= 0; i-- {
+		if s.Bit(i) != 0 {
+			vk.Mod(t.Sub(t.Add(t.Mul(vk, vk1), n), bp), n)
+			vk1.Mod(t.Add(t.Mul(vk1, vk1), nm2), n)
+		} else {
+			vk1.Mod(t.Sub(t.Add(t.Mul(vk, vk1), n), bp), n)
+			vk.Mod(t.Add(t.Mul(vk, vk), nm2), n)
+		}
+	}
+	if vk.Cmp(two) == 0 || vk.Cmp(nm2) == 0 {
+		u := new(big.Int).Lsh(vk1, 1)
+		if t.Mod(t.Sub(t.Mul(vk, bp), u), n).Sign() == 0 {
+			return true
+		}
+	}
+	for i := 0; i < r-1; i++ {
+		if vk.Sign() == 0 {
+			return true
+		}
+		if vk.Cmp(two) == 0 {
+			return false
+		}
+		vk.Mod(t.Sub(t.Mul(vk, vk), two), n)
+	}
+	return false
 }

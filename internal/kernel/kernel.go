@@ -321,7 +321,7 @@ func (k *Kernel) MemoryPressure(pid, n int) (int, error) {
 func (k *Kernel) ScrambleFreeMemory(seed int64) error {
 	const holdoutStride = 16 // reserve ~1/16 of pages
 	rng := rand.New(rand.NewSource(seed))
-	var pages []mem.PageNum
+	pages := make([]mem.PageNum, 0, k.alloc.FreePages())
 	for {
 		pn, err := k.alloc.AllocPage(mem.OwnerKernel)
 		if err != nil {
