@@ -91,7 +91,7 @@ func run(args []string, out io.Writer) error {
 		// Re-derive the captured window for the recovery pass: the tty
 		// result reports the window; recovery needs the bytes, which a
 		// real exploit would have written to a file. Use a full-memory
-		// view restricted to the disclosed size for the same effect.
+		// capture restricted to the disclosed window for the same effect.
 		full := m.DumpMemory()
 		if res.Offset+res.Size <= len(full) {
 			image = full[res.Offset : res.Offset+res.Size]

@@ -72,7 +72,8 @@ var suite = []*analysis.Analyzer{
 // so stale cached findings can never mask or invent a diagnostic.
 // 2: sealwindow analyzer; keycopy/keylifetime points-to retrofit.
 // 3: one key-taint engine: interprocedural keycopy, copy() and range taint.
-const suiteVersion = "3"
+// 4: physaccess's view-escape rule; the loader honors build constraints.
+const suiteVersion = "4"
 
 // cacheSalt is everything besides source bytes that can change a
 // finding: the suite version, the toolchain and target platform (build

@@ -58,6 +58,7 @@ package load
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -493,8 +494,11 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 	return ld.ses.std.Import(path)
 }
 
-// parseDir parses the directory's .go files. include decides inclusion by
-// file name; pkgName filters by declared package name when non-empty.
+// parseDir parses the directory's .go files that the go command would
+// build for this platform, without the race detector: build constraints
+// and GOOS/GOARCH file-name suffixes decide as in build.Default. include
+// decides inclusion by file name; pkgName filters by declared package name
+// when non-empty.
 func (ld *loader) parseDir(dir string, include func(name string) bool, pkgName string) ([]*ast.File, map[*ast.File]bool, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -508,6 +512,11 @@ func (ld *loader) parseDir(dir string, include func(name string) bool, pkgName s
 			continue
 		}
 		if !include(name) {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(ld.ses.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

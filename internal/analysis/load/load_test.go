@@ -1,6 +1,8 @@
 package load_test
 
 import (
+	"go/constant"
+	"go/types"
 	"strings"
 	"testing"
 
@@ -213,5 +215,24 @@ func TestMarkerValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestBuildConstraints loads a package that declares one name in two files
+// under opposite build constraints: only the file the go command builds is
+// type-checked.
+func TestBuildConstraints(t *testing.T) {
+	root, err := load.FindModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := load.Config{ModuleRoot: root, FixtureRoot: "testdata"}
+	res, err := cfg.Load("buildtags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	side, _ := res.Pkgs[0].Types.Scope().Lookup("Side").(*types.Const)
+	if side == nil || constant.StringVal(side.Val()) != "on" {
+		t.Fatalf("Side = %v, want the constant from on.go", side)
 	}
 }

@@ -22,3 +22,10 @@ func TestDisclosurePackage(t *testing.T) {
 func TestFlowSensitivity(t *testing.T) {
 	checktest.Run(t, "testdata", physaccess.Analyzer, "memshield/internal/attack/stitchleak")
 }
+
+// TestViewEscapes checks the third rule: in a package allowed to take
+// views, every way a view can leave the function that took it is flagged,
+// and reading, copying out and passing down are not.
+func TestViewEscapes(t *testing.T) {
+	checktest.Run(t, "testdata", physaccess.Analyzer, "memshield/internal/attack/escapeleak")
+}

@@ -8,14 +8,14 @@ import "memshield/internal/mem"
 
 // Stitch mirrors internal/attack/ttyleak.Run. On the contiguous path dump
 // aliases the view; on the wrap path dump is a fresh attacker-owned buffer
-// that views are appended INTO. No append writes through a view, so the
-// whole function must be silent.
-func Stitch(m *mem.Memory, offset, size, memSize int) []byte {
+// that views are appended INTO. No append writes through a view, and dump
+// is only passed down to count, so the whole function must be silent.
+func Stitch(m *mem.Memory, offset, size, memSize int, count func([]byte) int) int {
 	var dump []byte
 	if offset+size <= memSize {
 		view, err := m.View(mem.Addr(offset), size)
 		if err != nil {
-			return nil
+			return 0
 		}
 		dump = view
 	} else {
@@ -23,20 +23,21 @@ func Stitch(m *mem.Memory, offset, size, memSize int) []byte {
 		dump = make([]byte, 0, size)
 		tail, err := m.View(mem.Addr(offset), head)
 		if err != nil {
-			return nil
+			return 0
 		}
 		dump = append(dump, tail...)
 		front, err := m.View(0, size-head)
 		if err != nil {
-			return nil
+			return 0
 		}
 		dump = append(dump, front...)
 	}
-	return dump
+	return count(dump)
 }
 
 // AfterJoin is the unsound variant: past the join dump may alias physical
-// memory (the view path), so a mutating append is flagged.
+// memory (the view path), so a mutating append is flagged, and so is
+// returning it.
 func AfterJoin(m *mem.Memory, wrap bool) []byte {
 	var dump []byte
 	if wrap {
@@ -49,5 +50,5 @@ func AfterJoin(m *mem.Memory, wrap bool) []byte {
 		dump = v
 	}
 	dump = append(dump, 0xff) // want `append writes through a physical-memory view`
-	return dump
+	return dump               // want `physical-memory view escapes: returned`
 }

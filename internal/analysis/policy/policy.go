@@ -60,7 +60,7 @@ type Entry struct {
 // Table is the committed exemption table, one entry per package.
 var Table = []Entry{
 	{"memshield", []Perm{PhysRead},
-		"public facade: DumpMemory hands captures to callers"},
+		"public facade: DumpMemory copies a full capture out to callers"},
 	{"memshield/internal/mem", []Perm{PhysRead, Panics},
 		"owns the physical-memory array; Frame panics on an out-of-range " +
 			"frame number because those are produced only by the allocator — " +

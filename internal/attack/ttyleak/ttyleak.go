@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"memshield/internal/kernel"
 	"memshield/internal/mem"
@@ -107,10 +108,12 @@ func Run(k *kernel.Kernel, patterns []scan.Pattern, rng *rand.Rand, cfg Config) 
 		}
 		dump = append(dump, front...)
 	}
-	return Result{
+	res := Result{
 		Offset:  offset,
 		Size:    size,
 		Summary: scan.CountInBuffer(dump, patterns),
 		Success: scan.FoundAny(dump, patterns),
-	}, nil
+	}
+	runtime.KeepAlive(k) // dump may alias k's memory, which its finalizer could unmap
+	return res, nil
 }

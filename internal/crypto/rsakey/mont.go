@@ -703,32 +703,68 @@ func less8(x, y *limbs8) bool {
 }
 
 // montMul8 sets z = x·y·R⁻¹ mod m with R = 2^512, by CIOS as montMul
-// does over four limbs. It requires x·y < m·R; z may alias x or y.
+// does over four limbs, with each product row summed in the same two carry
+// chains. It requires x·y < m·R; z may alias x or y.
 func montMul8(z, x, y, m *limbs8, inv uint64) {
-	var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, c, cc, k uint64
-	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	var t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, c uint64
+	var h0, h1, h2, h3, h4, h5, h6, p0, p1, p2, p3, p4, p5, p6, p7, p8 uint64
 	for _, yi := range y {
-		c, t0 = madd(x0, yi, t0, 0)
-		c, t1 = madd(x1, yi, t1, c)
-		c, t2 = madd(x2, yi, t2, c)
-		c, t3 = madd(x3, yi, t3, c)
-		c, t4 = madd(x4, yi, t4, c)
-		c, t5 = madd(x5, yi, t5, c)
-		c, t6 = madd(x6, yi, t6, c)
-		c, t7 = madd(x7, yi, t7, c)
-		t8, t9 = bits.Add64(t8, c, 0)
+		// t += x·yi, with the carry out of t8 in t9.
+		h0, p0 = bits.Mul64(x[0], yi)
+		h1, p1 = bits.Mul64(x[1], yi)
+		h2, p2 = bits.Mul64(x[2], yi)
+		h3, p3 = bits.Mul64(x[3], yi)
+		h4, p4 = bits.Mul64(x[4], yi)
+		h5, p5 = bits.Mul64(x[5], yi)
+		h6, p6 = bits.Mul64(x[6], yi)
+		p8, p7 = bits.Mul64(x[7], yi)
+		p1, c = bits.Add64(p1, h0, 0)
+		p2, c = bits.Add64(p2, h1, c)
+		p3, c = bits.Add64(p3, h2, c)
+		p4, c = bits.Add64(p4, h3, c)
+		p5, c = bits.Add64(p5, h4, c)
+		p6, c = bits.Add64(p6, h5, c)
+		p7, c = bits.Add64(p7, h6, c)
+		p8 += c // x·yi < 2^576: no carry out
+		t0, c = bits.Add64(t0, p0, 0)
+		t1, c = bits.Add64(t1, p1, c)
+		t2, c = bits.Add64(t2, p2, c)
+		t3, c = bits.Add64(t3, p3, c)
+		t4, c = bits.Add64(t4, p4, c)
+		t5, c = bits.Add64(t5, p5, c)
+		t6, c = bits.Add64(t6, p6, c)
+		t7, c = bits.Add64(t7, p7, c)
+		t8, t9 = bits.Add64(t8, p8, c)
 
-		k = t0 * inv
-		c, _ = madd(k, m[0], t0, 0)
-		c, t0 = madd(k, m[1], t1, c)
-		c, t1 = madd(k, m[2], t2, c)
-		c, t2 = madd(k, m[3], t3, c)
-		c, t3 = madd(k, m[4], t4, c)
-		c, t4 = madd(k, m[5], t5, c)
-		c, t5 = madd(k, m[6], t6, c)
-		c, t6 = madd(k, m[7], t7, c)
-		t7, cc = bits.Add64(t8, c, 0)
-		t8, _ = bits.Add64(t9, 0, cc)
+		// t += k·m clears the low limb; shift down one limb. t stays
+		// below 2R, so t8 ends at most 1.
+		k := t0 * inv
+		h0, p0 = bits.Mul64(k, m[0])
+		h1, p1 = bits.Mul64(k, m[1])
+		h2, p2 = bits.Mul64(k, m[2])
+		h3, p3 = bits.Mul64(k, m[3])
+		h4, p4 = bits.Mul64(k, m[4])
+		h5, p5 = bits.Mul64(k, m[5])
+		h6, p6 = bits.Mul64(k, m[6])
+		p8, p7 = bits.Mul64(k, m[7])
+		p1, c = bits.Add64(p1, h0, 0)
+		p2, c = bits.Add64(p2, h1, c)
+		p3, c = bits.Add64(p3, h2, c)
+		p4, c = bits.Add64(p4, h3, c)
+		p5, c = bits.Add64(p5, h4, c)
+		p6, c = bits.Add64(p6, h5, c)
+		p7, c = bits.Add64(p7, h6, c)
+		p8 += c
+		_, c = bits.Add64(t0, p0, 0)
+		t0, c = bits.Add64(t1, p1, c)
+		t1, c = bits.Add64(t2, p2, c)
+		t2, c = bits.Add64(t3, p3, c)
+		t3, c = bits.Add64(t4, p4, c)
+		t4, c = bits.Add64(t5, p5, c)
+		t5, c = bits.Add64(t6, p6, c)
+		t6, c = bits.Add64(t7, p7, c)
+		t7, c = bits.Add64(t8, p8, c)
+		t8 = t9 + c
 	}
 	*z = limbs8{t0, t1, t2, t3, t4, t5, t6, t7}
 	reduce8(z, t8, m)

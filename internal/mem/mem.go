@@ -1,11 +1,12 @@
 // Package mem implements the simulated physical memory that every other
 // subsystem in memshield is built on.
 //
-// The entire "machine" is a single byte slice divided into fixed-size page
-// frames. Each frame carries the metadata a real kernel keeps in its struct
-// page: allocation state, an owner classification (kernel, user, page cache),
-// a reference count, and a reverse mapping to the processes that have the
-// frame in their address space. Because all key material handled by the
+// The entire "machine" is a single byte array divided into fixed-size page
+// frames, mapped outside the Go heap where the system allows it. Each frame
+// carries the metadata a real kernel keeps in its struct page: allocation
+// state, an owner classification (kernel, user, page cache), a reference
+// count, and a reverse mapping to the processes that have the frame in
+// their address space. Because all key material handled by the
 // simulated OpenSSL layer lives inside this slice, a linear scan over it is
 // exactly the paper's scanmemory loadable kernel module, and a disclosure
 // attack is just a read of some window of the slice.
@@ -14,6 +15,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -128,7 +130,9 @@ type Frame struct {
 // any set of frames strictly increases whenever one of them is written.
 func (f *Frame) Gen() uint64 { return f.gen }
 
-// Memory is the simulated physical memory of one machine.
+// Memory is the simulated physical memory of one machine. A method that
+// reads data after its last use of m keeps m alive to the end of the read
+// with runtime.KeepAlive: data may be a mapping that m's finalizer unmaps.
 type Memory struct {
 	data   []byte
 	frames []Frame
@@ -141,23 +145,31 @@ type Memory struct {
 // New creates a machine with the given number of page frames, all free and
 // zeroed. It reuses the arrays of a released memory of the same size when
 // there is one, and allocates them otherwise. It returns an error for a
-// non-positive size.
+// non-positive size or a page array the system cannot map.
 func New(numPages int) (*Memory, error) {
 	if numPages <= 0 {
 		return nil, fmt.Errorf("mem: numPages must be positive, got %d", numPages)
 	}
-	if m := released.pop(numPages); m != nil {
-		return m, nil
+	m := released.pop(numPages)
+	if m == nil {
+		data, err := newArray(numPages * PageSize)
+		if err != nil {
+			return nil, err
+		}
+		m = &Memory{data: data, frames: make([]Frame, numPages)}
+		for i := range m.frames {
+			m.frames[i] = bootFrame
+		}
 	}
-	m := &Memory{
-		data:   make([]byte, numPages*PageSize),
-		frames: make([]Frame, numPages),
-	}
-	for i := range m.frames {
-		m.frames[i] = bootFrame
+	if mapped {
+		runtime.SetFinalizer(m, (*Memory).unmap)
 	}
 	return m, nil
 }
+
+// unmap is the finalizer of a handle dropped without Release: nothing else
+// returns its mapped array.
+func (m *Memory) unmap() { freeArray(m.data) }
 
 // bootFrame is every frame of a new machine: free, unowned and all-zero.
 var bootFrame = Frame{State: FrameFree, Owner: OwnerNone, zeroed: true}
@@ -174,6 +186,9 @@ func (m *Memory) Release() {
 	if m.frames == nil {
 		return
 	}
+	if mapped {
+		runtime.SetFinalizer(m, nil)
+	}
 	for i := range m.frames {
 		if !m.frames[i].zeroed {
 			pn := PageNum(i)
@@ -186,10 +201,10 @@ func (m *Memory) Release() {
 }
 
 // released is the free list behind Release and New. It holds memories of
-// one page count; releasing another size drops them first, so it never
-// keeps more arrays than were live at once. A mutex, not a sync.Pool: a
-// pool's per-P slot can hide a released memory from a New on another P,
-// which then allocates afresh.
+// one page count; releasing another size drops and unmaps them first, so
+// it never keeps more arrays than were live at once. A mutex, not a
+// sync.Pool: a pool's per-P slot can hide a released memory from a New on
+// another P, which then allocates afresh.
 var released freeList
 
 type freeList struct {
@@ -202,6 +217,9 @@ func (l *freeList) push(m Memory) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.pages != len(m.frames) {
+		for _, old := range l.mems {
+			freeArray(old.data)
+		}
 		clear(l.mems)
 		l.pages, l.mems = len(m.frames), l.mems[:0]
 	}
@@ -220,11 +238,6 @@ func (l *freeList) pop(numPages int) *Memory {
 	l.mems[n-1] = Memory{}
 	l.mems = l.mems[:n-1]
 	return &m
-}
-
-// NewMB creates a machine with the given amount of memory in mebibytes.
-func NewMB(mb int) (*Memory, error) {
-	return New(mb * 1024 * 1024 / PageSize)
 }
 
 // NumPages returns the number of page frames.
@@ -280,6 +293,7 @@ func (m *Memory) Read(addr Addr, n int) ([]byte, error) {
 	}
 	out := make([]byte, n)
 	copy(out, m.data[addr:])
+	runtime.KeepAlive(m)
 	return out, nil
 }
 
@@ -290,6 +304,7 @@ func (m *Memory) ReadInto(dst []byte, addr Addr) error {
 		return fmt.Errorf("mem: read [%d,+%d) outside %d-byte memory", addr, len(dst), len(m.data))
 	}
 	copy(dst, m.data[addr:])
+	runtime.KeepAlive(m)
 	return nil
 }
 
@@ -348,7 +363,9 @@ func (m *Memory) PageIsZero(pn PageNum) bool {
 	if !m.ValidPage(pn) {
 		return false
 	}
-	return bytes.Equal(m.data[pn.Base():pn.Base()+PageSize], zeroPage[:])
+	zero := bytes.Equal(m.data[pn.Base():pn.Base()+PageSize], zeroPage[:])
+	runtime.KeepAlive(m)
+	return zero
 }
 
 // FalseZero returns the first frame marked all-zero that holds a non-zero
@@ -364,9 +381,13 @@ func (m *Memory) FalseZero() (pn PageNum, ok bool) {
 }
 
 // View returns a read-only window over [addr, addr+n). It aliases the live
-// memory; callers must treat it as immutable and must not retain it across
-// writes. Disclosure attacks use View to model "the attacker got these
-// bytes" without doubling memory.
+// memory; callers must treat it as immutable, must not retain it across
+// writes, and must keep m reachable and unreleased until their last read
+// of it: the array may be a mapping that m's finalizer unmaps, and Release
+// hands it to the next machine. A view never leaves the function that
+// took it (physaccess enforces this).
+// Disclosure attacks use View to model "the attacker got these bytes"
+// without doubling memory.
 func (m *Memory) View(addr Addr, n int) ([]byte, error) {
 	if !m.ValidRange(addr, n) {
 		return nil, fmt.Errorf("mem: view [%d,+%d) outside %d-byte memory", addr, n, len(m.data))
@@ -428,14 +449,3 @@ func (f *Frame) HasMapper(pid int) bool {
 
 // ClearMappers empties the reverse map (used when a frame is freed).
 func (f *Frame) ClearMappers() { f.mappers = f.mappers[:0] }
-
-// CountState returns how many frames are in the given state.
-func (m *Memory) CountState(s FrameState) int {
-	n := 0
-	for i := range m.frames {
-		if m.frames[i].State == s {
-			n++
-		}
-	}
-	return n
-}

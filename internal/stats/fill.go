@@ -12,6 +12,20 @@ import "encoding/binary"
 // fixed: a shorter Fill is always a prefix of a longer one.
 func Fill(dst []byte, seed int64) {
 	s := uint64(seed)
+	// Four words per iteration: their mixes are independent, so they
+	// overlap in the pipeline.
+	for len(dst) >= 32 {
+		b := dst[:32:32]
+		s0 := s + golden
+		s1 := s0 + golden
+		s2 := s1 + golden
+		s = s2 + golden
+		binary.LittleEndian.PutUint64(b[0:], mix64(s0))
+		binary.LittleEndian.PutUint64(b[8:], mix64(s1))
+		binary.LittleEndian.PutUint64(b[16:], mix64(s2))
+		binary.LittleEndian.PutUint64(b[24:], mix64(s))
+		dst = dst[32:]
+	}
 	for len(dst) >= 8 {
 		s += golden
 		binary.LittleEndian.PutUint64(dst, mix64(s))

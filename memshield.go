@@ -33,7 +33,9 @@
 package memshield
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 
 	"memshield/internal/attack/ext2leak"
 	"memshield/internal/attack/swapleak"
@@ -262,14 +264,18 @@ func RecoverKey(image []byte, key *Key, opts RecoveryOptions) KeyRecovery {
 	return keyfinder.Search(image, key.Private.PublicKey, opts)
 }
 
-// DumpMemory returns a read-only view of the machine's entire physical
-// memory (what an unbounded disclosure would capture).
+// DumpMemory returns a copy of the machine's entire physical memory (what
+// an unbounded disclosure would capture). The copy is the caller's: later
+// writes on the machine do not change it, and it outlives the machine.
 func (m *Machine) DumpMemory() []byte {
-	view, err := m.k.Mem().View(0, m.k.Mem().Size())
+	phys := m.k.Mem()
+	view, err := phys.View(0, phys.Size())
 	if err != nil {
 		return nil
 	}
-	return view
+	image := bytes.Clone(view)
+	runtime.KeepAlive(phys) // view aliases phys's array, which its finalizer could unmap
+	return image
 }
 
 // AuditReport re-exports the protection auditor's findings.

@@ -1,6 +1,7 @@
 package memshield
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -242,6 +243,33 @@ func TestAuditFacade(t *testing.T) {
 	rep := m.Audit(key)
 	if !rep.OK() || rep.Summary.Total != 3 {
 		t.Fatalf("audit = %+v", rep)
+	}
+}
+
+// DumpMemory returns the caller's own copy: a write on the machine after
+// the capture leaves the capture as it was.
+func TestDumpMemoryIsACopy(t *testing.T) {
+	m, err := NewMachine(MachineConfig{MemoryMB: 8, Seed: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := m.DumpMemory()
+	if len(image) != m.Kernel().Mem().Size() {
+		t.Fatalf("capture is %d bytes, want %d", len(image), m.Kernel().Mem().Size())
+	}
+	want := bytes.Clone(image[:64])
+	later := make([]byte, len(want))
+	for i, b := range want {
+		later[i] = ^b
+	}
+	if err := m.Kernel().Mem().Write(0, later); err != nil {
+		t.Fatal(err)
+	}
+	if now, _ := m.Kernel().Mem().Read(0, len(later)); !bytes.Equal(now, later) {
+		t.Fatal("the machine's write did not land")
+	}
+	if !bytes.Equal(image[:64], want) {
+		t.Fatal("a write on the machine changed an earlier capture")
 	}
 }
 
