@@ -74,12 +74,14 @@ soak-smoke:
 # chunked factor scan concurrency, the RSA-CRT private op, plain and sealed,
 # the Montgomery product and square, the key load, the public op and keygen
 # (internal/crypto/rsakey, internal/ssl), the
-# buddy page cycle per policy (internal/kernel/alloc), fork + COW break + exit
-# and a machine's boot on released memory (internal/kernel), without any
-# timing sensitivity, so it catches bit-rot in CI (DESIGN.md §4, §9). CI
-# runs this on each PR.
+# buddy page cycle per policy (internal/kernel/alloc), the httpd request's
+# fresh-arena malloc + write + free (internal/libc), an integrated sshd
+# child's fork + session arena + exit and a machine's boot on released
+# memory (internal/kernel), without any timing sensitivity, so it catches
+# bit-rot in CI (DESIGN.md §4, §9). -benchmem prints each one's Go
+# allocations. CI runs this on each PR.
 bench-smoke:
-	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkMontMul|BenchmarkMontSqr|BenchmarkPublicOp|BenchmarkGenerate|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkForkExit|BenchmarkBoot' -benchtime=1x . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/kernel
+	$(GO) test -race -run TestNothing -bench 'BenchmarkMemoryScan|BenchmarkKeyfinderFactorScan|BenchmarkScanDirtyFrame|BenchmarkSignCRT|BenchmarkMontMul|BenchmarkMontSqr|BenchmarkPublicOp|BenchmarkGenerate|BenchmarkPrivateOp|BenchmarkD2iPrivateKey|BenchmarkAllocFree|BenchmarkArenaCycle|BenchmarkForkExit|BenchmarkBoot' -benchtime=1x -benchmem . ./internal/scan ./internal/crypto/rsakey ./internal/ssl ./internal/kernel/alloc ./internal/libc ./internal/kernel
 
 # Fleet engine smoke for CI: the shard/worker-invariance contract and the
 # concurrent hand-off of released machine memory under the race detector,
@@ -129,6 +131,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder
 	$(GO) test -fuzz=FuzzStorm -fuzztime=30s ./internal/supervise
 	$(GO) test -fuzz=FuzzAllocMatchesReference -fuzztime=30s ./internal/kernel/alloc
+	$(GO) test -fuzz=FuzzVMRecycle -fuzztime=30s ./internal/kernel/vm
 	$(GO) test -fuzz=FuzzZeroedFrames -fuzztime=30s ./internal/mem
 
 figures:

@@ -674,10 +674,17 @@ func sigBytes(s *limbs8, size int) []byte {
 		}
 	}
 	out := make([]byte, max(n, size))
-	for i := 0; i < n; i++ {
-		out[len(out)-1-i] = byte(s[i/8] >> (8 * (i % 8)))
-	}
+	fillBytes(out, s)
 	return out
+}
+
+// fillBytes writes s big-endian into dst, left-padded with zeros; dst
+// must hold s's minimal length.
+func fillBytes(dst []byte, s *limbs8) {
+	clear(dst)
+	for i := 0; i < min(len(dst), 8*len(s)); i++ {
+		dst[len(dst)-1-i] = byte(s[i/8] >> (8 * (i % 8)))
+	}
 }
 
 // reduce8 sets z to (top, z) − m when that 513-bit value is at least m,

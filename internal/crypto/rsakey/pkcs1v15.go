@@ -29,14 +29,23 @@ func (k *PrivateKey) SignPKCS1v15(msg []byte) ([]byte, error) {
 	return k.SignCRT(em)
 }
 
-// VerifyPKCS1v15 checks an RSASSA-PKCS1-v1_5/SHA-256 signature.
+// VerifyPKCS1v15 checks an RSASSA-PKCS1-v1_5/SHA-256 signature. For a
+// modulus the public kernel takes, the expected block and sig^E mod N are
+// built in buffers on its stack.
 func (pub *PublicKey) VerifyPKCS1v15(msg, sig []byte) error {
 	size := (pub.N.BitLen() + 7) / 8
-	em, err := pkcs1v15Encode(msg, size)
-	if err != nil {
+	if !pub.onKernel() {
+		em, err := pkcs1v15Encode(msg, size)
+		if err != nil {
+			return err
+		}
+		return pub.Verify(em, sig)
+	}
+	var em, m [2 * kernelBits / 8]byte
+	if err := pkcs1v15Fill(em[:size], msg); err != nil {
 		return err
 	}
-	return pub.Verify(em, sig)
+	return verified(m[:size], em[:size], pub.publicOpInto(m[:size], sig))
 }
 
 // EncodePKCS1v15 builds the EMSA-PKCS1-v1_5 message representative for the
@@ -48,23 +57,32 @@ func EncodePKCS1v15(msg []byte, size int) ([]byte, error) {
 
 // pkcs1v15Encode builds EM = 0x00 0x01 FF…FF 0x00 || DigestInfo || H(msg).
 func pkcs1v15Encode(msg []byte, size int) ([]byte, error) {
+	em := make([]byte, size)
+	if err := pkcs1v15Fill(em, msg); err != nil {
+		return nil, err
+	}
+	return em, nil
+}
+
+// pkcs1v15Fill writes pkcs1v15Encode's block, of len(em) bytes, into em.
+func pkcs1v15Fill(em, msg []byte) error {
 	digest := sha256.Sum256(msg)
+	size := len(em)
 	tLen := len(sha256DigestInfo) + len(digest)
 	if size < tLen+minPKCS1Padding {
-		return nil, fmt.Errorf("%w: modulus too small for PKCS#1 v1.5/SHA-256 (%d < %d bytes)",
+		return fmt.Errorf("%w: modulus too small for PKCS#1 v1.5/SHA-256 (%d < %d bytes)",
 			ErrMsgTooLong, size, tLen+minPKCS1Padding)
 	}
-	em := make([]byte, size)
-	em[1] = 0x01
+	em[0], em[1] = 0x00, 0x01
 	psLen := size - tLen - 3
 	for i := 0; i < psLen; i++ {
 		em[2+i] = 0xFF
 	}
-	// em[2+psLen] = 0x00 separator (already zero)
+	em[2+psLen] = 0x00 // separator
 	copy(em[3+psLen:], sha256DigestInfo)
 	copy(em[3+psLen+len(sha256DigestInfo):], digest[:])
 	if !bytes.HasPrefix(em, []byte{0x00, 0x01}) {
-		return nil, fmt.Errorf("rsakey: internal encoding error")
+		return fmt.Errorf("rsakey: internal encoding error")
 	}
-	return em, nil
+	return nil
 }

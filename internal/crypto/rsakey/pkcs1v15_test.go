@@ -115,3 +115,48 @@ func TestQuickPKCS1v15(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// On a modulus the public kernel takes, VerifyPKCS1v15 builds the expected
+// block and runs the public op in stack buffers: no Go allocation. A
+// 1024-bit key still verifies through the heap path, and both paths give
+// the same verdict as Verify over an encoded block.
+func TestVerifyPKCS1v15Allocs(t *testing.T) {
+	key := pkcs1Key(t)
+	msg := []byte("the exchange hash")
+	sig, err := key.SignPKCS1v15(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := key.PublicKey.VerifyPKCS1v15(msg, sig); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("VerifyPKCS1v15 = %v allocations, want 0", allocs)
+	}
+	wide, err := Generate(stats.NewReader(322), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []*PrivateKey{key, wide} {
+		sig, err := k.SignPKCS1v15(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, err := EncodePKCS1v15(msg, k.Size())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.PublicKey.VerifyPKCS1v15(msg, sig); err != nil {
+			t.Fatalf("%d bits: %v", k.N.BitLen(), err)
+		}
+		if err := k.PublicKey.Verify(em, sig); err != nil {
+			t.Fatalf("%d bits: Verify of the encoded block: %v", k.N.BitLen(), err)
+		}
+		sig[len(sig)-1] ^= 1
+		if err := k.PublicKey.VerifyPKCS1v15(msg, sig); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("%d bits: tampered = %v", k.N.BitLen(), err)
+		}
+	}
+}

@@ -311,19 +311,12 @@ func oddAboveOne(v *big.Int) bool {
 // any other modulus stays on big.Int.Exp. All three give the same bytes.
 func (pub *PublicKey) PublicOp(x []byte) ([]byte, error) {
 	size := (pub.N.BitLen() + 7) / 8
-	if oddAboveOne(pub.N) && pub.N.BitLen() <= 2*kernelBits {
-		var n, z, r2 limbs8
-		loadWords(n[:], pub.N.Bits())
-		if !loadBytes(z[:], x) || !less8(&z, &n) {
-			return nil, ErrMsgTooLong
+	if pub.onKernel() {
+		out := make([]byte, size)
+		if err := pub.publicOpInto(out, x); err != nil {
+			return nil, err
 		}
-		if pre := pub.pre; pre != nil && pub.N == &pre.n {
-			r2 = pre.r2
-		} else {
-			rr8(&r2, &n, montInv(n[0]))
-		}
-		expPub(&z, &n, &r2, pub.E)
-		return sigBytes(&z, size), nil
+		return out, nil
 	}
 	s := new(big.Int).SetBytes(x)
 	if s.Cmp(pub.N) >= 0 {
@@ -332,9 +325,39 @@ func (pub *PublicKey) PublicOp(x []byte) ([]byte, error) {
 	return padTo(s.Exp(s, pub.E, pub.N).Bytes(), size), nil
 }
 
+// onKernel reports whether PublicOp runs on the public kernel: whether N
+// is odd, above 1 and at most 512 bits.
+func (pub *PublicKey) onKernel() bool {
+	return oddAboveOne(pub.N) && pub.N.BitLen() <= 2*kernelBits
+}
+
+// publicOpInto is PublicOp on the public kernel, into dst, which holds
+// the modulus size.
+func (pub *PublicKey) publicOpInto(dst, x []byte) error {
+	var n, z, r2 limbs8
+	loadWords(n[:], pub.N.Bits())
+	if !loadBytes(z[:], x) || !less8(&z, &n) {
+		return ErrMsgTooLong
+	}
+	if pre := pub.pre; pre != nil && pub.N == &pre.n {
+		r2 = pre.r2
+	} else {
+		rr8(&r2, &n, montInv(n[0]))
+	}
+	expPub(&z, &n, &r2, pub.E)
+	fillBytes(dst, &z)
+	return nil
+}
+
 // Verify checks sig against msg with the public key: sig^e mod n == msg.
 func (pub *PublicKey) Verify(msg, sig []byte) error {
 	m, err := pub.PublicOp(sig)
+	return verified(m, msg, err)
+}
+
+// verified is Verify's verdict on m = sig^e mod n, or on err from
+// computing it: m must equal msg, leading zeros aside.
+func verified(m, msg []byte, err error) error {
 	if err != nil || !bytes.Equal(bytes.TrimLeft(m, "\x00"), bytes.TrimLeft(msg, "\x00")) {
 		return ErrBadSignature
 	}

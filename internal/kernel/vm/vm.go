@@ -14,6 +14,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"memshield/internal/fault"
@@ -80,6 +81,10 @@ type VMA struct {
 	// ptes is the area's page table: one entry per page, indexed by the
 	// page's offset from Start.
 	ptes []pte
+	// piece marks an area cut from a larger one by a partial Unmap: its
+	// entries are a window on that area's table, so the table is never
+	// pooled.
+	piece bool
 }
 
 // Pages returns the number of pages the VMA spans.
@@ -114,10 +119,14 @@ func (s *AddressSpace) lookup(vp VPage) *pte {
 // PID returns the owning process ID.
 func (s *AddressSpace) PID() int { return s.pid }
 
-// VMAs returns a snapshot of the mapped areas.
-func (s *AddressSpace) VMAs() []*VMA {
-	out := make([]*VMA, len(s.vmas))
-	copy(out, s.vmas)
+// VMAs returns a copy of each mapped area's bounds and name, in address
+// order. The copies hold no page table, and no caller holds a record the
+// Manager may reuse.
+func (s *AddressSpace) VMAs() []VMA {
+	out := make([]VMA, len(s.vmas))
+	for i, v := range s.vmas {
+		out[i] = VMA{Start: v.Start, End: v.End, Name: v.Name}
+	}
 	return out
 }
 
@@ -144,6 +153,10 @@ type Manager struct {
 	sink trace.Sink
 	// injector makes fault-injection decisions (nil = no injection).
 	injector *fault.Injector
+	// pool keeps the page tables of removed areas, in the VMA records
+	// they had, by page count, with every entry zero: each new area of
+	// that size draws one before it allocates (DESIGN.md §12).
+	pool map[int][]*VMA
 }
 
 // SetSink attaches (or detaches, with nil) an event sink.
@@ -168,7 +181,37 @@ func NewManager(m *mem.Memory, a *alloc.Allocator, swapPages int, encryptSwap bo
 		alloc:  a,
 		spaces: make(map[int]*AddressSpace),
 		swap:   NewSwapArea(swapPages, encryptSwap),
+		pool:   make(map[int][]*VMA),
 	}
+}
+
+// newVMA returns the record of a new area of npages at start, its page
+// table all zero: a pooled table of that size when there is one, a fresh
+// one otherwise.
+func (mg *Manager) newVMA(start VAddr, npages int, name string) *VMA {
+	end := start + VAddr(npages*mem.PageSize)
+	free := mg.pool[npages]
+	if len(free) == 0 {
+		return &VMA{Start: start, End: end, Name: name, ptes: make([]pte, npages)}
+	}
+	v := free[len(free)-1]
+	free[len(free)-1] = nil
+	mg.pool[npages] = free[:len(free)-1]
+	v.Start, v.End, v.Name = start, end, name
+	return v
+}
+
+// recycle returns a removed area's page table and record to the pool,
+// cleared. A piece of a split area shares its table with the other
+// piece, so it is left to the collector; the pool therefore never holds
+// more tables of one size than were live at once.
+func (mg *Manager) recycle(v *VMA) {
+	if v.piece {
+		return
+	}
+	clear(v.ptes)
+	*v = VMA{ptes: v.ptes}
+	mg.pool[len(v.ptes)] = append(mg.pool[len(v.ptes)], v)
 }
 
 // Swap exposes the swap area (for disclosure experiments on swap contents).
@@ -216,11 +259,12 @@ func (mg *Manager) MapAnon(pid int, npages int, name string) (VAddr, error) {
 		return 0, fmt.Errorf("vm: MapAnon npages must be positive, got %d", npages)
 	}
 	start := s.nextVA
-	ptes := make([]pte, npages)
+	vma := mg.newVMA(start, npages, name)
+	ptes := vma.ptes
 	for i := range ptes {
 		pn, err := mg.alloc.AllocPage(mem.OwnerUser)
 		if err != nil {
-			mg.freeFrames(ptes[:i])
+			mg.rollback(vma, i)
 			return 0, fmt.Errorf("vm: MapAnon: %w", err)
 		}
 		// Anonymous mappings are zero-filled on first touch in real
@@ -228,7 +272,7 @@ func (mg *Manager) MapAnon(pid int, npages int, name string) (VAddr, error) {
 		// joins the rollback, or the whole batch leaks.
 		if zerr := mg.mem.ZeroPage(pn); zerr != nil {
 			_ = mg.alloc.Free(pn)
-			mg.freeFrames(ptes[:i])
+			mg.rollback(vma, i)
 			return 0, fmt.Errorf("vm: MapAnon: %w", zerr)
 		}
 		ptes[i] = pte{frame: pn, present: true, writable: true}
@@ -236,18 +280,18 @@ func (mg *Manager) MapAnon(pid int, npages int, name string) (VAddr, error) {
 	for i := range ptes {
 		mg.mem.Frame(ptes[i].frame).AddMapper(pid)
 	}
-	vma := &VMA{Start: start, End: start + VAddr(npages*mem.PageSize), Name: name, ptes: ptes}
 	s.vmas = append(s.vmas, vma)
 	s.nextVA = vma.End + mem.PageSize // guard page gap
 	return start, nil
 }
 
-// freeFrames rolls back a partly built mapping, freeing its frames in
-// page order.
-func (mg *Manager) freeFrames(ptes []pte) {
-	for i := range ptes {
-		_ = mg.alloc.Free(ptes[i].frame)
+// rollback undoes a partly built mapping whose first n entries hold
+// frames: it frees them in page order and returns the table to the pool.
+func (mg *Manager) rollback(v *VMA, n int) {
+	for i := range v.ptes[:n] {
+		_ = mg.alloc.Free(v.ptes[i].frame)
 	}
+	mg.recycle(v)
 }
 
 // MapShared maps existing physical frames (typically page-cache pages)
@@ -269,18 +313,16 @@ func (mg *Manager) MapShared(pid int, frames []mem.PageNum, name string) (VAddr,
 			return 0, fmt.Errorf("%w: frame %d not allocated", ErrBadAddress, pn)
 		}
 	}
-	start := s.nextVA
-	ptes := make([]pte, len(frames))
+	vma := mg.newVMA(s.nextVA, len(frames), name)
 	for i, pn := range frames {
-		ptes[i] = pte{frame: pn, present: true, writable: false}
+		vma.ptes[i] = pte{frame: pn, present: true, writable: false}
 		f := mg.mem.Frame(pn)
 		f.RefCount++
 		f.AddMapper(pid)
 	}
-	vma := &VMA{Start: start, End: start + VAddr(len(frames)*mem.PageSize), Name: name, ptes: ptes}
 	s.vmas = append(s.vmas, vma)
 	s.nextVA = vma.End + mem.PageSize
-	return start, nil
+	return vma.Start, nil
 }
 
 // Unmap removes npages starting at the page containing addr from pid's
@@ -333,41 +375,48 @@ func (mg *Manager) dropPTE(pid int, e *pte) error {
 	return nil
 }
 
-// trimVMAs removes or shrinks VMAs covering the unmapped range. Partial
-// unmaps in the middle of a VMA split it; each piece keeps its slice of
-// the area's entries.
+// trimVMAs removes or shrinks the VMAs covering the unmapped range,
+// filtering s.vmas in place; a whole area removed returns its page table
+// to the pool. A partial unmap in the middle of a VMA splits it, and each
+// piece keeps its slice of the area's entries.
 func (mg *Manager) trimVMAs(s *AddressSpace, addr VAddr, npages int) {
 	lo := addr.Page().Base()
 	hi := lo + VAddr(npages*mem.PageSize)
-	var out []*VMA
-	for _, v := range s.vmas {
+	out := s.vmas[:0]
+	for i, v := range s.vmas {
 		switch {
 		case v.End <= lo || v.Start >= hi:
 			out = append(out, v)
 		case v.Start >= lo && v.End <= hi:
-			// fully removed
+			mg.recycle(v)
 		case v.Start < lo && v.End > hi:
-			out = append(out, v.slice(v.Start, lo), v.slice(hi, v.End))
+			// The range lies inside v, so every other area stays as it
+			// is; v becomes two pieces.
+			s.vmas = slices.Insert(s.vmas, i+1, v.slice(hi, v.End))
+			s.vmas[i] = v.slice(v.Start, lo)
+			return
 		case v.Start < lo:
 			out = append(out, v.slice(v.Start, lo))
 		default:
 			out = append(out, v.slice(hi, v.End))
 		}
 	}
+	clear(s.vmas[len(out):])
 	s.vmas = out
 }
 
-// slice returns a new VMA over [start, end) within v, sharing v's entries.
+// slice returns a new VMA over [start, end) within v, a piece sharing v's
+// entries.
 func (v *VMA) slice(start, end VAddr) *VMA {
 	i, j := int((start-v.Start)>>mem.PageShift), int((end-v.Start)>>mem.PageShift)
-	return &VMA{Start: start, End: end, Name: v.Name, ptes: v.ptes[i:j:j]}
+	return &VMA{Start: start, End: end, Name: v.Name, ptes: v.ptes[i:j:j], piece: true}
 }
 
 // DestroySpace tears down pid's entire address space, releasing every frame
-// and swap slot. The process's pages become unallocated memory — with their
-// contents intact unless the allocator policy clears them. This models
-// process exit, the moment the paper shows key copies entering unallocated
-// memory.
+// and swap slot and returning its page tables to the pool. The process's
+// pages become unallocated memory — with their contents intact unless the
+// allocator policy clears them. This models process exit, the moment the
+// paper shows key copies entering unallocated memory.
 // DestroySpace is best-effort: a PTE whose release fails (an injected
 // zero-on-free, say) is reported but does not abort the teardown — the
 // remaining PTEs are still dropped and the space is always removed, so a
@@ -390,7 +439,10 @@ func (mg *Manager) DestroySpace(pid int) error {
 				errs = errors.Join(errs, fmt.Errorf("vm: destroy pid %d vpage %d: %w", pid, vp, err))
 			}
 		}
+		mg.recycle(v)
 	}
+	// A holder of the space sees no areas, and no record now pooled.
+	s.vmas = nil
 	delete(mg.spaces, pid)
 	mg.emit(trace.EvExit, pid, 0, 0)
 	return errs
@@ -410,7 +462,6 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 	}
 	// Fault in swapped pages before sharing, in ascending virtual page
 	// order: swap-in allocates.
-	total := 0
 	for _, v := range ps.vmas {
 		for i := range v.ptes {
 			if e := &v.ptes[i]; e.swapped {
@@ -419,21 +470,17 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 				}
 			}
 		}
-		total += len(v.ptes)
 	}
-	// One backing array holds all of the child's entries, so a fork makes
-	// one allocation for its page tables; each VMA's slice has its
-	// capacity capped so it can never grow into the next one's.
-	backing := make([]pte, total)
+	// Each of the child's areas takes a whole page table of its size from
+	// the pool, so the tables its exit returns are the ones the next fork
+	// draws.
 	cs := &AddressSpace{
 		pid:    childPID,
 		vmas:   make([]*VMA, len(ps.vmas)),
 		nextVA: ps.nextVA,
 	}
 	for k, v := range ps.vmas {
-		n := len(v.ptes)
-		ptes := backing[:n:n]
-		backing = backing[n:]
+		c := mg.newVMA(v.Start, len(v.ptes), v.Name)
 		for i := range v.ptes {
 			e := &v.ptes[i]
 			if !e.present {
@@ -441,12 +488,12 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 			}
 			e.cow = true
 			e.writable = false
-			ptes[i] = *e
+			c.ptes[i] = *e
 			f := mg.mem.Frame(e.frame)
 			f.RefCount++
 			f.AddMapper(childPID)
 		}
-		cs.vmas[k] = &VMA{Start: v.Start, End: v.End, Name: v.Name, ptes: ptes}
+		cs.vmas[k] = c
 	}
 	mg.spaces[childPID] = cs
 	mg.emit(trace.EvFork, parentPID, 0, childPID)

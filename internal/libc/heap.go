@@ -84,6 +84,9 @@ type Heap struct {
 	arenas  []*arena
 	aligned map[vm.VAddr]int // memalign regions: base -> pages
 	stats   Stats
+	// spare is the record of the arena last released, struct and chunk
+	// slice, kept for the next fresh arena (nil when there is none).
+	spare *arena
 }
 
 // New creates a heap for the given process.
@@ -151,8 +154,15 @@ func (h *Heap) Malloc(n int) (vm.VAddr, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrNoMem, err)
 	}
-	ar := &arena{base: base, pages: arenaPages,
-		chunks: []chunk{{off: 0, size: arenaPages * mem.PageSize, free: true}}}
+	ar := h.spare
+	if ar == nil {
+		// Room for the first split: a fresh arena's first malloc carves
+		// its one chunk in two.
+		ar = &arena{chunks: make([]chunk, 0, 2)}
+	}
+	h.spare = nil
+	ar.base, ar.pages = base, arenaPages
+	ar.chunks = append(ar.chunks[:0], chunk{off: 0, size: arenaPages * mem.PageSize, free: true})
 	h.arenas = append(h.arenas, ar)
 	h.stats.ArenasMapped++
 	addr, ok := h.takeFrom(ar, n)
@@ -276,11 +286,12 @@ func (h *Heap) coalesce(ar *arena) {
 // before the unmap: if the kernel fails to release some pages (an injected
 // zero-on-free), those pages leak as a dangling mapping, but the heap's
 // own chunk accounting stays consistent and a retried Free cannot
-// double-release the arena.
+// double-release the arena. The dropped record becomes the heap's spare.
 func (h *Heap) releaseArena(ar *arena) error {
 	for i, a := range h.arenas {
 		if a == ar {
 			h.arenas = append(h.arenas[:i], h.arenas[i+1:]...)
+			h.spare = ar
 			h.stats.ArenasReleased++
 			return h.k.VM().Unmap(h.pid, ar.base, ar.pages)
 		}

@@ -14,7 +14,7 @@ import (
 	"memshield/internal/mem"
 )
 
-func newHeap(t *testing.T, pages int, policy alloc.Policy) (*kernel.Kernel, int, *Heap) {
+func newHeap(t testing.TB, pages int, policy alloc.Policy) (*kernel.Kernel, int, *Heap) {
 	t.Helper()
 	k, err := kernel.New(kernel.Config{MemPages: pages, DeallocPolicy: policy})
 	if err != nil {
@@ -144,6 +144,28 @@ func TestFreeZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Malloc+FreeZero = %v allocations, want 0", allocs)
+	}
+}
+
+// A Malloc that maps a fresh arena and the Free that releases it make no
+// Go allocation after the first cycle: the kernel pools the arena's page
+// table and the heap keeps its record.
+func TestArenaCycleZeroAllocs(t *testing.T) {
+	_, _, h := newHeap(t, 256, alloc.PolicyZeroOnFree)
+	allocs := testing.AllocsPerRun(100, func() {
+		p, err := h.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Malloc+Free of a fresh arena = %v allocations, want 0", allocs)
+	}
+	if s := h.Stats(); s.ArenasMapped != s.ArenasReleased || s.ArenasMapped < 100 {
+		t.Fatalf("arenas mapped %d, released %d: every cycle must map and release one", s.ArenasMapped, s.ArenasReleased)
 	}
 }
 

@@ -441,6 +441,12 @@ func (f *Frame) Mappers() []int {
 	return out
 }
 
+// NumMappers returns how many processes map this frame.
+func (f *Frame) NumMappers() int { return len(f.mappers) }
+
+// AppendMappers appends the PIDs that map this frame, ascending, to dst.
+func (f *Frame) AppendMappers(dst []int) []int { return append(dst, f.mappers...) }
+
 // HasMapper reports whether pid maps this frame.
 func (f *Frame) HasMapper(pid int) bool {
 	i := sort.SearchInts(f.mappers, pid)

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -247,6 +248,39 @@ func TestScannerReclassifiesCachedMatches(t *testing.T) {
 	after := sc.Stats()
 	if d := after.FramesScanned - before.FramesScanned; d != 0 {
 		t.Fatalf("metadata flip re-walked %d frames, want 0 (classification is cache-independent)", d)
+	}
+}
+
+// Each match's PIDs are a window of one backing slice, capped at their
+// length: they hold the frame's mappers in order, and appending to one
+// match's PIDs leaves every other match's intact.
+func TestScanPIDsAreCappedWindows(t *testing.T) {
+	pattern := []byte("SHARED-FRAME-PIDS-KEY")
+	k := bootKernel(t)
+	m := k.Mem()
+	for i, pn := range []mem.PageNum{12, 13, 14} {
+		if err := m.Write(pn.Base()+8, pattern); err != nil {
+			t.Fatal(err)
+		}
+		fr := m.Frame(pn)
+		fr.State = mem.FrameAllocated
+		for pid := 1; pid <= i+1; pid++ {
+			fr.AddMapper(40 + pid)
+		}
+	}
+	got := New(k, []Pattern{{Part: PartD, Bytes: pattern}}).Scan()
+	if len(got) != 3 {
+		t.Fatalf("matches = %v, want 3", got)
+	}
+	for i, mt := range got {
+		want := m.Frame(mt.Addr.Page()).Mappers()
+		if len(mt.PIDs) != i+1 || cap(mt.PIDs) != len(mt.PIDs) || fmt.Sprint(mt.PIDs) != fmt.Sprint(want) {
+			t.Fatalf("match %d PIDs = %v (cap %d), want %v capped", i, mt.PIDs, cap(mt.PIDs), want)
+		}
+	}
+	_ = append(got[0].PIDs, 99)
+	if fmt.Sprint(got[1].PIDs) != "[41 42]" {
+		t.Fatalf("append to match 0 changed match 1's PIDs to %v", got[1].PIDs)
 	}
 }
 

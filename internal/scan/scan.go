@@ -296,12 +296,18 @@ func (s *Scanner) scanRun(view []byte, lo, hi int) {
 // classifies every match against the frames' current metadata. It is a
 // counting sort by pattern: one pass counts each pattern's matches, a
 // second drops every match into its pattern's next slot in frame order,
-// so the cost is O(frames + matches).
+// so the cost is O(frames + matches). Every match's PIDs are copied out
+// of one backing slice, sized in the counting pass.
 func (s *Scanner) emit(m *mem.Memory) []Match {
 	next := make([]int, len(s.patterns))
+	npids := 0
 	for f := range s.cache {
-		for _, fm := range s.cache[f].matches {
+		fms := s.cache[f].matches
+		for _, fm := range fms {
 			next[fm.pat]++
+		}
+		if len(fms) > 0 {
+			npids += len(fms) * m.Frame(mem.PageNum(f)).NumMappers()
 		}
 	}
 	total := 0
@@ -313,15 +319,20 @@ func (s *Scanner) emit(m *mem.Memory) []Match {
 		return nil
 	}
 	out := make([]Match, total)
+	pids := make([]int, 0, npids)
 	for f := range s.cache {
 		for _, fm := range s.cache[f].matches {
 			fr := m.Frame(mem.PageNum(f))
+			start := len(pids)
+			pids = fr.AppendMappers(pids)
 			out[next[fm.pat]] = Match{
 				Addr:      mem.PageNum(f).Base() + mem.Addr(fm.off),
 				Part:      s.patterns[fm.pat].Part,
 				Allocated: fr.State == mem.FrameAllocated,
 				Owner:     fr.Owner,
-				PIDs:      fr.Mappers(),
+				// Capped, so appending to one match's PIDs never
+				// overwrites the next one's.
+				PIDs: pids[start:len(pids):len(pids)],
 			}
 			next[fm.pat]++
 		}

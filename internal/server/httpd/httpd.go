@@ -120,13 +120,20 @@ type Stats struct {
 // keyBackend is what a worker needs from the TLS key: the private
 // operation and the public half.
 type keyBackend struct {
-	op  func([]byte) ([]byte, error)
+	op  privateOp
 	pub rsakey.PublicKey
+}
+
+// privateOp is the private half of a key: *ssl.RSA and *hsm.Slot both
+// have it. Holding the key as an interface, not a method value, costs
+// no allocation per worker.
+type privateOp interface {
+	PrivateOp(input []byte) ([]byte, error)
 }
 
 // softwareBackend adapts an in-memory RSA object.
 func softwareBackend(r *ssl.RSA) keyBackend {
-	return keyBackend{op: r.PrivateOp, pub: r.PublicKey()}
+	return keyBackend{op: r, pub: r.PublicKey()}
 }
 
 type worker struct {
@@ -193,7 +200,7 @@ func Start(k *kernel.Kernel, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, s.refuse(fmt.Errorf("httpd: hsm: %w", err))
 		}
-		s.hsmKey = keyBackend{op: cfg.HSM.PrivateOp, pub: pub}
+		s.hsmKey = keyBackend{op: cfg.HSM, pub: pub}
 	} else {
 		// Apache's double config pass: the key is loaded once per pass, and
 		// the first generation is only discarded after the second is built
@@ -440,7 +447,7 @@ func (s *Server) handshake(w *worker) error {
 	if err != nil {
 		return fmt.Errorf("httpd: handshake: %w", err)
 	}
-	plain, err := w.key.op(blob)
+	plain, err := w.key.op.PrivateOp(blob)
 	if err != nil {
 		return fmt.Errorf("httpd: handshake: %w", err)
 	}

@@ -100,13 +100,20 @@ type Stats struct {
 // operation and the public half. Software keys (ssl.RSA in simulated
 // memory) and HSM slots both satisfy it.
 type keyBackend struct {
-	op  func([]byte) ([]byte, error)
+	op  privateOp
 	pub rsakey.PublicKey
+}
+
+// privateOp is the private half of a key: *ssl.RSA and *hsm.Slot both
+// have it. Holding the key as an interface, not a method value, costs
+// no allocation per connection.
+type privateOp interface {
+	PrivateOp(input []byte) ([]byte, error)
 }
 
 // softwareBackend adapts an in-memory RSA object.
 func softwareBackend(r *ssl.RSA) keyBackend {
-	return keyBackend{op: r.PrivateOp, pub: r.PublicKey()}
+	return keyBackend{op: r, pub: r.PublicKey()}
 }
 
 type conn struct {
@@ -177,7 +184,7 @@ func Start(k *kernel.Kernel, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, s.refuse(fmt.Errorf("sshd: hsm: %w", err))
 		}
-		s.hsmKey = keyBackend{op: cfg.HSM.PrivateOp, pub: pub}
+		s.hsmKey = keyBackend{op: cfg.HSM, pub: pub}
 		return s, nil
 	}
 	masterRSA, err := loadHostKey(k, masterHeap, cfg)
@@ -384,7 +391,7 @@ func (s *Server) handshake(c *conn) error {
 	if err != nil {
 		return fmt.Errorf("sshd: handshake: %w", err)
 	}
-	sig, err := c.key.op(em)
+	sig, err := c.key.op.PrivateOp(em)
 	if err != nil {
 		return fmt.Errorf("sshd: handshake: %w", err)
 	}

@@ -67,18 +67,18 @@ type BigNum struct {
 }
 
 // newBigNum mallocs a buffer and stores value (big-endian) in it.
-func newBigNum(h *libc.Heap, value []byte) (*BigNum, error) {
+func newBigNum(h *libc.Heap, value []byte) (BigNum, error) {
 	if len(value) == 0 {
 		value = []byte{0}
 	}
 	ptr, err := h.Malloc(len(value))
 	if err != nil {
-		return nil, err
+		return BigNum{}, err
 	}
 	if err := h.Write(ptr, value); err != nil {
-		return nil, errors.Join(err, h.FreeZero(ptr))
+		return BigNum{}, errors.Join(err, h.FreeZero(ptr))
 	}
-	return &BigNum{heap: h, ptr: ptr, size: len(value)}, nil
+	return BigNum{heap: h, ptr: ptr, size: len(value)}, nil
 }
 
 // Bytes reads the big-endian value back from simulated memory.
@@ -86,6 +86,19 @@ func newBigNum(h *libc.Heap, value []byte) (*BigNum, error) {
 //memlint:source result=0
 func (b *BigNum) Bytes() ([]byte, error) {
 	return b.heap.Read(b.ptr, b.size)
+}
+
+// ReadInto is Bytes into the caller's buffer: it reads the value into the
+// first Size bytes of dst, which must hold them, and returns that prefix.
+// On error the prefix is cleared.
+//
+//memlint:source result=0
+func (b *BigNum) ReadInto(dst []byte) ([]byte, error) {
+	v := dst[:b.size]
+	if err := b.heap.ReadInto(b.ptr, v); err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // Addr returns the virtual address of the digit buffer (for tests).
@@ -103,10 +116,11 @@ type RSA struct {
 	heap *libc.Heap
 	pub  rsakey.PublicKey
 
-	d, p, q, dp, dq, qinv *BigNum
+	// The six parts are held by value, so an RSA, allocated on every
+	// fork and reload, is one allocation in the 288-byte size class. A
+	// part whose heap is nil is missing.
+	d, p, q, dp, dq, qinv BigNum
 
-	// flags and freed share one word, which keeps an RSA, allocated on
-	// every fork and reload, in the 128-byte size class.
 	flags Flags
 	freed bool
 
@@ -206,7 +220,7 @@ func loadKey(h *libc.Heap, pemBuf vm.VAddr, der []byte, parts *rsakey.Parts, cfg
 		flags: FlagCachePrivate | FlagCachePublic,
 	}
 	built := [...]struct {
-		dst **BigNum
+		dst *BigNum
 		val []byte
 	}{
 		{&r.d, parts.D}, {&r.p, parts.P}, {&r.q, parts.Q},
@@ -217,7 +231,7 @@ func loadKey(h *libc.Heap, pemBuf vm.VAddr, der []byte, parts *rsakey.Parts, cfg
 		if err != nil {
 			errs := []error{fmt.Errorf("ssl: d2i: %w", err)}
 			for _, done := range built[:i] {
-				errs = append(errs, h.FreeZero((*done.dst).ptr))
+				errs = append(errs, h.FreeZero(done.dst.ptr))
 			}
 			errs = append(errs, h.FreeZero(derBuf), h.FreeZero(pemBuf))
 			return nil, errors.Join(errs...)
@@ -267,7 +281,13 @@ func (r *RSA) PublicKey() rsakey.PublicKey { return r.pub }
 // Parts returns the six private BIGNUMs in PKCS#1 order (d, p, q, dp, dq,
 // qinv), for tests and the scanner's ground truth.
 func (r *RSA) Parts() []*BigNum {
-	return []*BigNum{r.d, r.p, r.q, r.dp, r.dq, r.qinv}
+	parts := r.parts()
+	return parts[:]
+}
+
+// parts is Parts without the slice's allocation.
+func (r *RSA) parts() [6]*BigNum {
+	return [6]*BigNum{&r.d, &r.p, &r.q, &r.dp, &r.dq, &r.qinv}
 }
 
 // HasMontCache reports whether the private Montgomery cache exists.
@@ -298,16 +318,13 @@ func (r *RSA) MemoryAlign() error {
 	if r.freed {
 		return ErrFreed
 	}
-	if r.d == nil {
+	if r.d.heap == nil {
 		return ErrNoPrivate
 	}
 	if r.Aligned() {
 		return nil
 	}
-	total := 0
-	for _, bn := range r.Parts() {
-		total += bn.size
-	}
+	total := r.partBytes()
 	pages := (total + mem.PageSize - 1) / mem.PageSize
 	base, err := r.heap.Memalign(pages)
 	if err != nil {
@@ -317,7 +334,7 @@ func (r *RSA) MemoryAlign() error {
 		return errors.Join(fmt.Errorf("ssl: memory align: %w", err), r.heap.Free(base))
 	}
 	off := vm.VAddr(0)
-	for _, bn := range r.Parts() {
+	for _, bn := range r.parts() {
 		if err := r.movePart(bn, base+off); err != nil {
 			return errors.Join(fmt.Errorf("ssl: memory align: %w", err), r.scrapAlign(base))
 		}
@@ -372,7 +389,7 @@ func (r *RSA) scrapAlign(base vm.VAddr) error {
 		errs = append(errs, r.heap.Zero(base, n))
 	}
 	errs = append(errs, r.heap.Free(base))
-	for _, bn := range r.Parts() {
+	for _, bn := range r.parts() {
 		if !bn.static {
 			errs = append(errs, r.heap.FreeZero(bn.ptr))
 		}
@@ -399,17 +416,22 @@ func (r *RSA) dropMontCache() error {
 // ensureMontCache builds the private Montgomery cache on first use when
 // FlagCachePrivate is set: two heap buffers holding byte-exact copies of P
 // and Q (the moduli embedded in BN_MONT_CTX). These are the per-process
-// copies that multiply with Apache's worker count.
-func (r *RSA) ensureMontCache() error {
+// copies that multiply with Apache's worker count. P and Q transit ctx's
+// buffer, which is scrubbed on every path.
+func (r *RSA) ensureMontCache(ctx *bnCtx) error {
 	if r.flags&FlagCachePrivate == 0 || r.montP != 0 {
 		return nil
 	}
-	pBytes, err := r.p.Bytes()
+	buf := ctx.buf[:]
+	if n := r.p.size + r.q.size; n > len(buf) {
+		buf = make([]byte, n)
+	}
+	pBytes, err := r.p.ReadInto(buf)
 	defer scrub.Bytes(pBytes)
 	if err != nil {
 		return err
 	}
-	qBytes, err := r.q.Bytes()
+	qBytes, err := r.q.ReadInto(buf[len(pBytes):])
 	defer scrub.Bytes(qBytes)
 	if err != nil {
 		return err
@@ -446,11 +468,7 @@ func (r *RSA) SealAtRest(prekeyRand io.Reader, inj *fault.Injector, opts ...seal
 	if r.sealed != nil {
 		return nil
 	}
-	total := 0
-	for _, bn := range r.Parts() {
-		total += bn.size
-	}
-	region, err := seal.New(r.heap, inj, r.aligned, total, prekeyRand, opts...)
+	region, err := seal.New(r.heap, inj, r.aligned, r.partBytes(), prekeyRand, opts...)
 	if err != nil {
 		return fmt.Errorf("ssl: seal: %w", err)
 	}
@@ -479,13 +497,30 @@ func (r *RSA) SealStats() seal.Stats {
 	return r.sealed.Stats()
 }
 
+// partBytes returns the six parts' total size in bytes.
+func (r *RSA) partBytes() int {
+	n := 0
+	for _, bn := range r.parts() {
+		n += bn.size
+	}
+	return n
+}
+
+// ctxBytes holds the six parts of a key of up to 512 bits: d's 64 bytes
+// and five of 32 for p, q, dP, dQ and qInv.
+const ctxBytes = 64 + 5*32
+
 // bnCtx is the host side of one private operation, as OpenSSL's BN_CTX
-// holds an operation's temporaries: the six key parts, each read out of
-// simulated memory into a host buffer of its own. signCRT fills it and
-// scrubs every buffer before it returns, so a caller can check that
-// nothing of the key survives the operation.
+// holds an operation's temporaries: the key parts, read out of simulated
+// memory one after another into buf, and where each one ends. A key whose
+// parts do not fit is read into a heap buffer instead, scrubbed the same
+// way. ensureMontCache and signCRT scrub what they read before they
+// return, so a caller can check that nothing of the key survives the
+// operation. The context holds offsets, not slices of buf: a context that
+// pointed into itself would escape to the heap.
 type bnCtx struct {
-	d, p, q, dp, dq, qinv []byte
+	buf [ctxBytes]byte
+	end [6]int // in PKCS#1 order: d, p, q, dP, dQ, qInv
 }
 
 // withKey runs the CRT private operation on em with the key read out of
@@ -498,11 +533,11 @@ func (r *RSA) withKey(em []byte, ctx *bnCtx) ([]byte, error) {
 	if r.freed {
 		return nil, ErrFreed
 	}
-	if r.d == nil {
+	if r.d.heap == nil {
 		return nil, ErrNoPrivate
 	}
 	if r.sealed == nil {
-		if err := r.ensureMontCache(); err != nil {
+		if err := r.ensureMontCache(ctx); err != nil {
 			return nil, err
 		}
 		return r.signCRT(em, ctx)
@@ -523,49 +558,66 @@ func (r *RSA) withKey(em []byte, ctx *bnCtx) ([]byte, error) {
 // the five CRT parts to rsakey.SignCRTParts, which loads them straight
 // into its kernel's workspace. d takes no part in the CRT computation,
 // but it is read like the other five: a private operation's simulated
-// reads, and the swap-ins they fault, cover the whole key. Every buffer
-// is scrubbed on every path out.
+// reads, and the swap-ins they fault, cover the whole key. Every part is
+// scrubbed on every path out.
 func (r *RSA) signCRT(em []byte, ctx *bnCtx) ([]byte, error) {
-	var err error
-	ctx.d, err = r.d.Bytes()
-	defer scrub.Bytes(ctx.d)
+	buf := ctx.buf[:]
+	if n := r.partBytes(); n > len(buf) {
+		buf = make([]byte, n)
+	}
+	d, err := ctx.read(buf, 0, &r.d)
+	defer scrub.Bytes(d)
 	if err != nil {
 		return nil, err
 	}
-	ctx.p, err = r.p.Bytes()
-	defer scrub.Bytes(ctx.p)
+	p, err := ctx.read(buf, 1, &r.p)
+	defer scrub.Bytes(p)
 	if err != nil {
 		return nil, err
 	}
-	ctx.q, err = r.q.Bytes()
-	defer scrub.Bytes(ctx.q)
+	q, err := ctx.read(buf, 2, &r.q)
+	defer scrub.Bytes(q)
 	if err != nil {
 		return nil, err
 	}
-	ctx.dp, err = r.dp.Bytes()
-	defer scrub.Bytes(ctx.dp)
+	dp, err := ctx.read(buf, 3, &r.dp)
+	defer scrub.Bytes(dp)
 	if err != nil {
 		return nil, err
 	}
-	ctx.dq, err = r.dq.Bytes()
-	defer scrub.Bytes(ctx.dq)
+	dq, err := ctx.read(buf, 4, &r.dq)
+	defer scrub.Bytes(dq)
 	if err != nil {
 		return nil, err
 	}
-	ctx.qinv, err = r.qinv.Bytes()
-	defer scrub.Bytes(ctx.qinv)
+	qinv, err := ctx.read(buf, 5, &r.qinv)
+	defer scrub.Bytes(qinv)
 	if err != nil {
 		return nil, err
 	}
-	return rsakey.SignCRTParts(&r.pub, em, ctx.p, ctx.q, ctx.dp, ctx.dq, ctx.qinv)
+	return rsakey.SignCRTParts(&r.pub, em, p, q, dp, dq, qinv)
+}
+
+// read reads bn into buf as part i, right after part i-1, and records
+// where it ends.
+func (c *bnCtx) read(buf []byte, i int, bn *BigNum) ([]byte, error) {
+	start := 0
+	if i > 0 {
+		start = c.end[i-1]
+	}
+	v, err := bn.ReadInto(buf[start:])
+	c.end[i] = start + len(v)
+	return v, err
 }
 
 // PrivateOp computes input^d mod n via CRT, reading every key part out of
 // simulated memory (so a corrupted or scrubbed key genuinely fails). It is
 // the primitive under both "decrypt the client's session-key blob" and
-// "sign".
+// "sign". For a key of up to 512 bits it allocates only its result: the
+// parts are read into a context on its stack.
 func (r *RSA) PrivateOp(input []byte) ([]byte, error) {
-	return r.withKey(input, &bnCtx{})
+	var ctx bnCtx
+	return r.withKey(input, &ctx)
 }
 
 // SignPKCS1v15 produces an RSASSA-PKCS1-v1_5/SHA-256 signature using the
@@ -605,19 +657,22 @@ func (r *RSA) CloneFor(h *libc.Heap) *RSA {
 	c := &RSA{
 		heap:         h,
 		pub:          r.pub, // immutable: every clone shares N and E
+		d:            r.d,
+		p:            r.p,
+		q:            r.q,
+		dp:           r.dp,
+		dq:           r.dq,
+		qinv:         r.qinv,
 		flags:        r.flags,
 		montP:        r.montP,
 		montQ:        r.montQ,
 		aligned:      r.aligned,
 		alignedPages: r.alignedPages,
 	}
-	src := r.Parts()
-	dst := []**BigNum{&c.d, &c.p, &c.q, &c.dp, &c.dq, &c.qinv}
-	for i, bn := range src {
-		if bn == nil {
-			continue
+	for _, bn := range c.parts() {
+		if bn.heap != nil {
+			bn.heap = h
 		}
-		*dst[i] = &BigNum{heap: h, ptr: bn.ptr, size: bn.size, static: bn.static}
 	}
 	return c
 }
@@ -632,11 +687,7 @@ func (r *RSA) Free(clear bool) error {
 	if r.Aligned() {
 		// The parts live in the single aligned region.
 		if clear {
-			total := 0
-			for _, bn := range r.Parts() {
-				total += bn.size
-			}
-			if err := r.heap.Zero(r.aligned, total); err != nil {
+			if err := r.heap.Zero(r.aligned, r.partBytes()); err != nil {
 				return err
 			}
 		}
@@ -644,8 +695,8 @@ func (r *RSA) Free(clear bool) error {
 			return err
 		}
 	} else {
-		for _, bn := range r.Parts() {
-			if bn == nil {
+		for _, bn := range r.parts() {
+			if bn.heap == nil {
 				continue
 			}
 			var err error

@@ -224,10 +224,10 @@ func TestPrivateOpComputesValidRSA(t *testing.T) {
 
 func TestPrivateOpZeroizesHostKey(t *testing.T) {
 	// Every private op reads d, p, q, dP, dQ and qInv out of simulated
-	// memory into host buffers; each must hold its part during the op and
-	// be scrubbed once the op returns, whether or not the key is sealed at
-	// rest. The op runs PrivateOp's own body through withKey so the test
-	// can hold on to the buffers it used.
+	// memory into the context's buffer, one after another; each must take
+	// its part's size and be scrubbed once the op returns, whether or not
+	// the key is sealed at rest. The op runs PrivateOp's own body through
+	// withKey so the test can hold on to the context it used.
 	for _, tc := range []struct {
 		name string
 		seal bool
@@ -251,7 +251,12 @@ func TestPrivateOpZeroizesHostKey(t *testing.T) {
 				t.Fatalf("signature does not verify: %v", err)
 			}
 			names := []string{"d", "p", "q", "dP", "dQ", "qInv"}
-			for i, buf := range [][]byte{ctx.d, ctx.p, ctx.q, ctx.dp, ctx.dq, ctx.qinv} {
+			for i := range names {
+				start := 0
+				if i > 0 {
+					start = ctx.end[i-1]
+				}
+				buf := ctx.buf[start:ctx.end[i]]
 				if want := r.Parts()[i].Size(); len(buf) != want {
 					t.Errorf("%s: the op read %d bytes, want the part's %d", names[i], len(buf), want)
 				}
@@ -260,6 +265,69 @@ func TestPrivateOpZeroizesHostKey(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A plain private op on a 512-bit key allocates only its result: the
+// parts are read into a context on PrivateOp's stack, with the Montgomery
+// cache built on the first op and with the key aligned.
+func TestPrivateOpAllocatesOnlyResult(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []LoadOption
+	}{{"cached", nil}, {"aligned", []LoadOption{WithAutoAlign()}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			r := f.load(t, tc.opts...)
+			msg := []byte("session-key-blob")
+			if _, err := r.PrivateOp(msg); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := r.PrivateOp(msg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 1 {
+				t.Fatalf("PrivateOp = %v allocations, want 1 (its result)", allocs)
+			}
+		})
+	}
+}
+
+// A key whose parts do not fit the context's buffer is read into a heap
+// buffer instead: a 1024-bit key, with and without the Montgomery cache,
+// still signs correctly, and the stack buffer stays untouched.
+func TestPrivateOpWideKey(t *testing.T) {
+	f := newFixture(t)
+	key, err := rsakey.Generate(stats.NewReader(7), 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]LoadOption{nil, {WithAutoAlign()}} {
+		r, err := D2iPrivateKey(f.heap, key.MarshalPEM(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := []byte("session-key-blob")
+		var ctx bnCtx
+		sig, err := r.withKey(msg, &ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := key.SignCRT(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sig, want) {
+			t.Fatal("wide-key op != host-side CRT")
+		}
+		if ctx.end[5] <= ctxBytes || ctx.buf != [ctxBytes]byte{} {
+			t.Fatalf("parts end at %d and the stack buffer was written; want a heap buffer", ctx.end[5])
+		}
+		if err := r.Free(true); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
