@@ -297,7 +297,8 @@ func TestPrivateOpAllocatesOnlyResult(t *testing.T) {
 
 // A key whose parts do not fit the context's buffer is read into a heap
 // buffer instead: a 1024-bit key, with and without the Montgomery cache,
-// still signs correctly, and the stack buffer stays untouched.
+// still signs correctly, its parts end past the buffer, and the buffer
+// (which the cache's P and Q still fit) ends all zero.
 func TestPrivateOpWideKey(t *testing.T) {
 	f := newFixture(t)
 	key, err := rsakey.Generate(stats.NewReader(7), 1024)
