@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-cold lint-json lint-self test-faults soak soak-smoke bench-smoke fleet-smoke contract fuzz figures figures-check figures-smoke
+.PHONY: all build test race lint lint-cold lint-json lint-self test-faults soak soak-smoke bench-smoke fleet-smoke contract unlinked fuzz figures figures-check figures-smoke
 
 all: build lint test
 
@@ -115,6 +115,32 @@ contract:
 	run soak -fleet 4 -rounds 6 -steps 40 -budget 2 -workers 4 -verify -log fleet.log; \
 	h fleet.log "fleet-smoke -log"; \
 	run figures -all -scale 0.1 -workers 4
+
+# unlinked lists every non-test top-level function and method outside
+# _bench/ and testdata/ that no binary links. The binaries are ./cmd/...,
+# ./examples/... and _bench, built with inlining off so that small
+# functions keep their symbols. A generic instantiation matches its
+# declaration once `..dict.` and the type arguments in brackets are
+# dropped. This is a report, not a gate: the linker's choices can differ
+# between Go releases. EXPERIMENTS.md gives each listed entry's reason.
+unlinked:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for d in cmd/* examples/*; do \
+		$(GO) build -gcflags=all=-l -o "$$tmp/bin" ./$$d; \
+		$(GO) tool nm "$$tmp/bin" | sed "s| main\.| memshield/$$d.|" >> "$$tmp/nm"; \
+	done; \
+	(cd _bench && $(GO) build -gcflags=all=-l -o "$$tmp/bin" .); \
+	$(GO) tool nm "$$tmp/bin" >> "$$tmp/nm"; \
+	sed -E -e 's/^ *[0-9a-f]* +[A-Za-z] +//' -e 's/\.\.dict\././' -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' "$$tmp/nm" > "$$tmp/linked"; \
+	git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^_bench/' -e 'testdata/' | xargs awk ' \
+		FNR == 1 { pkg = "memshield"; if (FILENAME ~ /\//) { pkg = pkg "/" FILENAME; sub(/\/[^\/]*$$/, "", pkg) } } \
+		/^func / { s = substr($$0, 6); recv = ""; \
+			if (s ~ /^\(/) { r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2); \
+				sub(/\[.*/, "", r); n = split(r, w, " "); recv = w[n] ~ /^\*/ ? "(" w[n] ")." : w[n] "." } \
+			match(s, /^[A-Za-z0-9_]+/); name = substr(s, 1, RLENGTH); \
+			if (recv != "" || name != "init") print pkg "." recv name "\t" FILENAME ":" FNR }' > "$$tmp/decl"; \
+	awk -F'\t' 'NR == FNR { linked[$$0]; next } !($$1 in linked) { print $$2 "\t" $$1; n++ } \
+		END { printf "%d functions no binary links\n", n }' "$$tmp/linked" "$$tmp/decl"
 
 # Short fuzz smoke over every fuzz target (30s each).
 fuzz:

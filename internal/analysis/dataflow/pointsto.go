@@ -1544,16 +1544,6 @@ func (p *PointsTo) VarPointsTo(v *types.Var) []*PTObject {
 	return p.objectsAt(p.varNode(v))
 }
 
-// VarEscapes reports whether any object reachable through v escapes.
-func (p *PointsTo) VarEscapes(v *types.Var) bool {
-	for _, o := range p.VarPointsTo(v) {
-		if o.escaped {
-			return true
-		}
-	}
-	return false
-}
-
 // FuncTargets resolves a function-valued expression to its possible
 // callees. complete is true when the set is non-empty and contains no
 // outside (unresolvable) values — only then may an analyzer treat the

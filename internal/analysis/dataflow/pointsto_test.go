@@ -274,32 +274,6 @@ func pong(b []byte) { ping(b) }`)
 	}
 }
 
-// TestVarEscapes exposes the per-variable query the sealwindow
-// analyzer uses: a slice sent on a channel escapes, a local one stays.
-func TestVarEscapes(t *testing.T) {
-	prog := parsePT(t, `package ptest
-var C = make(chan []byte, 1)
-func f() {
-	leak := []byte("k")
-	C <- leak
-	stay := []byte("k")
-	_ = stay
-}`)
-	pt := prog.analyze(t, "f")
-	vars := map[string]*types.Var{}
-	for id, obj := range prog.info.Defs {
-		if v, ok := obj.(*types.Var); ok {
-			vars[id.Name] = v
-		}
-	}
-	if !pt.VarEscapes(vars["leak"]) {
-		t.Errorf("leak: expected escape via channel send")
-	}
-	if pt.VarEscapes(vars["stay"]) {
-		t.Errorf("stay: unexpected escape")
-	}
-}
-
 // TestOutsideStore: storing through a parameter-reachable pointer
 // publishes the value (the callee's caller may retain it).
 func TestOutsideStore(t *testing.T) {

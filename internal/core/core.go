@@ -49,12 +49,6 @@ func NewWithStatus(k *kernel.Kernel, status *protect.Status) *Auditor {
 	return &Auditor{k: k, level: status.Configured(), status: status}
 }
 
-// Level returns the audited protection level.
-func (a *Auditor) Level() protect.Level { return a.level }
-
-// Status returns the bound protection status (nil for New-built auditors).
-func (a *Auditor) Status() *protect.Status { return a.status }
-
 // Report is one audit's findings.
 type Report struct {
 	Level protect.Level

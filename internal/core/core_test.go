@@ -138,10 +138,3 @@ func TestAuditDetectsSwapViolation(t *testing.T) {
 		t.Fatal("swap hits must violate a copy-minimizing claim")
 	}
 }
-
-func TestAuditorAccessors(t *testing.T) {
-	a, _, _ := rig(t, protect.LevelKernel, 1)
-	if a.Level() != protect.LevelKernel {
-		t.Fatal("Level accessor wrong")
-	}
-}

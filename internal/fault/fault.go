@@ -60,8 +60,8 @@ const (
 	// SiteFSRead fails fs.FS.ReadFile with fs.ErrIO before any byte is
 	// served: the backing device refused the read.
 	SiteFSRead
-	// SiteMalloc fails libc.Heap.Malloc (and everything built on it:
-	// Calloc, Realloc growth, Memalign) with libc.ErrNoMem.
+	// SiteMalloc fails libc.Heap.Malloc with libc.ErrNoMem. Memalign maps
+	// its region directly and does not consult it.
 	SiteMalloc
 	// SiteUnseal fails seal.Region decryption before any plaintext byte
 	// is written back into the region: the key stays ciphertext and the

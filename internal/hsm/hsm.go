@@ -59,16 +59,6 @@ func (m *Module) Import(key *rsakey.PrivateKey) (int, error) {
 	return slot, nil
 }
 
-// ImportPEM provisions a PEM-encoded key.
-func (m *Module) ImportPEM(pem []byte) (int, error) {
-	key, err := rsakey.ParsePEM(pem)
-	if err != nil {
-		return 0, fmt.Errorf("hsm: import: %w", err)
-	}
-	defer key.Zeroize() // Import stores its own copy
-	return m.Import(key)
-}
-
 // PrivateOp computes input^d mod n inside the device.
 func (m *Module) PrivateOp(slot int, input []byte) ([]byte, error) {
 	key, ok := m.slots[slot]

@@ -46,22 +46,6 @@ func TestImportAndPrivateOp(t *testing.T) {
 	}
 }
 
-func TestImportPEM(t *testing.T) {
-	m := New()
-	key := testKey(t)
-	slot, err := m.ImportPEM(key.MarshalPEM())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub, err := m.PublicKey(slot)
-	if err != nil || pub.N.Cmp(key.N) != 0 {
-		t.Fatal("imported key mismatch")
-	}
-	if _, err := m.ImportPEM([]byte("garbage")); err == nil {
-		t.Fatal("garbage PEM should fail")
-	}
-}
-
 func TestImportValidates(t *testing.T) {
 	m := New()
 	if _, err := m.Import(nil); err == nil {

@@ -21,7 +21,6 @@ package fs
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"memshield/internal/fault"
 	"memshield/internal/kernel/alloc"
@@ -159,19 +158,6 @@ func (f *FS) FileID(path string) (int, error) {
 	return fl.id, nil
 }
 
-// Remove deletes a file and evicts its cache pages (without zeroing).
-func (f *FS) Remove(path string) error {
-	fl, ok := f.files[path]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, path)
-	}
-	if err := f.cache.Evict(fl.id, false); err != nil {
-		return err
-	}
-	delete(f.files, path)
-	return nil
-}
-
 // Mkdir creates a directory and returns the bytes an attacker can read back
 // from the new directory's on-disk block beyond the real metadata — on a
 // vulnerable filesystem, up to MaxLeakPerDir bytes of stale kernel-page
@@ -217,22 +203,6 @@ func (f *FS) RemoveDir(path string) error {
 		return err
 	}
 	delete(f.dirs, path)
-	return nil
-}
-
-// RemoveAllDirs deletes every directory (the attacker cleaning up the USB
-// stick between trials).
-func (f *FS) RemoveAllDirs() error {
-	paths := make([]string, 0, len(f.dirs))
-	for p := range f.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := f.RemoveDir(p); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

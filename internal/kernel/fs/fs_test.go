@@ -59,9 +59,6 @@ func TestReadMissingFile(t *testing.T) {
 	if _, err := f.FileID("/nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	if err := f.Remove("/nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound, got %v", err)
-	}
 }
 
 func TestONoCacheEvictsAndScrubs(t *testing.T) {
@@ -111,25 +108,6 @@ func TestWriteFileReplacesAndInvalidates(t *testing.T) {
 	id2, _ := f.FileID("/f")
 	if id2 != id {
 		t.Fatal("file ID should be stable across rewrites")
-	}
-}
-
-func TestRemoveFile(t *testing.T) {
-	_, a, _, f := newFS(t, 16, alloc.PolicyRetain)
-	if err := f.WriteFile("/f", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.ReadFile("/f", 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Remove("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if a.FreePages() != 16 {
-		t.Fatal("Remove should release cache pages")
-	}
-	if _, err := f.ReadFile("/f", 0); !errors.Is(err, ErrNotFound) {
-		t.Fatal("file should be gone")
 	}
 }
 
@@ -279,11 +257,13 @@ func TestRemoveDirAndRemoveAll(t *testing.T) {
 	if err := f.RemoveDir("/d0"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double RemoveDir: %v", err)
 	}
-	if err := f.RemoveAllDirs(); err != nil {
-		t.Fatal(err)
+	for i := 1; i < 5; i++ {
+		if err := f.RemoveDir(fmt.Sprintf("/d%d", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if f.NumDirs() != 0 || a.FreePages() != 32 {
-		t.Fatal("RemoveAllDirs should release all dir pages")
+		t.Fatal("removing every directory should release all dir pages")
 	}
 }
 

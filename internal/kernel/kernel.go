@@ -28,7 +28,6 @@ import (
 	"memshield/internal/kernel/proc"
 	"memshield/internal/kernel/vm"
 	"memshield/internal/mem"
-	"memshield/internal/scrub"
 	"memshield/internal/trace"
 )
 
@@ -53,17 +52,6 @@ type Config struct {
 	// plan is compiled into one per-machine injector shared by alloc, vm,
 	// pagecache, fs and (via Injector) libc.
 	FaultPlan *fault.Plan
-}
-
-// DefaultConfig returns the unpatched machine used in the paper's threat
-// assessment: 32 MiB RAM (scaled down from the testbed's 256 MiB; figure
-// harnesses override), small swap, vulnerable ext2, retain-on-free.
-func DefaultConfig() Config {
-	return Config{
-		MemPages:      32 * 1024 * 1024 / mem.PageSize,
-		SwapPages:     256,
-		DeallocPolicy: alloc.PolicyRetain,
-	}
 }
 
 // Kernel is one booted simulated machine.
@@ -157,16 +145,6 @@ func (k *Kernel) Clock() uint64 { return k.clock }
 func (k *Kernel) Tick() {
 	k.clock++
 	k.alloc.Tick()
-}
-
-// CoreDump captures a process's resident memory image — the crash-dump
-// disclosure surface studied by Broadwell et al. (Scrash). With
-// scrubSensitive, regions the process has marked sensitive (its mlocked
-// pages — exactly where RSA_memory_align keeps key material) are zeroed in
-// the dump, so a crash report can be shipped to developers without
-// shipping the private key.
-func (k *Kernel) CoreDump(pid int, scrubSensitive bool) ([]byte, error) {
-	return k.vm.DumpSpace(pid, scrubSensitive)
 }
 
 // MixFreeLists redistributes the current free pages uniformly through the
@@ -275,31 +253,6 @@ func (k *Kernel) Exit(pid int) error {
 // ReadFile performs a file read on behalf of a process, honouring ONoCache.
 func (k *Kernel) ReadFile(path string, flags fs.OpenFlag) ([]byte, error) {
 	return k.fs.ReadFile(path, flags)
-}
-
-// MmapFile maps a file's page-cache pages read-only into a process — the
-// mmap(PROT_READ, MAP_SHARED) path. The file is pulled into the cache if
-// absent; the mapping shares the cache frames, so no bytes are duplicated
-// no matter how many processes map the file. Returns the mapping's base
-// address and page count.
-func (k *Kernel) MmapFile(pid int, path string) (vm.VAddr, int, error) {
-	// The read only fills the cache; the native copy it returns, of a
-	// key file as of any other, is scrubbed at once.
-	data, err := k.fs.ReadFile(path, 0)
-	scrub.Bytes(data)
-	if err != nil {
-		return 0, 0, err
-	}
-	fileID, err := k.fs.FileID(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	pages := k.cache.Pages(fileID)
-	va, err := k.vm.MapShared(pid, pages, "mmap:"+path)
-	if err != nil {
-		return 0, 0, err
-	}
-	return va, len(pages), nil
 }
 
 // MemoryPressure evicts up to n pages from the given process to swap,

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"memshield/internal/kernel/alloc"
@@ -17,19 +16,6 @@ func boot(t *testing.T, cfg Config) *Kernel {
 		t.Fatal(err)
 	}
 	return k
-}
-
-func TestDefaultConfigBoots(t *testing.T) {
-	k := boot(t, DefaultConfig())
-	if k.Mem().NumPages() != 8192 {
-		t.Fatalf("pages = %d, want 8192 (32 MiB)", k.Mem().NumPages())
-	}
-	if k.Alloc().Policy() != alloc.PolicyRetain {
-		t.Fatal("default policy should be retain")
-	}
-	if k.FS().LeakFixed() {
-		t.Fatal("default fs should be vulnerable")
-	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
@@ -281,102 +267,5 @@ func TestTracerRecordsZeroOnFree(t *testing.T) {
 	}
 	if k.Trace().CountByKind()[trace.EvZero] == 0 {
 		t.Fatal("zero-on-free events missing")
-	}
-}
-
-func TestMmapFileSharesPageCacheFrames(t *testing.T) {
-	k := boot(t, Config{MemPages: 256})
-	content := make([]byte, 6000) // ~6 KB, 2 pages, non-repeating
-	rand.New(rand.NewSource(99)).Read(content)
-	if err := k.FS().WriteFile("/lib.so", content); err != nil {
-		t.Fatal(err)
-	}
-	p1, _ := k.Spawn(0, "a")
-	p2, _ := k.Spawn(0, "b")
-	va1, n1, err := k.MmapFile(p1, "/lib.so")
-	if err != nil {
-		t.Fatal(err)
-	}
-	va2, n2, err := k.MmapFile(p2, "/lib.so")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != 2 || n2 != 2 {
-		t.Fatalf("pages = %d/%d, want 2", n1, n2)
-	}
-	// No duplication: the content exists exactly once in physical memory.
-	if got := len(k.Mem().FindAll(content[:64])); got != 1 {
-		t.Fatalf("content copies = %d, want 1 (shared mapping)", got)
-	}
-	// Both processes read it.
-	got1, err := k.VM().Read(p1, va1, 64)
-	if err != nil || !bytes.Equal(got1, content[:64]) {
-		t.Fatalf("p1 read: %v", err)
-	}
-	got2, err := k.VM().Read(p2, va2, 64)
-	if err != nil || !bytes.Equal(got2, content[:64]) {
-		t.Fatalf("p2 read: %v", err)
-	}
-	// Writes are refused (read-only mapping).
-	if err := k.VM().Write(p1, va1, []byte("x")); err == nil {
-		t.Fatal("write to shared file mapping should fail")
-	}
-	// Cache eviction is refused while mappings are live.
-	fileID, _ := k.FS().FileID("/lib.so")
-	if err := k.Cache().Evict(fileID, true); err == nil {
-		t.Fatal("eviction of mapped file should fail")
-	}
-	// Reverse map shows both mappers on the shared frame.
-	pn, err := k.VM().FrameOf(p1, va1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := k.Mem().Frame(pn)
-	if !f.HasMapper(p1) || !f.HasMapper(p2) {
-		t.Fatalf("mappers = %v", f.Mappers())
-	}
-	// Unmapping both releases the hold; eviction then succeeds.
-	if err := k.VM().Unmap(p1, va1, n1); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.VM().Unmap(p2, va2, n2); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Cache().Evict(fileID, true); err != nil {
-		t.Fatalf("eviction after unmap: %v", err)
-	}
-	if got := len(k.Mem().FindAll(content[:64])); got != 0 {
-		t.Fatal("zeroing eviction should scrub the file")
-	}
-}
-
-func TestMmapFileMissing(t *testing.T) {
-	k := boot(t, Config{MemPages: 64})
-	pid, _ := k.Spawn(0, "p")
-	if _, _, err := k.MmapFile(pid, "/nope"); err == nil {
-		t.Fatal("mmap of missing file should fail")
-	}
-}
-
-func TestProcessExitReleasesSharedMapping(t *testing.T) {
-	k := boot(t, Config{MemPages: 128})
-	if err := k.FS().WriteFile("/f", []byte("mapped-data")); err != nil {
-		t.Fatal(err)
-	}
-	pid, _ := k.Spawn(0, "p")
-	if _, _, err := k.MmapFile(pid, "/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Exit(pid); err != nil {
-		t.Fatal(err)
-	}
-	// The cache copy survives the process (refcount back to 1, page
-	// still cached and allocated).
-	fileID, _ := k.FS().FileID("/f")
-	if !k.Cache().Cached(fileID) {
-		t.Fatal("cache entry should survive process exit")
-	}
-	if err := k.Cache().Evict(fileID, false); err != nil {
-		t.Fatalf("evict after exit: %v", err)
 	}
 }

@@ -17,7 +17,6 @@ package pagecache
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"memshield/internal/fault"
 	"memshield/internal/kernel/alloc"
@@ -150,10 +149,6 @@ func (c *Cache) readPages(pages []mem.PageNum, size int) ([]byte, error) {
 	return out, nil
 }
 
-// ErrBusy is returned when eviction would free pages still mapped into a
-// process (an mmap of the file is live).
-var ErrBusy = errors.New("pagecache: file pages are mapped")
-
 // ErrEvictIO is an eviction failure of the O_NOCACHE removal path. Only
 // produced under fault injection.
 var ErrEvictIO = errors.New("pagecache: eviction failed")
@@ -161,8 +156,7 @@ var ErrEvictIO = errors.New("pagecache: eviction failed")
 // Evict removes the file's pages from the cache and frees them. With
 // zero=true the pages are cleared first (the O_NOCACHE patch's
 // clear_highpage call), guaranteeing no trace regardless of the allocator's
-// dealloc policy. Evicting an uncached file is a no-op; evicting a file
-// whose pages are memory-mapped fails with ErrBusy.
+// dealloc policy. Evicting an uncached file is a no-op.
 //
 // If a page's release fails mid-way (an injected zero-on-free, say), the
 // cache entry is rewritten to hold exactly the not-yet-freed pages: no
@@ -171,11 +165,6 @@ func (c *Cache) Evict(fileID int, zero bool) error {
 	pages, ok := c.files[fileID]
 	if !ok {
 		return nil
-	}
-	for _, pn := range pages {
-		if c.mem.Frame(pn).RefCount > 1 {
-			return fmt.Errorf("%w: file %d page %d", ErrBusy, fileID, pn)
-		}
 	}
 	if err := c.injector.Fail(fault.SiteEvict); err != nil {
 		return fmt.Errorf("%w: file %d: %w", ErrEvictIO, fileID, err)
@@ -195,21 +184,5 @@ func (c *Cache) Evict(fileID int, zero bool) error {
 	}
 	delete(c.files, fileID)
 	delete(c.sizes, fileID)
-	return nil
-}
-
-// EvictAll empties the whole cache (in file-ID order, so the freed pages
-// hit the allocator deterministically).
-func (c *Cache) EvictAll(zero bool) error {
-	ids := make([]int, 0, len(c.files))
-	for fileID := range c.files {
-		ids = append(ids, fileID)
-	}
-	sort.Ints(ids)
-	for _, fileID := range ids {
-		if err := c.Evict(fileID, zero); err != nil {
-			return err
-		}
-	}
 	return nil
 }

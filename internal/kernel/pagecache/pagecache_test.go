@@ -115,24 +115,6 @@ func TestEvictUncachedIsNoop(t *testing.T) {
 	}
 }
 
-func TestEvictAll(t *testing.T) {
-	_, a, c := newCache(t, 16, alloc.PolicyRetain)
-	for id := 1; id <= 3; id++ {
-		if _, err := c.Read(id, bytes.Repeat([]byte{byte(id)}, 100)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.CachedPageCount() != 3 {
-		t.Fatalf("CachedPageCount = %d", c.CachedPageCount())
-	}
-	if err := c.EvictAll(false); err != nil {
-		t.Fatal(err)
-	}
-	if c.CachedPageCount() != 0 || a.FreePages() != 16 {
-		t.Fatal("EvictAll should empty the cache")
-	}
-}
-
 func TestPopulateOOMRollsBack(t *testing.T) {
 	_, a, c := newCache(t, 2, alloc.PolicyRetain)
 	// 3-page file cannot fit in 2-page machine.

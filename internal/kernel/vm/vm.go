@@ -46,7 +46,6 @@ var (
 	ErrLockedPage   = errors.New("vm: page is mlocked")
 	ErrNoSwapSpace  = errors.New("vm: swap area full")
 	ErrNotSwappable = errors.New("vm: page not eligible for swap")
-	ErrReadOnly     = errors.New("vm: write to read-only mapping")
 	// ErrMlockDenied is the RLIMIT_MEMLOCK / EPERM refusal: the pin the
 	// paper's RSA_memory_align depends on was not granted. Only produced
 	// under fault injection.
@@ -63,14 +62,9 @@ type pte struct {
 	frame    mem.PageNum
 	swapSlot int
 	present  bool // resident in physical memory
-	writable bool
 	cow      bool // shared copy-on-write after fork
 	locked   bool // mlocked: never swapped
 	swapped  bool // contents live in a swap slot
-	// userRO marks pages the process made read-only via Mprotect; unlike
-	// the transient COW read-only state, a write here faults instead of
-	// copying.
-	userRO bool
 }
 
 // VMA describes one virtual memory area (a contiguous mapped region).
@@ -89,9 +83,6 @@ type VMA struct {
 
 // Pages returns the number of pages the VMA spans.
 func (v *VMA) Pages() int { return int((v.End - v.Start) >> mem.PageShift) }
-
-// Contains reports whether the address lies inside the VMA.
-func (v *VMA) Contains(a VAddr) bool { return a >= v.Start && a < v.End }
 
 // AddressSpace is the virtual memory image of one process.
 type AddressSpace struct {
@@ -128,19 +119,6 @@ func (s *AddressSpace) VMAs() []VMA {
 		out[i] = VMA{Start: v.Start, End: v.End, Name: v.Name}
 	}
 	return out
-}
-
-// MappedPages returns the number of resident (present) pages.
-func (s *AddressSpace) MappedPages() int {
-	n := 0
-	for _, v := range s.vmas {
-		for i := range v.ptes {
-			if v.ptes[i].present {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // Manager owns every address space on the machine plus the swap area.
@@ -275,7 +253,7 @@ func (mg *Manager) MapAnon(pid int, npages int, name string) (VAddr, error) {
 			mg.rollback(vma, i)
 			return 0, fmt.Errorf("vm: MapAnon: %w", zerr)
 		}
-		ptes[i] = pte{frame: pn, present: true, writable: true}
+		ptes[i] = pte{frame: pn, present: true}
 	}
 	for i := range ptes {
 		mg.mem.Frame(ptes[i].frame).AddMapper(pid)
@@ -292,37 +270,6 @@ func (mg *Manager) rollback(v *VMA, n int) {
 		_ = mg.alloc.Free(v.ptes[i].frame)
 	}
 	mg.recycle(v)
-}
-
-// MapShared maps existing physical frames (typically page-cache pages)
-// read-only into pid's address space — the mmap(MAP_SHARED, PROT_READ)
-// path. The frames' refcounts rise so neither unmapping nor (guarded)
-// cache eviction can free them out from under the other holder; crucially,
-// no byte is copied, so a file mapped by N processes still exists exactly
-// once in physical memory.
-func (mg *Manager) MapShared(pid int, frames []mem.PageNum, name string) (VAddr, error) {
-	s, err := mg.Space(pid)
-	if err != nil {
-		return 0, err
-	}
-	if len(frames) == 0 {
-		return 0, fmt.Errorf("vm: MapShared of zero frames")
-	}
-	for _, pn := range frames {
-		if !mg.mem.ValidPage(pn) || mg.mem.Frame(pn).State != mem.FrameAllocated {
-			return 0, fmt.Errorf("%w: frame %d not allocated", ErrBadAddress, pn)
-		}
-	}
-	vma := mg.newVMA(s.nextVA, len(frames), name)
-	for i, pn := range frames {
-		vma.ptes[i] = pte{frame: pn, present: true, writable: false}
-		f := mg.mem.Frame(pn)
-		f.RefCount++
-		f.AddMapper(pid)
-	}
-	s.vmas = append(s.vmas, vma)
-	s.nextVA = vma.End + mem.PageSize
-	return vma.Start, nil
 }
 
 // Unmap removes npages starting at the page containing addr from pid's
@@ -473,10 +420,11 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 	}
 	// Each of the child's areas takes a whole page table of its size from
 	// the pool, so the tables its exit returns are the ones the next fork
-	// draws.
+	// draws. The area list has room for one more: a forked server child
+	// maps its session or request arena next.
 	cs := &AddressSpace{
 		pid:    childPID,
-		vmas:   make([]*VMA, len(ps.vmas)),
+		vmas:   make([]*VMA, len(ps.vmas), len(ps.vmas)+1),
 		nextVA: ps.nextVA,
 	}
 	for k, v := range ps.vmas {
@@ -487,7 +435,6 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 				continue
 			}
 			e.cow = true
-			e.writable = false
 			c.ptes[i] = *e
 			f := mg.mem.Frame(e.frame)
 			f.RefCount++
@@ -498,20 +445,6 @@ func (mg *Manager) Fork(parentPID, childPID int) error {
 	mg.spaces[childPID] = cs
 	mg.emit(trace.EvFork, parentPID, 0, childPID)
 	return nil
-}
-
-// Translate resolves a virtual address to a physical address without
-// faulting. Swapped pages are not resident and return ErrBadAddress.
-func (mg *Manager) Translate(pid int, addr VAddr) (mem.Addr, error) {
-	s, err := mg.Space(pid)
-	if err != nil {
-		return 0, err
-	}
-	e := s.lookup(addr.Page())
-	if e == nil || !e.present {
-		return 0, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
-	}
-	return e.frame.Base() + mem.Addr(addr.Offset()), nil
 }
 
 // Read copies n bytes from pid's virtual memory, faulting in swapped pages.
@@ -572,16 +505,10 @@ func (mg *Manager) Write(pid int, addr VAddr, b []byte) error {
 				return err
 			}
 		}
-		if e.userRO {
-			return fmt.Errorf("%w: pid %d addr %#x (mprotect)", ErrReadOnly, pid, addr)
-		}
 		if e.cow {
 			if err := mg.breakCOW(pid, e); err != nil {
 				return err
 			}
-		}
-		if !e.writable {
-			return fmt.Errorf("%w: pid %d addr %#x", ErrReadOnly, pid, addr)
 		}
 		take := mem.PageSize - addr.Offset()
 		if take > len(b) {
@@ -597,12 +524,11 @@ func (mg *Manager) Write(pid int, addr VAddr, b []byte) error {
 }
 
 // breakCOW gives the writing process a private copy of the shared frame.
-// If the frame is no longer shared, the PTE simply becomes writable again.
+// If the frame is no longer shared, the PTE simply stops being COW.
 func (mg *Manager) breakCOW(pid int, e *pte) error {
 	f := mg.mem.Frame(e.frame)
 	if f.RefCount <= 1 {
 		e.cow = false
-		e.writable = true
 		return nil
 	}
 	newPN, err := mg.alloc.AllocPage(mem.OwnerUser)
@@ -617,7 +543,6 @@ func (mg *Manager) breakCOW(pid int, e *pte) error {
 	mg.emit(trace.EvCOWBreak, pid, e.frame, int(newPN))
 	e.frame = newPN
 	e.cow = false
-	e.writable = true
 	nf := mg.mem.Frame(newPN)
 	nf.AddMapper(pid)
 	nf.Locked = e.locked
@@ -632,15 +557,6 @@ func (mg *Manager) Mlock(pid int, addr VAddr, npages int) error {
 	if err := mg.injector.Fail(fault.SiteMlock); err != nil {
 		return fmt.Errorf("%w: %w", ErrMlockDenied, err)
 	}
-	return mg.setLock(pid, addr, npages, true)
-}
-
-// Munlock releases the pin.
-func (mg *Manager) Munlock(pid int, addr VAddr, npages int) error {
-	return mg.setLock(pid, addr, npages, false)
-}
-
-func (mg *Manager) setLock(pid int, addr VAddr, npages int, locked bool) error {
 	s, err := mg.Space(pid)
 	if err != nil {
 		return err
@@ -656,28 +572,8 @@ func (mg *Manager) setLock(pid int, addr VAddr, npages int, locked bool) error {
 				return err
 			}
 		}
-		e.locked = locked
-		mg.mem.Frame(e.frame).Locked = locked
-	}
-	return nil
-}
-
-// Mprotect toggles a process-requested write protection on npages starting
-// at addr. Making a region read-only after it is initialized is the
-// defense-in-depth companion to RSA_memory_align: even a compromised
-// library routine cannot then scribble near (or COW-duplicate) the key.
-func (mg *Manager) Mprotect(pid int, addr VAddr, npages int, writable bool) error {
-	s, err := mg.Space(pid)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < npages; i++ {
-		vp := addr.Page() + VPage(i)
-		e := s.lookup(vp)
-		if e == nil {
-			return fmt.Errorf("%w: pid %d vpage %d", ErrBadAddress, pid, vp)
-		}
-		e.userRO = !writable
+		e.locked = true
+		mg.mem.Frame(e.frame).Locked = true
 	}
 	return nil
 }
@@ -821,55 +717,6 @@ func (mg *Manager) FrameOf(pid int, addr VAddr) (mem.PageNum, error) {
 		return 0, fmt.Errorf("%w: pid %d addr %#x", ErrBadAddress, pid, addr)
 	}
 	return e.frame, nil
-}
-
-// DumpSpace serializes a process's resident memory image in VMA order —
-// the payload of a core dump. Non-resident (swapped) pages are skipped
-// without faulting, as a crash-time dumper would. With skipLocked, mlocked
-// pages are replaced by zeros: the Scrash-style policy of scrubbing
-// sensitive regions from crash dumps, with "sensitive" identified by the
-// same mlock annotation RSA_memory_align applies to key material. The dump
-// is allocated once and each page is read straight into its slot.
-func (mg *Manager) DumpSpace(pid int, skipLocked bool) ([]byte, error) {
-	s, err := mg.Space(pid)
-	if err != nil {
-		return nil, err
-	}
-	n := 0
-	for _, v := range s.vmas {
-		for i := range v.ptes {
-			if v.ptes[i].present {
-				n++
-			}
-		}
-	}
-	out := make([]byte, n*mem.PageSize)
-	slot := out
-	for _, v := range s.vmas {
-		for i := range v.ptes {
-			e := &v.ptes[i]
-			if !e.present {
-				continue
-			}
-			if !skipLocked || !e.locked {
-				if err := mg.mem.ReadInto(slot[:mem.PageSize], e.frame.Base()); err != nil {
-					return nil, err
-				}
-			}
-			slot = slot[mem.PageSize:]
-		}
-	}
-	return out, nil
-}
-
-// SharedWith reports whether pid's page at addr currently shares its frame
-// with any other process (COW sharing still intact).
-func (mg *Manager) SharedWith(pid int, addr VAddr) (bool, error) {
-	pn, err := mg.FrameOf(pid, addr)
-	if err != nil {
-		return false, err
-	}
-	return mg.mem.Frame(pn).RefCount > 1, nil
 }
 
 // CheckConsistency verifies the manager's structural invariants against

@@ -260,10 +260,6 @@ func TestForkSharesPhysicalFrames(t *testing.T) {
 	if !bytes.Equal(got, secret) {
 		t.Fatal("child does not see parent data")
 	}
-	shared, err := mg.SharedWith(1, va)
-	if err != nil || !shared {
-		t.Fatalf("SharedWith = %v, %v; want true", shared, err)
-	}
 }
 
 func TestCOWBreakOnWrite(t *testing.T) {
@@ -444,12 +440,6 @@ func TestMlockBlocksSwap(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Fatalf("SwapOutVictims over locked pages = %d, %v; want 0", n, err)
 	}
-	if err := mg.Munlock(1, va, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.SwapOut(1, va); err != nil {
-		t.Fatalf("swap after munlock: %v", err)
-	}
 }
 
 func TestMlockErrors(t *testing.T) {
@@ -612,28 +602,6 @@ func TestForkFaultsInSwappedPages(t *testing.T) {
 	}
 }
 
-func TestTranslate(t *testing.T) {
-	m, _, mg := newVM(t, 16, 0, alloc.PolicyRetain, false)
-	if _, err := mg.NewSpace(1); err != nil {
-		t.Fatal(err)
-	}
-	va, _ := mg.MapAnon(1, 1, "d")
-	pa, err := mg.Translate(1, va+123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Write(1, va+123, []byte{0x77}); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := m.Read(pa, 1)
-	if got[0] != 0x77 {
-		t.Fatal("Translate points at wrong physical byte")
-	}
-	if _, err := mg.Translate(1, 0); !errors.Is(err, ErrBadAddress) {
-		t.Fatalf("translate unmapped: %v", err)
-	}
-}
-
 // Property: after fork, the child reads byte-identical memory; after the
 // child writes a random range, the parent still reads the original bytes.
 func TestQuickForkIsolation(t *testing.T) {
@@ -718,67 +686,6 @@ func TestQuickSwapRoundTrip(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 			t.Fatalf("encrypt=%v: %v", encrypt, err)
 		}
-	}
-}
-
-func TestMprotectBlocksWrites(t *testing.T) {
-	_, _, mg := newVM(t, 64, 0, alloc.PolicyRetain, false)
-	if _, err := mg.NewSpace(1); err != nil {
-		t.Fatal(err)
-	}
-	va, err := mg.MapAnon(1, 2, "key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Write(1, va, []byte("init")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Mprotect(1, va, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Write(1, va, []byte("nope")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("write after mprotect = %v", err)
-	}
-	// Reads still work.
-	got, err := mg.Read(1, va, 4)
-	if err != nil || string(got) != "init" {
-		t.Fatalf("read = %q, %v", got, err)
-	}
-	// Re-enable and write again.
-	if err := mg.Mprotect(1, va, 2, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Write(1, va, []byte("okay")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Mprotect(1, 0xdead000, 1, false); !errors.Is(err, ErrBadAddress) {
-		t.Fatalf("mprotect unmapped = %v", err)
-	}
-}
-
-func TestMprotectSurvivesForkAndBlocksChild(t *testing.T) {
-	_, _, mg := newVM(t, 64, 0, alloc.PolicyRetain, false)
-	if _, err := mg.NewSpace(1); err != nil {
-		t.Fatal(err)
-	}
-	va, _ := mg.MapAnon(1, 1, "key")
-	if err := mg.Write(1, va, []byte("sealed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Mprotect(1, va, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := mg.Fork(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	// The child inherits the protection (PTE copied), so no COW break can
-	// be triggered through this region by either side.
-	if err := mg.Write(2, va, []byte("x")); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("child write = %v", err)
-	}
-	got, err := mg.Read(2, va, 6)
-	if err != nil || string(got) != "sealed" {
-		t.Fatalf("child read = %q, %v", got, err)
 	}
 }
 

@@ -196,18 +196,6 @@ func (h *Heap) takeFrom(ar *arena, n int) (vm.VAddr, bool) {
 	return 0, false
 }
 
-// Calloc allocates n zeroed bytes.
-func (h *Heap) Calloc(n int) (vm.VAddr, error) {
-	p, err := h.Malloc(n)
-	if err != nil {
-		return 0, err
-	}
-	if err := h.Zero(p, n); err != nil {
-		return 0, err
-	}
-	return p, nil
-}
-
 // Free releases an allocation WITHOUT clearing its contents — the default
 // behaviour whose consequences the paper measures. When an arena's last
 // chunk is freed, its pages are unmapped and returned to the kernel, moving
@@ -297,39 +285,6 @@ func (h *Heap) releaseArena(ar *arena) error {
 		}
 	}
 	return ErrCorrupted
-}
-
-// Realloc resizes an allocation, preserving contents up to min(old, new).
-// Like real realloc (and OpenSSL's bn_expand, which is how BIGNUMs grow),
-// growth moves the data to a fresh chunk and releases the old one WITHOUT
-// clearing — yet another way key material gets copied and abandoned. Shrink
-// requests keep the allocation in place.
-func (h *Heap) Realloc(p vm.VAddr, n int) (vm.VAddr, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: %d", ErrBadSize, n)
-	}
-	size, err := h.SizeOf(p)
-	if err != nil {
-		return 0, err
-	}
-	if n <= size {
-		return p, nil
-	}
-	data, err := h.Read(p, size)
-	if err != nil {
-		return 0, err
-	}
-	np, err := h.Malloc(n)
-	if err != nil {
-		return 0, err
-	}
-	if err := h.Write(np, data); err != nil {
-		return 0, err
-	}
-	if err := h.Free(p); err != nil {
-		return 0, err
-	}
-	return np, nil
 }
 
 // SizeOf returns the usable size of an allocation.

@@ -221,31 +221,6 @@ func TestArenaReleaseMovesDataToUnallocated(t *testing.T) {
 	}
 }
 
-func TestCalloc(t *testing.T) {
-	_, _, h := newHeap(t, 256, alloc.PolicyRetain)
-	// Dirty then free a chunk; calloc of the same size must return zeroed
-	// memory even if it reuses the chunk.
-	p, _ := h.Malloc(64)
-	q, _ := h.Malloc(64)
-	if err := h.Write(p, bytes.Repeat([]byte{0xFF}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Free(p); err != nil {
-		t.Fatal(err)
-	}
-	c, err := h.Calloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := h.Read(c, 64)
-	for i, b := range got {
-		if b != 0 {
-			t.Fatalf("calloc byte %d = %#x", i, b)
-		}
-	}
-	_ = q
-}
-
 func TestMallocReusesFreedChunkWithStaleData(t *testing.T) {
 	_, _, h := newHeap(t, 256, alloc.PolicyRetain)
 	p, _ := h.Malloc(64)
@@ -433,67 +408,6 @@ func TestQuickHeapWorkload(t *testing.T) {
 	}
 }
 
-func TestReallocGrowMovesAndLeavesStale(t *testing.T) {
-	k, _, h := newHeap(t, 256, alloc.PolicyRetain)
-	p, err := h.Malloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pin, err := h.Malloc(64) // keep the arena alive
-	if err != nil {
-		t.Fatal(err)
-	}
-	secret := []byte("BN-EXPAND-LEAVES-THIS-BEHIND")
-	if err := h.Write(p, secret); err != nil {
-		t.Fatal(err)
-	}
-	np, err := h.Realloc(p, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if np == p {
-		t.Fatal("growth should move the allocation")
-	}
-	got, err := h.Read(np, len(secret))
-	if err != nil || !bytes.Equal(got, secret) {
-		t.Fatalf("contents not preserved: %q, %v", got, err)
-	}
-	// The old chunk's bytes survive — the bn_expand leak.
-	if n := len(k.Mem().FindAll(secret)); n != 2 {
-		t.Fatalf("secret copies after realloc = %d, want 2 (old + new)", n)
-	}
-	_ = pin
-}
-
-func TestReallocShrinkInPlace(t *testing.T) {
-	_, _, h := newHeap(t, 256, alloc.PolicyRetain)
-	p, err := h.Malloc(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	np, err := h.Realloc(p, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if np != p {
-		t.Fatal("shrink should stay in place")
-	}
-}
-
-func TestReallocErrors(t *testing.T) {
-	_, _, h := newHeap(t, 256, alloc.PolicyRetain)
-	if _, err := h.Realloc(0xBAD0, 64); !errors.Is(err, ErrBadFree) {
-		t.Fatalf("realloc of bad ptr = %v", err)
-	}
-	p, _ := h.Malloc(16)
-	if _, err := h.Realloc(p, 0); !errors.Is(err, ErrBadSize) {
-		t.Fatalf("realloc to 0 = %v", err)
-	}
-}
-
-// TestDoubleFreeIsTypedAndHarmless: a double free returns ErrDoubleFree
-// (not a panic, not free-list corruption): the chunk accounting stays
-// consistent and every other allocation remains usable.
 func TestDoubleFreeIsTypedAndHarmless(t *testing.T) {
 	_, _, h := newHeap(t, 256, alloc.PolicyRetain)
 	p1, _ := h.Malloc(64)

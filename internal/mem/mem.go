@@ -36,9 +36,6 @@ type PageNum uint64
 // Page returns the frame number containing the address.
 func (a Addr) Page() PageNum { return PageNum(a >> PageShift) }
 
-// Offset returns the byte offset of the address within its frame.
-func (a Addr) Offset() int { return int(a & (PageSize - 1)) }
-
 // Base returns the physical address of the first byte of the frame.
 func (p PageNum) Base() Addr { return Addr(p) << PageShift }
 

@@ -59,22 +59,18 @@ func TestNewBootsFreeAndZero(t *testing.T) {
 
 func TestAddrConversions(t *testing.T) {
 	tests := []struct {
-		addr   Addr
-		page   PageNum
-		offset int
+		addr Addr
+		page PageNum
 	}{
-		{0, 0, 0},
-		{1, 0, 1},
-		{PageSize - 1, 0, PageSize - 1},
-		{PageSize, 1, 0},
-		{3*PageSize + 17, 3, 17},
+		{0, 0},
+		{1, 0},
+		{PageSize - 1, 0},
+		{PageSize, 1},
+		{3*PageSize + 17, 3},
 	}
 	for _, tt := range tests {
 		if got := tt.addr.Page(); got != tt.page {
 			t.Errorf("Addr(%d).Page() = %d, want %d", tt.addr, got, tt.page)
-		}
-		if got := tt.addr.Offset(); got != tt.offset {
-			t.Errorf("Addr(%d).Offset() = %d, want %d", tt.addr, got, tt.offset)
 		}
 	}
 	if got := PageNum(5).Base(); got != Addr(5*PageSize) {

@@ -183,12 +183,3 @@ func MapUntil[T any](workers, n int, cell func(i int) (T, error), stop func(i in
 	}
 	return out, ran, nil
 }
-
-// Each is Map for cells that produce no value (side effects into
-// caller-owned, per-cell slots).
-func Each(workers, n int, cell func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, cell(i)
-	})
-	return err
-}

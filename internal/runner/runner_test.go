@@ -149,25 +149,6 @@ func TestMapSingleWorkerStopsAtFirstError(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	slots := make([]int, 30)
-	if err := Each(4, len(slots), func(i int) error {
-		slots[i] = i * i
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range slots {
-		if v != i*i {
-			t.Fatalf("slot %d = %d", i, v)
-		}
-	}
-	wantErr := errors.New("each fails")
-	if err := Each(2, 4, func(int) error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("Each error = %v", err)
-	}
-}
-
 func TestMapUntilEmpty(t *testing.T) {
 	out, ran, err := MapUntil(4, 0,
 		func(i int) (int, error) { return i, nil },

@@ -76,9 +76,9 @@ type Config struct {
 	HSM *hsm.Slot
 	// Status, when set, receives the run's fail-closed protection record:
 	// Start failures refuse it, steady-state teardown failures degrade it.
-	// When nil the server tracks one internally; read it with
-	// Server.Status(). Passing it in lets a caller observe the refusal
-	// reason even when Start returns a nil *Server.
+	// When nil the server tracks one internally. Passing it in lets a
+	// caller observe the refusal reason even when Start returns a nil
+	// *Server.
 	Status *protect.Status
 }
 
@@ -351,9 +351,6 @@ func (s *Server) reapWorker(w *worker) error {
 
 // ParentPID returns the parent process's PID.
 func (s *Server) ParentPID() int { return s.parentPID }
-
-// Status returns the run's fail-closed protection record.
-func (s *Server) Status() *protect.Status { return s.status }
 
 // Stats returns a snapshot of the activity counters.
 func (s *Server) Stats() Stats { return s.stats }

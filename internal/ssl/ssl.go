@@ -101,9 +101,6 @@ func (b *BigNum) ReadInto(dst []byte) ([]byte, error) {
 	return v, nil
 }
 
-// Addr returns the virtual address of the digit buffer (for tests).
-func (b *BigNum) Addr() vm.VAddr { return b.ptr }
-
 // Size returns the buffer size in bytes.
 func (b *BigNum) Size() int { return b.size }
 
@@ -476,9 +473,6 @@ func (r *RSA) SealAtRest(prekeyRand io.Reader, inj *fault.Injector, opts ...seal
 	return nil
 }
 
-// SealedAtRest reports whether the key is sealed between operations.
-func (r *RSA) SealedAtRest() bool { return r.sealed != nil }
-
 // SealCompromised reports whether a failed reseal destroyed the sealed
 // region (the key is gone; its pages were scrubbed, never left plaintext),
 // and the original cause.
@@ -618,17 +612,6 @@ func (c *bnCtx) read(buf []byte, i int, bn *BigNum) ([]byte, error) {
 func (r *RSA) PrivateOp(input []byte) ([]byte, error) {
 	var ctx bnCtx
 	return r.withKey(input, &ctx)
-}
-
-// SignPKCS1v15 produces an RSASSA-PKCS1-v1_5/SHA-256 signature using the
-// key bytes in simulated memory (the host-key proof path): the encoded
-// digest goes through PrivateOp, with the same cache behaviour.
-func (r *RSA) SignPKCS1v15(msg []byte) ([]byte, error) {
-	em, err := rsakey.EncodePKCS1v15(msg, (r.pub.N.BitLen()+7)/8)
-	if err != nil {
-		return nil, err
-	}
-	return r.PrivateOp(em)
 }
 
 // DisableCaching clears RSA_FLAG_CACHE_PRIVATE and RSA_FLAG_CACHE_PUBLIC

@@ -605,9 +605,6 @@ func TestBigNumAccessors(t *testing.T) {
 	if err != nil || !bytes.Equal(v, f.key.P.Bytes()) {
 		t.Fatalf("Bytes mismatch: %v", err)
 	}
-	if bn.Addr() == 0 {
-		t.Fatal("Addr should be nonzero")
-	}
 }
 
 func TestAlignedRegionErrorWhenNotAligned(t *testing.T) {
@@ -653,37 +650,5 @@ func TestDisableCaching(t *testing.T) {
 	}
 	if err := r.DisableCaching(); err == nil {
 		t.Fatal("DisableCaching after free should error")
-	}
-}
-
-func TestSignPKCS1v15InSimMemory(t *testing.T) {
-	f := newFixture(t)
-	r := f.load(t)
-	msg := []byte("host key proof")
-	sig, err := r.SignPKCS1v15(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := r.PublicKey()
-	if err := pub.VerifyPKCS1v15(msg, sig); err != nil {
-		t.Fatal(err)
-	}
-	// Same cache semantics as PrivateOp.
-	if !r.HasMontCache() {
-		t.Fatal("signing should build the cache")
-	}
-	// Matches the host-side computation.
-	want, err := f.key.SignPKCS1v15(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sig, want) {
-		t.Fatal("in-sim signature != host-side signature")
-	}
-	if err := r.Free(false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.SignPKCS1v15(msg); !errors.Is(err, ErrFreed) {
-		t.Fatalf("sign after free = %v", err)
 	}
 }

@@ -83,34 +83,6 @@ func Rate(successes, trials int) float64 {
 	return float64(successes) / float64(trials)
 }
 
-// Min returns the minimum of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 {
 	if len(xs) < 2 {

@@ -21,16 +21,6 @@ func TestRate(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min=%v Max=%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty Min/Max should be 0")
-	}
-}
-
 func TestStdDev(t *testing.T) {
 	if StdDev([]float64{5}) != 0 || StdDev(nil) != 0 {
 		t.Fatal("degenerate StdDev should be 0")

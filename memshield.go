@@ -38,7 +38,6 @@ import (
 	"runtime"
 
 	"memshield/internal/attack/ext2leak"
-	"memshield/internal/attack/swapleak"
 	"memshield/internal/attack/ttyleak"
 	"memshield/internal/core"
 	"memshield/internal/crypto/rsakey"
@@ -52,9 +51,7 @@ import (
 	"memshield/internal/scan"
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
-	"memshield/internal/sim"
 	"memshield/internal/stats"
-	"memshield/internal/workload"
 )
 
 // Protection re-exports the countermeasure levels of the paper's Section 4.
@@ -94,8 +91,6 @@ type MachineConfig struct {
 	// passed to StartSSH/StartApache must match or strengthen it. Use the
 	// same level in both places (the helpers on Machine do).
 	Protection Protection
-	// FixedExt2 applies the upstream ext2 fix (the mkdir leak vanishes).
-	FixedExt2 bool
 	// Seed makes the machine deterministic (free-list scrambling, keys).
 	Seed int64
 	// SkipScramble leaves the free lists in pristine boot order (useful
@@ -137,7 +132,6 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 		SwapPages:     cfg.SwapMB * 1024 * 1024 / mem.PageSize,
 		EncryptSwap:   cfg.EncryptSwap,
 		DeallocPolicy: cfg.Protection.KernelPolicy(),
-		FSLeakFixed:   cfg.FixedExt2,
 		TraceEvents:   cfg.TraceEvents,
 	})
 	if err != nil {
@@ -239,13 +233,6 @@ func (m *Machine) RunTTYAttackFraction(key *Key, trial int64, fraction float64) 
 		ttyleak.Config{Fraction: fraction, Jitter: 0.0001})
 }
 
-// RunSwapAttack reads the machine's raw swap device and searches it for the
-// key — the stolen-disk surface from the paper's related work (Gutmann,
-// Provos). Defeated by mlock on the key page or by swap encryption.
-func (m *Machine) RunSwapAttack(key *Key) swapleak.Result {
-	return swapleak.Run(m.k, key.Patterns())
-}
-
 // KeyRecovery re-exports the public-key-only recovery result.
 type (
 	// KeyRecovery is the outcome of RecoverKey.
@@ -297,26 +284,6 @@ func (m *Machine) VerifyProtection(key *Key) error {
 // Tick advances simulated time (drains secure-deallocation queues).
 func (m *Machine) Tick() { m.k.Tick() }
 
-// Timeline re-exports the paper's 29-tick timeline experiment.
-type (
-	// TimelineConfig configures a timeline run.
-	TimelineConfig = sim.Config
-	// TimelineResult is the per-tick scanner data.
-	TimelineResult = sim.Result
-)
-
-// Server kinds for timelines.
-const (
-	ServerSSH    = sim.KindSSH
-	ServerApache = sim.KindApache
-)
-
-// RunTimeline executes the paper's runsimulation.pl schedule: start server,
-// ramp traffic 0→8→16→8→0, stop server, scanning memory after every tick.
-func RunTimeline(cfg TimelineConfig) (*TimelineResult, error) {
-	return sim.Run(cfg)
-}
-
 // FigureConfig configures figure regeneration.
 type FigureConfig = figures.Config
 
@@ -339,9 +306,6 @@ type (
 	HSMSlot = hsm.Slot
 )
 
-// NewHSM powers on an empty hardware security module.
-func NewHSM() *HSMModule { return hsm.New() }
-
 // ProvisionHSMKey generates a fresh key directly inside a new HSM — it is
 // never written to the simulated filesystem or any process memory — and
 // returns both the Key descriptor (so the scanner can verify the machine
@@ -363,30 +327,4 @@ func (m *Machine) ProvisionHSMKey(bits int) (*Key, *HSMSlot, error) {
 // HSM slot; no key byte ever enters simulated memory.
 func (m *Machine) StartSSHWithHSM(slot *HSMSlot) (*sshd.Server, error) {
 	return sshd.Start(m.k, sshd.Config{Level: ProtectionIntegrated, HSM: slot, Seed: m.seed + 2})
-}
-
-// StartApacheWithHSM starts an Apache server whose TLS key lives inside the
-// HSM slot.
-func (m *Machine) StartApacheWithHSM(slot *HSMSlot) (*httpd.Server, error) {
-	return httpd.Start(m.k, httpd.Config{Level: ProtectionIntegrated, HSM: slot, Seed: m.seed + 2})
-}
-
-// Benchmark re-exports for downstream performance studies.
-type (
-	// SSHBenchConfig configures the Figure-8 scp benchmark.
-	SSHBenchConfig = workload.SSHBenchConfig
-	// ApacheBenchConfig configures the Figure-19/20 siege benchmark.
-	ApacheBenchConfig = workload.ApacheBenchConfig
-	// PerfResult carries the paper's four performance metrics.
-	PerfResult = workload.PerfResult
-)
-
-// RunSSHBenchmark runs the scp stress benchmark at one protection level.
-func RunSSHBenchmark(cfg SSHBenchConfig) (PerfResult, error) {
-	return workload.RunSSHBench(cfg)
-}
-
-// RunApacheBenchmark runs the siege benchmark at one protection level.
-func RunApacheBenchmark(cfg ApacheBenchConfig) (PerfResult, error) {
-	return workload.RunApacheBench(cfg)
 }

@@ -105,16 +105,6 @@ func TestProtectedMachineThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRunTimelineFacade(t *testing.T) {
-	res, err := RunTimeline(TimelineConfig{Kind: ServerSSH, Level: ProtectionIntegrated, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) != 30 {
-		t.Fatalf("samples = %d", len(res.Samples))
-	}
-}
-
 func TestRunFigureFacade(t *testing.T) {
 	out, err := RunFigure("fig15", FigureConfig{Seed: 5, Scale: 0.1, MemPages: 4096})
 	if err != nil {
@@ -128,27 +118,6 @@ func TestRunFigureFacade(t *testing.T) {
 	}
 	if _, err := RunFigure("bogus", FigureConfig{}); err == nil {
 		t.Fatal("bogus figure should error")
-	}
-}
-
-func TestBenchmarksThroughFacade(t *testing.T) {
-	res, err := RunSSHBenchmark(SSHBenchConfig{
-		Level: ProtectionKernel, Concurrency: 3, TotalTransfers: 30, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TransactionRate <= 0 {
-		t.Fatal("bad rate")
-	}
-	res2, err := RunApacheBenchmark(ApacheBenchConfig{
-		Level: ProtectionKernel, Concurrency: 3, Transactions: 30, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.TransactionRate <= 0 {
-		t.Fatal("bad rate")
 	}
 }
 
@@ -185,37 +154,6 @@ func TestHSMFacade(t *testing.T) {
 	}
 	if full.Success {
 		t.Fatal("full dump against HSM-backed server must fail")
-	}
-	// Apache variant boots too.
-	m2, err := NewMachine(MachineConfig{MemoryMB: 16, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, slot2, err := m2.ProvisionHSMKey(512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2, err := m2.StartApacheWithHSM(slot2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv2.Connect(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSwapAttackFacade(t *testing.T) {
-	m, err := NewMachine(MachineConfig{MemoryMB: 8, SwapMB: 1, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := m.InstallKey("/k.pem", 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Nothing swapped yet: device clean.
-	if res := m.RunSwapAttack(key); res.Success {
-		t.Fatal("clean swap should hold nothing")
 	}
 }
 
