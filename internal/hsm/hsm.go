@@ -24,11 +24,9 @@ import (
 	"memshield/internal/crypto/rsakey"
 )
 
-// Errors reported by the device.
-var (
-	ErrNoSlot    = errors.New("hsm: no such key slot")
-	ErrSlotEmpty = errors.New("hsm: slot destroyed")
-)
+// ErrNoSlot is reported for a key slot that does not exist (never
+// imported, or destroyed) and for a nil key to import.
+var ErrNoSlot = errors.New("hsm: no such key slot")
 
 // Module is one simulated hardware security module.
 type Module struct {
