@@ -142,23 +142,25 @@ unlinked:
 	awk -F'\t' 'NR == FNR { linked[$$0]; next } !($$1 in linked) { print $$2 "\t" $$1; n++ } \
 		END { printf "%d functions no binary links\n", n }' "$$tmp/linked" "$$tmp/decl"
 
-# Short fuzz smoke over every fuzz target (30s each).
+# Short fuzz smoke over every fuzz target (30s each). Each new
+# interesting input is minimized for at most 1s: at the default of 60s
+# one minimization can use up a whole 30s run.
 fuzz:
-	$(GO) test -fuzz=FuzzReadInteger -fuzztime=30s ./internal/crypto/der
-	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/crypto/pemfile
-	$(GO) test -fuzz=FuzzParseDER -fuzztime=30s ./internal/crypto/rsakey
-	$(GO) test -fuzz=FuzzMontExp -fuzztime=30s ./internal/crypto/rsakey
-	$(GO) test -fuzz=FuzzPublicExp -fuzztime=30s ./internal/crypto/rsakey
-	$(GO) test -fuzz=FuzzProbablePrime -fuzztime=30s ./internal/crypto/rsakey
-	$(GO) test -fuzz=FuzzLucas -fuzztime=30s ./internal/crypto/rsakey
-	$(GO) test -fuzz=FuzzMontMul -fuzztime=30s ./internal/crypto/rsakey
-	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s ./internal/scan
-	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s ./internal/scan
-	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s ./internal/keyfinder
-	$(GO) test -fuzz=FuzzStorm -fuzztime=30s ./internal/supervise
-	$(GO) test -fuzz=FuzzAllocMatchesReference -fuzztime=30s ./internal/kernel/alloc
-	$(GO) test -fuzz=FuzzVMRecycle -fuzztime=30s ./internal/kernel/vm
-	$(GO) test -fuzz=FuzzZeroedFrames -fuzztime=30s ./internal/mem
+	$(GO) test -fuzz=FuzzReadInteger -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/der
+	$(GO) test -fuzz=FuzzDecode -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/pemfile
+	$(GO) test -fuzz=FuzzParseDER -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzMontExp -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzPublicExp -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzProbablePrime -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzLucas -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzMontMul -fuzztime=30s -fuzzminimizetime=1s ./internal/crypto/rsakey
+	$(GO) test -fuzz=FuzzFindPlanted -fuzztime=30s -fuzzminimizetime=1s ./internal/scan
+	$(GO) test -fuzz=FuzzEngineMatchesReference -fuzztime=30s -fuzzminimizetime=1s ./internal/scan
+	$(GO) test -fuzz=FuzzKeyfinderDERWalk -fuzztime=30s -fuzzminimizetime=1s ./internal/keyfinder
+	$(GO) test -fuzz=FuzzStorm -fuzztime=30s -fuzzminimizetime=1s ./internal/supervise
+	$(GO) test -fuzz=FuzzAllocMatchesReference -fuzztime=30s -fuzzminimizetime=1s ./internal/kernel/alloc
+	$(GO) test -fuzz=FuzzVMRecycle -fuzztime=30s -fuzzminimizetime=1s ./internal/kernel/vm
+	$(GO) test -fuzz=FuzzZeroedFrames -fuzztime=30s -fuzzminimizetime=1s ./internal/mem
 
 figures:
 	$(GO) run ./cmd/figures -all

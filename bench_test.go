@@ -9,10 +9,12 @@ import (
 	"flag"
 	"testing"
 
+	"memshield/internal/crypto/rsakey"
 	"memshield/internal/figures"
 	"memshield/internal/mem"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
+	"memshield/internal/stats"
 	"memshield/internal/workload"
 )
 
@@ -352,7 +354,7 @@ func BenchmarkExt2MkdirLeak(b *testing.B) {
 func BenchmarkWorkloadSSHBench(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := workload.RunSSHBench(workload.SSHBenchConfig{
-			Level: protect.LevelIntegrated, Concurrency: 10, TotalTransfers: 200, Seed: int64(i),
+			Level: protect.LevelIntegrated, TotalTransfers: 200, Seed: int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -363,23 +365,14 @@ func BenchmarkWorkloadSSHBench(b *testing.B) {
 	}
 }
 
+// BenchmarkKeyGeneration512 generates the key a machine seeded i would
+// install first (InstallKey's stream), with no machine around it.
 func BenchmarkKeyGeneration512(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		key, err := generateBenchKey(int64(i))
-		if err != nil {
+		if _, err := rsakey.Generate(stats.NewReader(int64(i)+100), 512); err != nil {
 			b.Fatal(err)
 		}
-		_ = key
 	}
-}
-
-// generateBenchKey isolates the keygen dependency for the benchmark.
-func generateBenchKey(seed int64) (any, error) {
-	m, err := NewMachine(MachineConfig{MemoryMB: 1, Seed: seed, SkipScramble: true})
-	if err != nil {
-		return nil, err
-	}
-	return m.InstallKey("/k.pem", 512)
 }
 
 // --- Extension experiments ---

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"memshield"
 	"memshield/internal/protect"
@@ -39,6 +40,11 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	for _, name := range []string{"conns", "dirs", "trials"} {
+		if n, _ := strconv.Atoi(fs.Lookup(name).Value.String()); n < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", name, n)
+		}
 	}
 	lvl, err := protect.ParseLevel(*level)
 	if err != nil {

@@ -42,4 +42,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-attack", "rowhammer", "-conns", "1", "-mem-mb", "16"}, &out); err == nil {
 		t.Fatal("bad attack: want error")
 	}
+	// A negative count is refused, naming its flag, before a machine boots.
+	for _, flag := range []string{"-conns", "-dirs", "-trials"} {
+		out.Reset()
+		err := run([]string{flag, "-3"}, &out)
+		if err == nil || !strings.Contains(err.Error(), flag) || out.Len() != 0 {
+			t.Fatalf("%s -3: err = %v, output %q; want an error naming the flag and no output", flag, err, out.String())
+		}
+	}
 }

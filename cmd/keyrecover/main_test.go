@@ -57,4 +57,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-dump", "lasers", "-conns", "1", "-mem-mb", "8"}, &out); err == nil {
 		t.Fatal("bad dump kind: want error")
 	}
+	// A negative count is refused, naming its flag, before a machine boots.
+	for _, flag := range []string{"-conns"} {
+		out.Reset()
+		err := run([]string{flag, "-3"}, &out)
+		if err == nil || !strings.Contains(err.Error(), flag) || out.Len() != 0 {
+			t.Fatalf("%s -3: err = %v, output %q; want an error naming the flag and no output", flag, err, out.String())
+		}
+	}
 }

@@ -40,6 +40,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *conns < 0 {
+		return fmt.Errorf("-conns must not be negative, got %d", *conns)
+	}
 	lvl, err := protect.ParseLevel(*level)
 	if err != nil {
 		return err

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"memshield/internal/fleet"
@@ -69,6 +70,11 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	for _, name := range []string{"storms", "steps", "fleet", "rounds", "budget"} {
+		if n, _ := strconv.Atoi(fs.Lookup(name).Value.String()); n < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", name, n)
+		}
 	}
 	kind, err := parseKind(*server)
 	if err != nil {

@@ -98,4 +98,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-level", "paranoid"}, &out); err == nil {
 		t.Fatal("unknown level must error")
 	}
+	// A negative count is refused, naming its flag, before a machine boots.
+	for _, flag := range []string{"-storms", "-steps", "-fleet", "-rounds", "-budget"} {
+		out.Reset()
+		err := run([]string{flag, "-3"}, &out)
+		if err == nil || !strings.Contains(err.Error(), flag) || out.Len() != 0 {
+			t.Fatalf("%s -3: err = %v, output %q; want an error naming the flag and no output", flag, err, out.String())
+		}
+	}
 }

@@ -78,7 +78,7 @@ func TestGoldenApacheStartup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range res.Samples {
-		if s.Tick != res.Config.Schedule.StartServer {
+		if s.Tick != sim.DefaultSchedule().StartServer {
 			continue
 		}
 		if s.Summary.ByPart[scan.PartD] != 2 || s.Summary.ByPart[scan.PartPEM] != 1 || s.Summary.Total != 7 {

@@ -26,9 +26,7 @@ import (
 	"fmt"
 	"sort"
 
-	"memshield/internal/crypto/rsakey"
 	"memshield/internal/crypto/seal"
-	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/libc"
 	"memshield/internal/protect"
@@ -58,8 +56,6 @@ type Config struct {
 	MaxSpareServers int
 	// MaxClients caps the worker pool (Apache default 150; scaled down).
 	MaxClients int
-	// RequestBufferBytes is the per-request buffer churn size (8 KiB).
-	RequestBufferBytes int
 	// Seed drives handshake nonces deterministically.
 	Seed int64
 	// SealEpoch selects the sealed parent key's provisioning generation
@@ -70,10 +66,6 @@ type Config struct {
 	// destroy (internal/supervise) passes successive epochs, so each
 	// generation seals under a fresh prekey and a disjoint epoch range.
 	SealEpoch int64
-	// HSM, when set, backs the TLS key with a hardware security module
-	// slot: no key material ever enters machine memory (the paper's
-	// "special hardware" endpoint). KeyPath is unused in this mode.
-	HSM *hsm.Slot
 	// Status, when set, receives the run's fail-closed protection record:
 	// Start failures refuse it, steady-state teardown failures degrade it.
 	// When nil the server tracks one internally. Passing it in lets a
@@ -95,9 +87,6 @@ func (c *Config) applyDefaults() {
 	if c.MaxClients == 0 {
 		c.MaxClients = 64
 	}
-	if c.RequestBufferBytes == 0 {
-		c.RequestBufferBytes = 8 * 1024
-	}
 	if c.StartServers > c.MaxClients {
 		c.StartServers = c.MaxClients
 	}
@@ -117,30 +106,14 @@ type Stats struct {
 	Disconnections int
 }
 
-// keyBackend is what a worker needs from the TLS key: the private
-// operation and the public half.
-type keyBackend struct {
-	op  privateOp
-	pub rsakey.PublicKey
-}
-
-// privateOp is the private half of a key: *ssl.RSA and *hsm.Slot both
-// have it. Holding the key as an interface, not a method value, costs
-// no allocation per worker.
-type privateOp interface {
-	PrivateOp(input []byte) ([]byte, error)
-}
-
-// softwareBackend adapts an in-memory RSA object.
-func softwareBackend(r *ssl.RSA) keyBackend {
-	return keyBackend{op: r, pub: r.PublicKey()}
-}
+// requestBufferBytes is the per-request buffer churn size.
+const requestBufferBytes = 8 * 1024
 
 type worker struct {
 	pid      int
 	heap     *libc.Heap
-	key      keyBackend
-	busyConn int // 0 = idle
+	key      *ssl.RSA // the parent's when sealed, the worker's own copy otherwise
+	busyConn int      // 0 = idle
 	served   int
 }
 
@@ -151,8 +124,7 @@ type Server struct {
 
 	parentPID  int
 	parentHeap *libc.Heap
-	parentRSA  *ssl.RSA // nil in HSM mode
-	hsmKey     keyBackend
+	parentRSA  *ssl.RSA
 
 	workers  []*worker
 	conns    map[int]*worker
@@ -195,56 +167,48 @@ func Start(k *kernel.Kernel, cfg Config) (*Server, error) {
 		running:    true,
 	}
 
-	if cfg.HSM != nil {
-		pub, err := cfg.HSM.PublicKey()
-		if err != nil {
-			return nil, s.refuse(fmt.Errorf("httpd: hsm: %w", err))
-		}
-		s.hsmKey = keyBackend{op: cfg.HSM, pub: pub}
-	} else {
-		// Apache's double config pass: the key is loaded once per pass, and
-		// the first generation is only discarded after the second is built
-		// (old config lives until the new one is ready), so its chunks are
-		// not recycled by the second load. On the unpatched system the
-		// discard is a plain free — the stale d/p/q bytes behind the paper's
-		// observation that the key "appears multiple times" right at
-		// startup. With the aligned library the teardown scrubs
-		// (BN_FLG_STATIC_DATA's controlled release).
-		first, err := loadTLSKey(k, s.parentHeap, cfg)
-		if err != nil {
-			return nil, s.refuse(err)
-		}
-		parentRSA, err := loadTLSKey(k, s.parentHeap, cfg)
-		if err != nil {
-			// The first generation is live and must not be abandoned
-			// un-scrubbed on the refusal path.
-			return nil, s.refuse(errors.Join(err, first.Free(true)))
-		}
-		if err := first.Free(cfg.Level.MinimizesCopies()); err != nil {
-			return nil, s.refuse(errors.Join(
-				fmt.Errorf("httpd: config pass: %w", err), parentRSA.Free(true)))
-		}
-		if cfg.Level.SealsAtRest() {
-			// Seal the operational key once the config pass settles (the
-			// throwaway first generation is already scrubbed). The prekey
-			// stream is derived from the server seed (sub-stream 4; nonces
-			// use the raw seed); a re-provisioned generation (SealEpoch > 0)
-			// folds the epoch into the derivation and starts the region's
-			// epoch counter in its own disjoint range. A seal that cannot be
-			// established leaves plaintext behind — scrub it and refuse.
-			prekeySeed := stats.DeriveSeed(cfg.Seed, 4)
-			var sealOpts []seal.Option
-			if cfg.SealEpoch != 0 {
-				prekeySeed = stats.DeriveSeed(cfg.Seed, 4, cfg.SealEpoch)
-				sealOpts = append(sealOpts, seal.WithStartEpoch(uint64(cfg.SealEpoch)<<32))
-			}
-			if err := parentRSA.SealAtRest(stats.NewReader(prekeySeed), k.Injector(), sealOpts...); err != nil {
-				return nil, s.refuse(errors.Join(
-					fmt.Errorf("httpd: TLS key: %w", err), parentRSA.Free(true)))
-			}
-		}
-		s.parentRSA = parentRSA
+	// Apache's double config pass: the key is loaded once per pass, and
+	// the first generation is only discarded after the second is built
+	// (old config lives until the new one is ready), so its chunks are
+	// not recycled by the second load. On the unpatched system the
+	// discard is a plain free — the stale d/p/q bytes behind the paper's
+	// observation that the key "appears multiple times" right at
+	// startup. With the aligned library the teardown scrubs
+	// (BN_FLG_STATIC_DATA's controlled release).
+	first, err := loadTLSKey(k, s.parentHeap, cfg)
+	if err != nil {
+		return nil, s.refuse(err)
 	}
+	parentRSA, err := loadTLSKey(k, s.parentHeap, cfg)
+	if err != nil {
+		// The first generation is live and must not be abandoned
+		// un-scrubbed on the refusal path.
+		return nil, s.refuse(errors.Join(err, first.Free(true)))
+	}
+	if err := first.Free(cfg.Level.MinimizesCopies()); err != nil {
+		return nil, s.refuse(errors.Join(
+			fmt.Errorf("httpd: config pass: %w", err), parentRSA.Free(true)))
+	}
+	if cfg.Level.SealsAtRest() {
+		// Seal the operational key once the config pass settles (the
+		// throwaway first generation is already scrubbed). The prekey
+		// stream is derived from the server seed (sub-stream 4; nonces
+		// use the raw seed); a re-provisioned generation (SealEpoch > 0)
+		// folds the epoch into the derivation and starts the region's
+		// epoch counter in its own disjoint range. A seal that cannot be
+		// established leaves plaintext behind — scrub it and refuse.
+		prekeySeed := stats.DeriveSeed(cfg.Seed, 4)
+		var sealOpts []seal.Option
+		if cfg.SealEpoch != 0 {
+			prekeySeed = stats.DeriveSeed(cfg.Seed, 4, cfg.SealEpoch)
+			sealOpts = append(sealOpts, seal.WithStartEpoch(uint64(cfg.SealEpoch)<<32))
+		}
+		if err := parentRSA.SealAtRest(stats.NewReader(prekeySeed), k.Injector(), sealOpts...); err != nil {
+			return nil, s.refuse(errors.Join(
+				fmt.Errorf("httpd: TLS key: %w", err), parentRSA.Free(true)))
+		}
+	}
+	s.parentRSA = parentRSA
 	for i := 0; i < cfg.StartServers; i++ {
 		if _, err := s.forkWorker(); err != nil {
 			return nil, s.refuse(err)
@@ -312,17 +276,14 @@ func (s *Server) forkWorker() (*worker, error) {
 	}
 	heap := s.parentHeap.Clone(pid)
 	w := &worker{pid: pid, heap: heap}
-	switch {
-	case s.cfg.HSM != nil:
-		w.key = s.hsmKey
-	case s.cfg.Level.SealsAtRest():
+	if s.cfg.Level.SealsAtRest() {
 		// Sealed key: the worker COW-shares only ciphertext and delegates
 		// every private operation to the parent (the HSM pattern) — the
 		// decrypt window only ever opens in the parent's address space,
 		// whose writes COW-split privately away from the pool.
-		w.key = softwareBackend(s.parentRSA)
-	default:
-		w.key = softwareBackend(s.parentRSA.CloneFor(heap))
+		w.key = s.parentRSA
+	} else {
+		w.key = s.parentRSA.CloneFor(heap)
 	}
 	s.workers = append(s.workers, w)
 	s.stats.WorkersForked++
@@ -424,9 +385,6 @@ func (s *Server) Connect() (int, error) {
 // plaintext), so every weaker guarantee still holds, but the sealed claim
 // is gone and further handshakes will be refused.
 func (s *Server) noteSealCompromise() {
-	if s.parentRSA == nil {
-		return
-	}
 	if compromised, cause := s.parentRSA.SealCompromised(); compromised {
 		s.status.Degrade(protect.GuaranteeSealedAtRest,
 			fmt.Sprintf("reseal failed, key destroyed fail-closed: %v", cause))
@@ -437,14 +395,14 @@ func (s *Server) noteSealCompromise() {
 // client's premaster blob with the private key and verify the result.
 func (s *Server) handshake(w *worker) error {
 	s.nonce++
-	pub := w.key.pub
+	pub := w.key.PublicKey()
 	premaster := s.scratch.Fill(pub.N.BitLen()/8-1, s.nonce)
 	premaster[0] &= 0x7F
 	blob, err := pub.PublicOp(premaster)
 	if err != nil {
 		return fmt.Errorf("httpd: handshake: %w", err)
 	}
-	plain, err := w.key.op.PrivateOp(blob)
+	plain, err := w.key.PrivateOp(blob)
 	if err != nil {
 		return fmt.Errorf("httpd: handshake: %w", err)
 	}
@@ -465,7 +423,7 @@ func (s *Server) Request(connID, n int) error {
 	}
 	remaining := n
 	for remaining > 0 {
-		sz := s.cfg.RequestBufferBytes
+		sz := requestBufferBytes
 		if sz > remaining {
 			sz = remaining
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"memshield/internal/crypto/rsakey"
-	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/kernel/alloc"
 	"memshield/internal/protect"
@@ -327,54 +326,6 @@ func TestDisconnectUnknown(t *testing.T) {
 	s := r.start(t, protect.LevelNone)
 	if err := s.Disconnect(42); !errors.Is(err, ErrNoConn) {
 		t.Fatalf("disconnect unknown = %v", err)
-	}
-}
-
-func TestHSMBackedApacheLeavesNoKeyInMemory(t *testing.T) {
-	r := newRig(t, protect.LevelNone)
-	device := hsm.New()
-	slot, err := device.Import(r.key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Start(r.k, Config{
-		Level: protect.LevelNone,
-		HSM:   &hsm.Slot{Module: device, ID: slot},
-		Seed:  9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Workers() != 5 {
-		t.Fatal("pool should still prefork")
-	}
-	var ids []int
-	for i := 0; i < 8; i++ {
-		id, err := s.Connect()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	if sum := r.summary(); sum.Total != 0 {
-		t.Fatalf("HSM-backed apache: %d copies in memory, want 0", sum.Total)
-	}
-	for _, id := range ids {
-		if err := s.Disconnect(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.MaintainSpares(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if sum := r.summary(); sum.Total != 0 {
-		t.Fatalf("after stop: %d copies", sum.Total)
-	}
-	if device.Ops() != 8 {
-		t.Fatalf("device ops = %d, want 8", device.Ops())
 	}
 }
 

@@ -13,9 +13,7 @@ import (
 	"fmt"
 
 	"memshield/internal/crypto/rsakey"
-	"memshield/internal/fault"
 	"memshield/internal/host"
-	"memshield/internal/hsm"
 	"memshield/internal/kernel"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
@@ -23,7 +21,6 @@ import (
 	"memshield/internal/server/httpd"
 	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
-	"memshield/internal/supervise"
 )
 
 // ServerKind selects which case study to run.
@@ -49,7 +46,7 @@ func (k ServerKind) String() string {
 // KeyPath is where the simulated host/TLS key lives.
 const KeyPath = "/etc/ssl/private/server.key"
 
-// Schedule holds the event ticks (defaults match the paper; unit = 2 min).
+// Schedule holds the event ticks (unit = 2 min).
 type Schedule struct {
 	StartServer int // server starts (t=2)
 	TrafficLow  int // first client: 8 concurrent transfers (t=6)
@@ -60,7 +57,7 @@ type Schedule struct {
 	End         int // simulation ends (t=29)
 }
 
-// DefaultSchedule returns the paper's timeline.
+// DefaultSchedule returns the paper's timeline, the one Run follows.
 func DefaultSchedule() Schedule {
 	return Schedule{
 		StartServer: 2, TrafficLow: 6, TrafficHigh: 10,
@@ -68,17 +65,28 @@ func DefaultSchedule() Schedule {
 	}
 }
 
+// The paper's traffic: two plateaus of 8 and 16 concurrent transfers of
+// 102 KiB (its average benchmark file). Each transfer lasts ~4 s against
+// a 2-minute tick, so every connection slot is recycled churnRounds
+// times per tick.
+const (
+	lowConns      = 8
+	highConns     = 16
+	churnRounds   = 2
+	transferBytes = 102 * 1024
+)
+
 // targetConns returns the concurrent-transfer target at a tick.
-func (s Schedule) targetConns(tick, low, high int) int {
+func (s Schedule) targetConns(tick int) int {
 	switch {
 	case tick < s.TrafficLow:
 		return 0
 	case tick < s.TrafficHigh:
-		return low
+		return lowConns
 	case tick < s.TrafficMid:
-		return high
+		return highConns
 	case tick < s.TrafficOff:
-		return low
+		return lowConns
 	default:
 		return 0
 	}
@@ -95,33 +103,9 @@ type Config struct {
 	KeyBits int
 	// Seed drives key generation, free-list scrambling and payloads.
 	Seed int64
-	// Schedule defaults to the paper's.
-	Schedule Schedule
-	// LowConns/HighConns are the two traffic plateaus (8 / 16).
-	LowConns  int
-	HighConns int
-	// ChurnRounds is how many times per tick each connection slot is
-	// recycled (each scp/wget transfer lasts ~4 s against a 2-minute
-	// tick, so slots recycle constantly; default 2).
-	ChurnRounds int
-	// TransferBytes per transfer (default 102 KiB, the paper's average
-	// benchmark file size).
-	TransferBytes int
-	// FaultPlan, when set, arms deterministic fault injection across the
-	// machine's syscall surface for this run (see internal/fault). Nil —
-	// the default — leaves every golden timeline byte-identical.
-	FaultPlan *fault.Plan
 	// ScanWorkers is the shard fan-out for the per-tick memory scan
 	// (0 = one per CPU). Any value yields byte-identical samples.
 	ScanWorkers int
-	// Recovery, when set, runs the server under a supervisor with this
-	// retry policy (internal/supervise): transient workload failures are
-	// retried with seeded backoff, a destroyed sealed key re-provisions
-	// from an escrow anchor, and per-tick errors no longer abort the
-	// timeline — the sample stream records the outage instead. Nil — the
-	// default — keeps the raw fail-closed servers and every golden
-	// timeline byte-identical.
-	Recovery *supervise.Policy
 }
 
 func (c *Config) applyDefaults() {
@@ -130,21 +114,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.KeyBits == 0 {
 		c.KeyBits = 512
-	}
-	if c.Schedule == (Schedule{}) {
-		c.Schedule = DefaultSchedule()
-	}
-	if c.LowConns == 0 {
-		c.LowConns = 8
-	}
-	if c.HighConns == 0 {
-		c.HighConns = 16
-	}
-	if c.ChurnRounds == 0 {
-		c.ChurnRounds = 2
-	}
-	if c.TransferBytes == 0 {
-		c.TransferBytes = 102 * 1024
 	}
 	if !c.Level.Valid() {
 		c.Level = protect.LevelNone
@@ -166,11 +135,6 @@ type Result struct {
 	Key      *rsakey.PrivateKey
 	MemPages int
 	Samples  []TickSample
-	// RecoveryCounters is the supervisor's final accounting when the run
-	// was supervised (Config.Recovery non-nil); zero otherwise.
-	RecoveryCounters supervise.Counters
-	// Generations counts server boots under supervision (1 = no restart).
-	Generations int
 }
 
 // Run executes the timeline and returns the per-tick scanner samples.
@@ -188,7 +152,6 @@ func Run(cfg Config) (*Result, error) {
 	k, err := host.Boot(kernel.Config{
 		MemPages:      cfg.MemPages,
 		DeallocPolicy: cfg.Level.KernelPolicy(),
-		FaultPlan:     cfg.FaultPlan,
 	}, stats.DeriveSeed(cfg.Seed, 2), host.Key{Path: KeyPath, Key: key})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -213,37 +176,25 @@ func Run(cfg Config) (*Result, error) {
 	// The tick count is known up front: preallocate the sample slice so the
 	// driver loop never regrows it (fleet runs avoid the append entirely —
 	// internal/fleet aggregates into mergeable streams instead).
+	sched := DefaultSchedule()
 	res := &Result{Config: cfg, Key: key, MemPages: cfg.MemPages,
-		Samples: make([]TickSample, 0, cfg.Schedule.End+1)}
+		Samples: make([]TickSample, 0, sched.End+1)}
 
 	var srv host.Server
-	var sup *supervise.Supervisor
 	var open []int
-	gen := 0
-	for tick := 0; tick <= cfg.Schedule.End; tick++ {
+	for tick := 0; tick <= sched.End; tick++ {
 		// Server lifecycle events.
-		if tick == cfg.Schedule.StartServer {
-			if cfg.Recovery != nil {
-				sup, err = startSupervised(k, cfg, key)
-				if err != nil {
-					return nil, err
-				}
-				srv, gen = sup, sup.Generation()
-			} else {
-				srv, err = startServer(k, cfg)
-				if err != nil {
-					return nil, err
-				}
+		if tick == sched.StartServer {
+			srv, err = startServer(k, cfg)
+			if err != nil {
+				return nil, err
 			}
 		}
-		if tick == cfg.Schedule.StopServer && srv != nil {
-			if err := srv.Stop(); err != nil && sup == nil {
+		if tick == sched.StopServer && srv != nil {
+			if err := srv.Stop(); err != nil {
 				return nil, fmt.Errorf("sim: stop: %w", err)
 			}
-			if sup != nil {
-				res.RecoveryCounters, res.Generations = sup.Counters(), sup.Generation()
-			}
-			srv, sup = nil, nil
+			srv = nil
 			open = nil
 		}
 		// Traffic churn towards the tick's target. Each round models one
@@ -253,50 +204,27 @@ func Run(cfg Config) (*Result, error) {
 		// of freshly freed per-connection pages, the way a real server's
 		// teardown continuously feeds key copies into unallocated memory.
 		if srv != nil {
-			// Under supervision a re-provision restarts the server: stale
-			// connection IDs belong to the dead generation, and a dead
-			// supervisor (re-provision budget spent) ends service early —
-			// both are outages the samples record, not driver errors.
-			if sup != nil {
-				if g := sup.Generation(); g != gen {
-					gen, open = g, nil
-				}
-				if sup.Failed() != nil || !sup.Running() {
-					res.RecoveryCounters, res.Generations = sup.Counters(), sup.Generation()
-					srv, sup, open = nil, nil, nil
-				}
-			}
-		}
-		if srv != nil {
-			target := cfg.Schedule.targetConns(tick, cfg.LowConns, cfg.HighConns)
-			for round := 0; round < cfg.ChurnRounds; round++ {
+			target := sched.targetConns(tick)
+			for round := 0; round < churnRounds; round++ {
 				fresh := make([]int, 0, target)
 				for i := 0; i < target; i++ {
 					id, err := srv.Connect()
 					if err != nil {
-						if sup != nil {
-							continue // slot lost to the outage; samples show the dip
-						}
 						return nil, fmt.Errorf("sim: tick %d connect: %w", tick, err)
 					}
 					fresh = append(fresh, id)
-					if err := srv.Churn(id, cfg.TransferBytes); err != nil && sup == nil {
+					if err := srv.Churn(id, transferBytes); err != nil {
 						return nil, fmt.Errorf("sim: tick %d churn: %w", tick, err)
 					}
 				}
-				if sup != nil && sup.Generation() != gen {
-					// A mid-round re-provision invalidated every ID; the
-					// fresh batch died with the old generation too.
-					gen, open, fresh = sup.Generation(), nil, nil
-				}
 				for _, id := range open {
-					if err := srv.Disconnect(id); err != nil && sup == nil {
+					if err := srv.Disconnect(id); err != nil {
 						return nil, fmt.Errorf("sim: tick %d: %w", tick, err)
 					}
 				}
 				open = fresh
 			}
-			if err := srv.Maintain(); err != nil && sup == nil {
+			if err := srv.Maintain(); err != nil {
 				return nil, fmt.Errorf("sim: tick %d maintain: %w", tick, err)
 			}
 		}
@@ -311,31 +239,6 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// startSupervised boots the configured server under a supervisor, with
-// an escrow anchor provisioned from the run's key — the same out-of-RAM
-// trust the initial key install assumes — so a destroyed sealed master
-// can re-provision mid-timeline.
-func startSupervised(k *kernel.Kernel, cfg Config, key *rsakey.PrivateKey) (*supervise.Supervisor, error) {
-	anchor := hsm.New()
-	slot, err := anchor.Import(key)
-	if err != nil {
-		return nil, fmt.Errorf("sim: anchor: %w", err)
-	}
-	kind := host.KindSSHD
-	if cfg.Kind == KindApache {
-		kind = host.KindHTTPD
-	}
-	sup := supervise.New(k, supervise.Config{
-		Kind: kind, KeyPath: KeyPath, Level: cfg.Level,
-		Seed: stats.DeriveSeed(cfg.Seed, 3), Policy: *cfg.Recovery,
-		Anchor: anchor, AnchorSlot: slot,
-	})
-	if err := sup.Start(); err != nil {
-		return nil, fmt.Errorf("sim: supervised start: %w", err)
-	}
-	return sup, nil
 }
 
 // startServer boots the configured server kind.

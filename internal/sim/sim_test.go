@@ -3,10 +3,8 @@ package sim
 import (
 	"testing"
 
-	"memshield/internal/fault"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
-	"memshield/internal/supervise"
 )
 
 // runTL runs a timeline with small-but-representative parameters.
@@ -42,7 +40,7 @@ func TestSSHUnprotectedTimelineShape(t *testing.T) {
 	if len(res.Samples) != 30 {
 		t.Fatalf("samples = %d, want 30", len(res.Samples))
 	}
-	sched := res.Config.Schedule
+	sched := DefaultSchedule()
 
 	// Observation (1): PEM already cached at t=0 (server not yet started).
 	t0 := sampleAt(t, res, 0)
@@ -101,7 +99,7 @@ func TestSSHUnprotectedTimelineShape(t *testing.T) {
 
 func TestApacheUnprotectedTimelineShape(t *testing.T) {
 	res := runTL(t, KindApache, protect.LevelNone)
-	sched := res.Config.Schedule
+	sched := DefaultSchedule()
 
 	// Observation (1): multiple copies right at startup (double config
 	// pass + prefork pool).
@@ -136,7 +134,7 @@ func TestProtectedTimelinesConstantAndClean(t *testing.T) {
 			kind, level := kind, level
 			t.Run(kind.String()+"/"+level.String(), func(t *testing.T) {
 				res := runTL(t, kind, level)
-				sched := res.Config.Schedule
+				sched := DefaultSchedule()
 				wantPEM := 1
 				if level.EvictsPEM() {
 					wantPEM = 0
@@ -174,7 +172,7 @@ func TestProtectedTimelinesConstantAndClean(t *testing.T) {
 
 func TestKernelLevelTimeline(t *testing.T) {
 	res := runTL(t, KindSSH, protect.LevelKernel)
-	sched := res.Config.Schedule
+	sched := DefaultSchedule()
 	busy := sampleAt(t, res, sched.TrafficMid-1)
 	// Allocated floods, unallocated is always clean.
 	if busy.Summary.Allocated < 10 {
@@ -198,7 +196,7 @@ func TestSecureDeallocTimeline(t *testing.T) {
 	// Snapshots happen after the tick's deferred zeroing drains, so
 	// unallocated memory is clean at every sample — Chow et al.'s
 	// guarantee — while allocated copies still flood.
-	sched := res.Config.Schedule
+	sched := DefaultSchedule()
 	for _, s := range res.Samples {
 		if s.Summary.Unallocated != 0 {
 			t.Fatalf("tick %d: unallocated = %d under secure-dealloc", s.Tick, s.Summary.Unallocated)
@@ -229,135 +227,5 @@ func TestServerKindString(t *testing.T) {
 	}
 	if ServerKind(9).String() == "" {
 		t.Fatal("unknown kind should format")
-	}
-}
-
-func TestCustomScheduleAndConfig(t *testing.T) {
-	// A compressed schedule with different plateaus still drives the same
-	// machinery.
-	res, err := Run(Config{
-		Kind:  KindSSH,
-		Level: protect.LevelIntegrated,
-		Seed:  3,
-		Schedule: Schedule{
-			StartServer: 1, TrafficLow: 2, TrafficHigh: 4,
-			TrafficMid: 6, TrafficOff: 8, StopServer: 10, End: 12,
-		},
-		LowConns:    2,
-		HighConns:   5,
-		ChurnRounds: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Samples) != 13 {
-		t.Fatalf("samples = %d, want 13", len(res.Samples))
-	}
-	if s := sampleAt(t, res, 4); s.Conns != 5 {
-		t.Fatalf("high plateau conns = %d, want 5", s.Conns)
-	}
-	if s := sampleAt(t, res, 12); s.ServerRunning {
-		t.Fatal("server should be stopped at end")
-	}
-	// Integrated invariant holds at the compressed schedule too.
-	for _, s := range res.Samples {
-		if s.Summary.Unallocated != 0 {
-			t.Fatalf("tick %d: unallocated copies", s.Tick)
-		}
-	}
-}
-
-// TestSupervisedTimelineZeroOverhead pins that supervision is inert on
-// the golden path: with a recovery policy armed but no faults injected,
-// every sample matches the unsupervised timeline byte for byte.
-func TestSupervisedTimelineZeroOverhead(t *testing.T) {
-	policy := supervise.DefaultPolicy(11)
-	plain, err := Run(Config{Kind: KindSSH, Level: protect.LevelSealed, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := Run(Config{Kind: KindSSH, Level: protect.LevelSealed, Seed: 11, Recovery: &policy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Samples) != len(sup.Samples) {
-		t.Fatalf("sample counts differ: %d vs %d", len(plain.Samples), len(sup.Samples))
-	}
-	for i := range plain.Samples {
-		a, b := plain.Samples[i], sup.Samples[i]
-		if a.Summary.Total != b.Summary.Total || a.Conns != b.Conns || a.ServerRunning != b.ServerRunning {
-			t.Fatalf("tick %d diverged under inert supervision: %+v vs %+v", a.Tick, a.Summary, b.Summary)
-		}
-	}
-	if c := sup.RecoveryCounters; c.Retries != 0 || c.Reprovisions != 0 {
-		t.Fatalf("fault-free run recorded recovery work: %+v", c)
-	}
-	if sup.Generations != 1 {
-		t.Fatalf("generations = %d, want 1", sup.Generations)
-	}
-}
-
-// TestSupervisedTimelineSurvivesUnsealStorm arms a heavy unseal fault
-// rate that would abort the unsupervised driver, and demands the
-// supervised timeline complete with retries on the record.
-func TestSupervisedTimelineSurvivesUnsealStorm(t *testing.T) {
-	policy := supervise.DefaultPolicy(11)
-	cfg := Config{
-		Kind: KindSSH, Level: protect.LevelSealed, Seed: 11,
-		FaultPlan: &fault.Plan{Seed: 11, Rules: map[fault.Site]fault.Rule{
-			fault.SiteUnseal: {Prob: 0.2},
-		}},
-		Recovery: &policy,
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("supervised timeline should absorb transient unseal refusals: %v", err)
-	}
-	if res.RecoveryCounters.Retries == 0 {
-		t.Fatal("storm produced no retries; the fault rate is too low to test recovery")
-	}
-	// Replay determinism: same config, same samples, same accounting.
-	res2, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RecoveryCounters != res2.RecoveryCounters || res.Generations != res2.Generations {
-		t.Fatalf("replay diverged: %+v/%d vs %+v/%d",
-			res.RecoveryCounters, res.Generations, res2.RecoveryCounters, res2.Generations)
-	}
-	for i := range res.Samples {
-		if res.Samples[i].Summary.Total != res2.Samples[i].Summary.Total {
-			t.Fatalf("tick %d sample diverged on replay", res.Samples[i].Tick)
-		}
-	}
-}
-
-// TestSupervisedTimelineReprovisions scripts the first reseal to fail:
-// the sealed master is destroyed fail-closed mid-timeline, the
-// supervisor re-provisions from the anchor under a new epoch, and the
-// timeline finishes on the second generation with no plaintext parts in
-// any later sample (the scanner runs outside private-op windows).
-func TestSupervisedTimelineReprovisions(t *testing.T) {
-	policy := supervise.DefaultPolicy(11)
-	res, err := Run(Config{
-		Kind: KindSSH, Level: protect.LevelSealed, Seed: 11,
-		FaultPlan: &fault.Plan{Seed: 11, Rules: map[fault.Site]fault.Rule{
-			fault.SiteSeal: {Nth: []uint64{1}},
-		}},
-		Recovery: &policy,
-	})
-	if err != nil {
-		t.Fatalf("supervised timeline should survive the destroy: %v", err)
-	}
-	if res.RecoveryCounters.Reprovisions != 1 {
-		t.Fatalf("reprovisions = %d, want 1 (counters %+v)", res.RecoveryCounters.Reprovisions, res.RecoveryCounters)
-	}
-	if res.Generations != 2 {
-		t.Fatalf("generations = %d, want 2", res.Generations)
-	}
-	for _, s := range res.Samples {
-		if n := s.Summary.ByPart[scan.PartD] + s.Summary.ByPart[scan.PartP] + s.Summary.ByPart[scan.PartQ]; n != 0 {
-			t.Fatalf("tick %d: %d plaintext key parts visible at sealed level", s.Tick, n)
-		}
 	}
 }

@@ -100,7 +100,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 			if w2 := p.BackoffTicks(op, attempt); w2 != w {
 				t.Fatalf("%s attempt %d: backoff not deterministic (%d vs %d)", op, attempt, w, w2)
 			}
-			if w < 1 || w >= 2*p.MaxBackoffTicks+1 {
+			if w < 1 || w >= 2*maxBackoffTicks+1 {
 				t.Fatalf("%s attempt %d: backoff %d out of [1, 2*max]", op, attempt, w)
 			}
 			if w > prevCap {
@@ -108,7 +108,7 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 			}
 		}
 		// The exponential must actually grow before the cap.
-		if a1, a4 := p.BackoffTicks(op, 1), p.BackoffTicks(op, 4); a1 >= 2*p.BaseBackoffTicks && a4 < a1 {
+		if a1, a4 := p.BackoffTicks(op, 1), p.BackoffTicks(op, 4); a1 >= 2*baseBackoffTicks && a4 < a1 {
 			t.Logf("%s: attempt 1 jittered high (%d) vs attempt 4 (%d) — allowed, jitter is seeded", op, a1, a4)
 		}
 	}

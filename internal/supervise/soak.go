@@ -88,7 +88,7 @@ func (c *StormConfig) applyDefaults() {
 	if c.Plan == nil {
 		c.Plan = DefaultStormPlan(c.Seed)
 	}
-	if c.Policy.Budget == nil && c.Policy.Seed == 0 && c.Policy.BaseBackoffTicks == 0 && c.Policy.MaxBackoffTicks == 0 {
+	if c.Policy.Budget == nil && c.Policy.Seed == 0 {
 		c.Policy = DefaultPolicy(stats.DeriveSeed(c.Seed, 5))
 	}
 }

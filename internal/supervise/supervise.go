@@ -109,11 +109,14 @@ type Policy struct {
 	// minimum 1). OpReprovision's budget instead caps re-provisions per
 	// run. Absent ops use DefaultPolicy's values.
 	Budget map[Op]int
-	// BaseBackoffTicks is the first retry's backoff scale (default 1).
-	BaseBackoffTicks int
-	// MaxBackoffTicks caps the exponential growth (default 8).
-	MaxBackoffTicks int
 }
+
+// A retry's backoff scale, in virtual ticks: baseBackoffTicks for the
+// first retry, doubling per attempt up to maxBackoffTicks.
+const (
+	baseBackoffTicks = 1
+	maxBackoffTicks  = 8
+)
 
 // DefaultPolicy returns the policy the soak and recovery harnesses use.
 func DefaultPolicy(seed int64) Policy {
@@ -126,8 +129,6 @@ func DefaultPolicy(seed int64) Policy {
 			OpMaintain:    3,
 			OpReprovision: 2,
 		},
-		BaseBackoffTicks: 1,
-		MaxBackoffTicks:  8,
 	}
 }
 
@@ -144,25 +145,14 @@ func (p Policy) budget(op Op) int {
 }
 
 // BackoffTicks returns the virtual-tick wait before retrying op's given
-// attempt (1-based): an exponential base capped at MaxBackoffTicks, plus
+// attempt (1-based): an exponential base capped at maxBackoffTicks, plus
 // a seeded jitter in [0, cap) — wait is always in [1, 2*cap). A pure
 // function of (policy seed, op, attempt): replaying a run replays its
 // waits exactly, and no wall clock is ever consulted.
 func (p Policy) BackoffTicks(op Op, attempt int) int {
-	base := p.BaseBackoffTicks
-	if base < 1 {
-		base = 1
-	}
-	max := p.MaxBackoffTicks
-	if max < base {
-		max = 8 * base
-	}
-	exp := base
-	for i := 1; i < attempt && exp < max; i++ {
-		exp *= 2
-	}
-	if exp > max {
-		exp = max
+	exp := baseBackoffTicks
+	for i := 1; i < attempt && exp < maxBackoffTicks; i++ {
+		exp = min(2*exp, maxBackoffTicks)
 	}
 	jitter := int(uint64(stats.DeriveSeed(p.Seed, int64(op), int64(attempt))) % uint64(exp))
 	return exp + jitter
@@ -267,7 +257,7 @@ type Supervisor struct {
 // inspection whether or not Start succeeds.
 func New(k *kernel.Kernel, cfg Config) *Supervisor {
 	policy := cfg.Policy
-	if policy.Budget == nil && policy.BaseBackoffTicks == 0 && policy.MaxBackoffTicks == 0 && policy.Seed == 0 {
+	if policy.Budget == nil && policy.Seed == 0 {
 		policy = DefaultPolicy(cfg.Seed)
 	}
 	status := cfg.Status

@@ -1,6 +1,7 @@
 package supervise
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,9 +13,12 @@ import (
 	"memshield/internal/host"
 	"memshield/internal/hsm"
 	"memshield/internal/kernel"
+	"memshield/internal/kernel/alloc"
 	"memshield/internal/kernel/vm"
 	"memshield/internal/protect"
 	"memshield/internal/scan"
+	"memshield/internal/server/httpd"
+	"memshield/internal/server/sshd"
 	"memshield/internal/stats"
 )
 
@@ -551,4 +555,101 @@ func TestReprovisionGateParksAndResumes(t *testing.T) {
 	if found != len(want) {
 		t.Fatalf("event stream %v missing the park/resume sequence %v", kinds, want)
 	}
+}
+
+// TestSupervisionIsInert pins that supervision, and an armed fault plan
+// with no rules, change nothing while no fault fires. One seeded op
+// sequence runs through a bare server with no plan, and again supervised,
+// supervised under an empty plan, and bare under an empty plan. Each
+// must end with the bare run's physical memory, byte for byte, and its
+// allocator counters.
+func TestSupervisionIsInert(t *testing.T) {
+	variants := []struct {
+		name       string
+		supervised bool
+		plan       *fault.Plan
+	}{
+		{"supervised", true, nil},
+		{"supervised with an empty plan", true, &fault.Plan{Seed: 5}},
+		{"bare with an empty plan", false, &fault.Plan{Seed: 5}},
+	}
+	for _, kind := range []host.Kind{host.KindSSHD, host.KindHTTPD} {
+		for _, level := range []protect.Level{protect.LevelNone, protect.LevelIntegrated, protect.LevelSealed} {
+			t.Run(string(kind)+"/"+level.String(), func(t *testing.T) {
+				wantMem, wantStats := inertRun(t, kind, level, false, nil)
+				for _, v := range variants {
+					gotMem, gotStats := inertRun(t, kind, level, v.supervised, v.plan)
+					if !bytes.Equal(gotMem, wantMem) {
+						t.Errorf("%s: physical memory differs from the bare run", v.name)
+					}
+					if gotStats != wantStats {
+						t.Errorf("%s: allocator stats %+v, bare run %+v", v.name, gotStats, wantStats)
+					}
+				}
+			})
+		}
+	}
+}
+
+// inertRun boots a machine, drives the seeded op sequence (connect and
+// churn, disconnect, maintain and tick), stops the server and returns
+// the machine's physical memory and allocator counters.
+func inertRun(t *testing.T, kind host.Kind, level protect.Level, supervised bool, plan *fault.Plan) ([]byte, alloc.Stats) {
+	t.Helper()
+	k, _, anchor, slot := testRig(t, level, plan)
+	var srv host.Server
+	switch {
+	case supervised:
+		sup := newSupervisor(k, kind, level, anchor, slot)
+		if err := sup.Start(); err != nil {
+			t.Fatal(err)
+		}
+		srv = sup
+	case kind == host.KindSSHD:
+		s, err := sshd.Start(k, sshd.Config{KeyPath: testKeyPath, Level: level, Seed: stats.DeriveSeed(7, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = host.SSHD{Server: s}
+	default:
+		s, err := httpd.Start(k, httpd.Config{KeyPath: testKeyPath, Level: level, Seed: stats.DeriveSeed(7, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = host.HTTPD{Server: s}
+	}
+	rng := stats.NewRand(13)
+	var open []int
+	for step := 0; step < 60; step++ {
+		switch op := rng.Intn(3); {
+		case len(open) == 0 || op == 0 && len(open) < 8:
+			id, err := srv.Connect()
+			if err != nil {
+				t.Fatalf("step %d connect: %v", step, err)
+			}
+			if err := srv.Churn(id, 1+rng.Intn(3*4096)); err != nil {
+				t.Fatalf("step %d churn: %v", step, err)
+			}
+			open = append(open, id)
+		case op <= 1:
+			i := rng.Intn(len(open))
+			if err := srv.Disconnect(open[i]); err != nil {
+				t.Fatalf("step %d disconnect: %v", step, err)
+			}
+			open = append(open[:i], open[i+1:]...)
+		default:
+			if err := srv.Maintain(); err != nil {
+				t.Fatalf("step %d maintain: %v", step, err)
+			}
+			k.Tick()
+		}
+	}
+	if err := srv.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	image, err := k.Mem().Read(0, k.Mem().Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return image, k.Alloc().Stats()
 }

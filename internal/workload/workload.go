@@ -99,41 +99,34 @@ func DefaultSSHFileSizes() []int {
 	return sizes
 }
 
-// SSHBenchConfig describes one Figure-8 run.
+// The paper's benchmark shape: 20 concurrent clients (scp in Figure 8,
+// siege in Figures 19–20) and siege responses of 30 KiB.
+const (
+	concurrency   = 20
+	responseBytes = 30 * 1024
+)
+
+// SSHBenchConfig describes one Figure-8 run. Each transfer moves the next
+// of DefaultSSHFileSizes, cycling.
 type SSHBenchConfig struct {
 	Level protect.Level
-	// Concurrency is the number of simultaneous scp connections (20).
-	Concurrency int
 	// TotalTransfers across all connections (4000).
 	TotalTransfers int
-	// FileSizes cycles per transfer (DefaultSSHFileSizes).
-	FileSizes []int
 	// MemPages, KeyBits, Seed configure the machine (8192 / 512 / any).
 	MemPages int
 	KeyBits  int
 	Seed     int64
-	// Cost defaults to DefaultCostModel.
-	Cost CostModel
 }
 
 func (c *SSHBenchConfig) applyDefaults() {
-	if c.Concurrency == 0 {
-		c.Concurrency = 20
-	}
 	if c.TotalTransfers == 0 {
 		c.TotalTransfers = 4000
-	}
-	if len(c.FileSizes) == 0 {
-		c.FileSizes = DefaultSSHFileSizes()
 	}
 	if c.MemPages == 0 {
 		c.MemPages = 8192
 	}
 	if c.KeyBits == 0 {
 		c.KeyBits = 512
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel()
 	}
 	if !c.Level.Valid() {
 		c.Level = protect.LevelNone
@@ -155,8 +148,8 @@ func setupMachine(memPages, keyBits int, seed int64, level protect.Level) (*kern
 // RunSSHBench executes the scp stress benchmark at one protection level.
 func RunSSHBench(cfg SSHBenchConfig) (PerfResult, error) {
 	cfg.applyDefaults()
-	if cfg.Concurrency <= 0 || cfg.TotalTransfers <= 0 {
-		return PerfResult{}, errors.New("workload: concurrency and transfers must be positive")
+	if cfg.TotalTransfers <= 0 {
+		return PerfResult{}, errors.New("workload: transfers must be positive")
 	}
 	k, err := setupMachine(cfg.MemPages, cfg.KeyBits, cfg.Seed, cfg.Level)
 	if err != nil {
@@ -169,7 +162,7 @@ func RunSSHBench(cfg SSHBenchConfig) (PerfResult, error) {
 	zeroedBefore := k.Alloc().Stats().PagesZeroed
 	opsBefore := k.Alloc().Stats().Allocs + k.Alloc().Stats().Frees
 
-	conns := make([]int, cfg.Concurrency)
+	conns := make([]int, concurrency)
 	for i := range conns {
 		id, err := s.Connect()
 		if err != nil {
@@ -177,9 +170,10 @@ func RunSSHBench(cfg SSHBenchConfig) (PerfResult, error) {
 		}
 		conns[i] = id
 	}
+	sizes := DefaultSSHFileSizes()
 	bytesMoved := 0
 	for i := 0; i < cfg.TotalTransfers; i++ {
-		size := cfg.FileSizes[i%len(cfg.FileSizes)]
+		size := sizes[i%len(sizes)]
 		if err := s.Transfer(conns[i%len(conns)], size); err != nil {
 			return PerfResult{}, fmt.Errorf("workload: transfer %d: %w", i, err)
 		}
@@ -197,52 +191,37 @@ func RunSSHBench(cfg SSHBenchConfig) (PerfResult, error) {
 	zeroed := k.Alloc().Stats().PagesZeroed - zeroedBefore
 	pageOps := k.Alloc().Stats().Allocs + k.Alloc().Stats().Frees - opsBefore
 
-	return cfg.Cost.score(transactionLoad{
+	return DefaultCostModel().score(transactionLoad{
 		transactions: cfg.TotalTransfers,
-		handshakes:   cfg.Concurrency,
-		connSetups:   cfg.Concurrency,
+		handshakes:   concurrency,
+		connSetups:   concurrency,
 		bytesMoved:   bytesMoved,
 		pagesZeroed:  zeroed,
 		pageOps:      pageOps,
-		concurrency:  cfg.Concurrency,
+		concurrency:  concurrency,
 	}), nil
 }
 
 // ApacheBenchConfig describes one Figure-19/20 siege run.
 type ApacheBenchConfig struct {
 	Level protect.Level
-	// Concurrency is the number of simultaneous clients (20).
-	Concurrency int
 	// Transactions is the total HTTPS transaction count (4000).
 	Transactions int
-	// ResponseBytes per transaction (default 30 KiB).
-	ResponseBytes int
 	// MemPages, KeyBits, Seed configure the machine.
 	MemPages int
 	KeyBits  int
 	Seed     int64
-	// Cost defaults to DefaultCostModel.
-	Cost CostModel
 }
 
 func (c *ApacheBenchConfig) applyDefaults() {
-	if c.Concurrency == 0 {
-		c.Concurrency = 20
-	}
 	if c.Transactions == 0 {
 		c.Transactions = 4000
-	}
-	if c.ResponseBytes == 0 {
-		c.ResponseBytes = 30 * 1024
 	}
 	if c.MemPages == 0 {
 		c.MemPages = 8192
 	}
 	if c.KeyBits == 0 {
 		c.KeyBits = 512
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCostModel()
 	}
 	if !c.Level.Valid() {
 		c.Level = protect.LevelNone
@@ -254,8 +233,8 @@ func (c *ApacheBenchConfig) applyDefaults() {
 // response, matching siege's default non-keepalive behaviour.
 func RunApacheBench(cfg ApacheBenchConfig) (PerfResult, error) {
 	cfg.applyDefaults()
-	if cfg.Concurrency <= 0 || cfg.Transactions <= 0 {
-		return PerfResult{}, errors.New("workload: concurrency and transactions must be positive")
+	if cfg.Transactions <= 0 {
+		return PerfResult{}, errors.New("workload: transactions must be positive")
 	}
 	k, err := setupMachine(cfg.MemPages, cfg.KeyBits, cfg.Seed, cfg.Level)
 	if err != nil {
@@ -263,7 +242,7 @@ func RunApacheBench(cfg ApacheBenchConfig) (PerfResult, error) {
 	}
 	s, err := httpd.Start(k, httpd.Config{
 		KeyPath: KeyPath, Level: cfg.Level, Seed: stats.DeriveSeed(cfg.Seed, 3),
-		MaxClients: cfg.Concurrency + 4,
+		MaxClients: concurrency + 4,
 	})
 	if err != nil {
 		return PerfResult{}, fmt.Errorf("workload: %w", err)
@@ -272,26 +251,22 @@ func RunApacheBench(cfg ApacheBenchConfig) (PerfResult, error) {
 	opsBefore := k.Alloc().Stats().Allocs + k.Alloc().Stats().Frees
 
 	bytesMoved := 0
-	// In-flight connection IDs live in a fixed ring: the old slice version
-	// (`open = open[1:]` after each retire) kept the original backing array
-	// reachable for the whole run, pinning one stale ID slot per retired
-	// transaction — a 4000-transaction run leaked a 4000-entry array to
-	// retire ~20. The ring reuses Concurrency slots forever.
-	ring := make([]int, cfg.Concurrency)
+	// In-flight connection IDs live in a fixed ring of concurrency slots.
+	ring := make([]int, concurrency)
 	head, count := 0, 0
 	for i := 0; i < cfg.Transactions; i++ {
 		id, err := s.Connect()
 		if err != nil {
 			return PerfResult{}, fmt.Errorf("workload: txn %d: %w", i, err)
 		}
-		if err := s.Request(id, cfg.ResponseBytes); err != nil {
+		if err := s.Request(id, responseBytes); err != nil {
 			return PerfResult{}, fmt.Errorf("workload: txn %d: %w", i, err)
 		}
-		bytesMoved += cfg.ResponseBytes
+		bytesMoved += responseBytes
 		ring[(head+count)%len(ring)] = id
 		count++
-		// Keep Concurrency connections in flight; retire the oldest.
-		if count >= cfg.Concurrency {
+		// Keep concurrency connections in flight; retire the oldest.
+		if count >= concurrency {
 			if err := s.Disconnect(ring[head]); err != nil {
 				return PerfResult{}, fmt.Errorf("workload: %w", err)
 			}
@@ -314,14 +289,14 @@ func RunApacheBench(cfg ApacheBenchConfig) (PerfResult, error) {
 	zeroed := k.Alloc().Stats().PagesZeroed - zeroedBefore
 	pageOps := k.Alloc().Stats().Allocs + k.Alloc().Stats().Frees - opsBefore
 
-	return cfg.Cost.score(transactionLoad{
+	return DefaultCostModel().score(transactionLoad{
 		transactions: cfg.Transactions,
 		handshakes:   cfg.Transactions, // full handshake per siege txn
 		connSetups:   cfg.Transactions,
 		bytesMoved:   bytesMoved,
 		pagesZeroed:  zeroed,
 		pageOps:      pageOps,
-		concurrency:  cfg.Concurrency,
+		concurrency:  concurrency,
 	}), nil
 }
 

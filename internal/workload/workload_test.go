@@ -29,7 +29,6 @@ func TestDefaultSSHFileSizes(t *testing.T) {
 func smallSSH(level protect.Level) SSHBenchConfig {
 	return SSHBenchConfig{
 		Level:          level,
-		Concurrency:    5,
 		TotalTransfers: 100,
 		Seed:           1,
 	}
@@ -49,7 +48,7 @@ func TestRunSSHBenchProducesMetrics(t *testing.T) {
 	if res.BytesMoved == 0 {
 		t.Fatal("no bytes moved")
 	}
-	if res.Concurrency <= 0 || res.Concurrency > 5 {
+	if res.Concurrency <= 0 || res.Concurrency > 20 {
 		t.Fatalf("Concurrency = %v", res.Concurrency)
 	}
 	// retain policy: no zeroing at all.
@@ -85,16 +84,15 @@ func TestSSHBenchNoPerformancePenalty(t *testing.T) {
 
 func TestRunSSHBenchValidates(t *testing.T) {
 	cfg := smallSSH(protect.LevelNone)
-	cfg.Concurrency = -1
+	cfg.TotalTransfers = -1
 	if _, err := RunSSHBench(cfg); err == nil {
-		t.Fatal("negative concurrency should error")
+		t.Fatal("negative transfers should error")
 	}
 }
 
 func smallApache(level protect.Level) ApacheBenchConfig {
 	return ApacheBenchConfig{
 		Level:        level,
-		Concurrency:  5,
 		Transactions: 100,
 		Seed:         2,
 	}

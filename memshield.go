@@ -93,10 +93,6 @@ type MachineConfig struct {
 	Protection Protection
 	// Seed makes the machine deterministic (free-list scrambling, keys).
 	Seed int64
-	// SkipScramble leaves the free lists in pristine boot order (useful
-	// for allocator-level experiments; attacks become unrealistically
-	// easy or hard).
-	SkipScramble bool
 	// TraceEvents, when positive, enables the kernel event tracer with a
 	// ring of that capacity; read it back via Kernel().Trace().
 	TraceEvents int
@@ -111,6 +107,8 @@ type Machine struct {
 	seed        int64
 	protection  Protection
 	scanWorkers int
+	// installs and provisions count InstallKey and ProvisionHSMKey calls.
+	installs, provisions int64
 	// scanners caches one incremental scanner per installed key, so
 	// repeated Scan calls only re-walk frames written since the last call.
 	scanners map[*Key]*scan.Scanner
@@ -127,20 +125,15 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 	if !cfg.Protection.Valid() {
 		cfg.Protection = ProtectionNone
 	}
-	k, err := kernel.New(kernel.Config{
+	k, err := host.Boot(kernel.Config{
 		MemPages:      cfg.MemoryMB * 1024 * 1024 / mem.PageSize,
 		SwapPages:     cfg.SwapMB * 1024 * 1024 / mem.PageSize,
 		EncryptSwap:   cfg.EncryptSwap,
 		DeallocPolicy: cfg.Protection.KernelPolicy(),
 		TraceEvents:   cfg.TraceEvents,
-	})
+	}, cfg.Seed+1)
 	if err != nil {
 		return nil, fmt.Errorf("memshield: %w", err)
-	}
-	if !cfg.SkipScramble {
-		if err := k.ScrambleFreeMemory(cfg.Seed + 1); err != nil {
-			return nil, fmt.Errorf("memshield: %w", err)
-		}
 	}
 	return &Machine{
 		k:           k,
@@ -171,7 +164,7 @@ func (k *Key) Patterns() []scan.Pattern { return scan.PatternsFor(k.Private) }
 // InstallKey generates a fresh RSA key of the given modulus size and writes
 // its PEM file at path on the simulated filesystem.
 func (m *Machine) InstallKey(path string, bits int) (*Key, error) {
-	key, err := rsakey.Generate(stats.NewReader(m.seed+100), bits)
+	key, err := rsakey.Generate(stats.NewReader(m.keySeed(100, &m.installs)), bits)
 	if err != nil {
 		return nil, fmt.Errorf("memshield: %w", err)
 	}
@@ -179,6 +172,18 @@ func (m *Machine) InstallKey(path string, bits int) (*Key, error) {
 		return nil, fmt.Errorf("memshield: %w", err)
 	}
 	return &Key{Private: key, Path: path}, nil
+}
+
+// keySeed returns the key seed for one more call counted by calls:
+// seed+base for the first call, and DeriveSeed(seed+base, n) for call n
+// after it, so every call gets its own key.
+func (m *Machine) keySeed(base int64, calls *int64) int64 {
+	seed := m.seed + base
+	if *calls > 0 {
+		seed = stats.DeriveSeed(seed, *calls)
+	}
+	*calls++
+	return seed
 }
 
 // Scan searches the machine's entire physical memory for copies of the key
@@ -311,7 +316,7 @@ type (
 // returns both the Key descriptor (so the scanner can verify the machine
 // holds no trace of it) and the device slot.
 func (m *Machine) ProvisionHSMKey(bits int) (*Key, *HSMSlot, error) {
-	key, err := rsakey.Generate(stats.NewReader(m.seed+200), bits)
+	key, err := rsakey.Generate(stats.NewReader(m.keySeed(200, &m.provisions)), bits)
 	if err != nil {
 		return nil, nil, fmt.Errorf("memshield: %w", err)
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"memshield/internal/crypto/rsakey"
+	"memshield/internal/stats"
 )
 
 func TestMachineLifecycleAndScan(t *testing.T) {
@@ -154,6 +157,46 @@ func TestHSMFacade(t *testing.T) {
 	}
 	if full.Success {
 		t.Fatal("full dump against HSM-backed server must fail")
+	}
+}
+
+// TestEachKeyCallGetsItsOwnKey: a second InstallKey or ProvisionHSMKey
+// on one machine returns a new key, and the first call's key is still
+// the one seed+100 (or seed+200) generates.
+func TestEachKeyCallGetsItsOwnKey(t *testing.T) {
+	m, err := NewMachine(MachineConfig{MemoryMB: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		base int64
+		call func() (*Key, error)
+	}{
+		{"InstallKey", 100, func() (*Key, error) { return m.InstallKey("/k.pem", 512) }},
+		{"ProvisionHSMKey", 200, func() (*Key, error) {
+			key, _, err := m.ProvisionHSMKey(512)
+			return key, err
+		}},
+	} {
+		first, err := tc.call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := tc.call()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Private.N.Cmp(second.Private.N) == 0 {
+			t.Errorf("%s: two calls returned the same modulus", tc.name)
+		}
+		want, err := rsakey.Generate(stats.NewReader(9+tc.base), 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Private.N.Cmp(want.N) != 0 {
+			t.Errorf("%s: first call's key moved off its seed+%d stream", tc.name, tc.base)
+		}
 	}
 }
 
